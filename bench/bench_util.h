@@ -8,11 +8,12 @@
 // (MVTO + WAL + B+Tree) is exercised by the examples and the adaptive
 // benchmark.
 //
-// Scaling: paper GB → our MB (1000×), paper threads {1,16,8} → {1,2} on
-// this 2-core box. Device latencies follow Table 1 via LatencySimulator;
-// set SPITFIRE_BENCH_SECONDS / SPITFIRE_BENCH_SCALE to adjust runtimes.
+// Scaling: paper GB → our MB (1000×), paper threads {1,16,8} → {1,2}.
+// Device latencies follow Table 1 via LatencySimulator; set
+// SPITFIRE_BENCH_SECONDS / SPITFIRE_BENCH_SCALE to adjust runtimes.
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -45,13 +46,32 @@ inline uint64_t PagesForMb(double mb) {
   return static_cast<uint64_t>(mb * 1024 * 1024 / kPageSize);
 }
 
-inline double EnvSeconds(double def) {
-  const char* s = std::getenv("SPITFIRE_BENCH_SECONDS");
-  return s != nullptr ? std::atof(s) : def;
+// Reads a finite number from environment variable `name` (`def` when
+// unset). Garbage, a non-finite value, or one not above `min` (or below
+// it, when `min_inclusive`) ends the process with a message: a bad value
+// would otherwise turn every rate the bench prints into nonsense.
+inline double EnvNumber(const char* name, double def, double min,
+                        bool min_inclusive) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return def;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  const bool ok = end != s && *end == '\0' && std::isfinite(v) &&
+                  (min_inclusive ? v >= min : v > min);
+  if (!ok) {
+    std::fprintf(stderr, "%s=\"%s\": expected a finite number %s %g\n", name,
+                 s, min_inclusive ? ">=" : ">", min);
+    std::exit(2);
+  }
+  return v;
 }
+// Seconds per measurement point (> 0).
+inline double EnvSeconds(double def) {
+  return EnvNumber("SPITFIRE_BENCH_SECONDS", def, 0.0, false);
+}
+// Device latency scale (>= 0; 0 turns the latency simulation off).
 inline double EnvScale(double def = 1.0) {
-  const char* s = std::getenv("SPITFIRE_BENCH_SCALE");
-  return s != nullptr ? std::atof(s) : def;
+  return EnvNumber("SPITFIRE_BENCH_SCALE", def, 0.0, true);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 // Zipfian YCSB over a DRAM-NVM-SSD hierarchy whose working set spills to
 // SSD, so buffer misses are the common case. One config, four executors:
 //
-//   K=1   the blocking procedures (YcsbWorkload::RunTransaction) on the
-//         classic closed-loop driver — every miss stalls its worker.
+//   K=1   the blocking procedures (YcsbWorkload::RunTransaction: the
+//         same machine stepped without a context) on the classic
+//         closed-loop driver — every miss stalls its worker.
 //   K=4/8/16  WorkloadDriver::RunInterleaved — each worker drives a ring
 //         of K transaction state machines over the async miss path; a
 //         machine that parks on a miss yields the worker to a sibling.
@@ -14,7 +15,7 @@
 // committed tx/s, throughput-over-time slices, and p50/p99/p999 commit
 // latency (parked time included — tail latency is where over-deep rings
 // show up first). A short TPC-C section repeats the comparison on the
-// NewOrder/Payment mix. Acceptance: every interleaved depth beats the
+// full five-type mix. Acceptance: every interleaved depth beats the
 // blocking baseline by >= 1.5x at 8 workers.
 //
 // SPITFIRE_BENCH_SECONDS scales the per-point window;
@@ -141,8 +142,8 @@ void Main() {
   const double seconds = EnvSeconds(1.5);
   const double warmup = std::min(0.5, seconds * 0.25);
   const double scale = EnvScale();
-  const char* ios = std::getenv("SPITFIRE_BENCH_IO_SCALE");
-  const double io_scale = ios != nullptr ? std::atof(ios) : 16.0;
+  const double io_scale =
+      EnvNumber("SPITFIRE_BENCH_IO_SCALE", 16.0, 0.0, /*min_inclusive=*/true);
 
   // --- YCSB: zipfian point ops, working set ~16x DRAM ---
   const auto make_ycsb = [&]() -> WorkloadInstance {
@@ -166,7 +167,7 @@ void Main() {
   };
   const Sweep ys = RunSweep("ycsb-ba", make_ycsb, seconds, warmup);
 
-  // --- TPC-C (informational): NewOrder/Payment. Warehouses scale with
+  // --- TPC-C (informational): the full mix. Warehouses scale with
   // the peak transaction concurrency (8 workers x ring 16), not the
   // worker count — rings multiply simultaneous Payment attempts per
   // warehouse row, and MVTO resolves those by aborting. ---

@@ -7,14 +7,13 @@
 //  - hot: all threads fetch the same slowly-advancing page (a shared
 //    counter advances the target every 8 global ops), so every advance
 //    is a MISS STORM — N threads hitting one cold page at once.
-//    Single-flight dedup turns N device reads (or N-1 latch spinners)
-//    into one read plus N-1 sleeping waiters, and because the hot page
-//    advances sequentially (a shared scan front), read-ahead streams the
-//    next window in one coalesced device op, paying the per-op fixed
-//    cost once per window instead of once per page.
+//    Single-flight dedup turns N device reads into one read plus N-1
+//    sleeping waiters, and because the hot page advances sequentially (a
+//    shared scan front), read-ahead streams the next window in one
+//    coalesced device op, paying the per-op fixed cost once per window
+//    instead of once per page.
 //
-// Each configuration runs with the I/O scheduler off (the seed's
-// synchronous read-under-latch path) and on, one JSON line per point.
+// One JSON line per point.
 //
 // A second section sweeps the submission/completion split: the blocking
 // FetchPage shim versus the asynchronous ring driver
@@ -45,7 +44,7 @@ struct MissHierarchy {
   std::unique_ptr<BufferManager> bm;
 };
 
-MissHierarchy Make(bool scheduler_on) {
+MissHierarchy Make() {
   MissHierarchy h;
   h.ssd = std::make_unique<SsdDevice>(
       static_cast<uint64_t>(2 * kDbMb * 1024 * 1024));
@@ -54,7 +53,6 @@ MissHierarchy Make(bool scheduler_on) {
   opt.nvm_frames = 0;
   opt.policy = MigrationPolicy::Eager();
   opt.ssd = h.ssd.get();
-  opt.enable_io_scheduler = scheduler_on;
   h.bm = std::make_unique<BufferManager>(opt);
   return h;
 }
@@ -94,10 +92,10 @@ double MeasureMissOps(BufferManager& bm, uint64_t num_pages, int threads,
   return static_cast<double>(ops.load()) / elapsed;
 }
 
-void RunMode(bool scheduler_on, double seconds) {
+void RunMode(double seconds) {
   const uint64_t num_pages = PagesForMb(kDbMb);
   for (const bool hot : {false, true}) {
-    MissHierarchy h = Make(scheduler_on);
+    MissHierarchy h = Make();
     Populate(*h.bm, num_pages);
     // Devices simulate Table 1 latencies during measurement: the miss
     // path's cost is the device wait, which is what the scheduler hides.
@@ -108,22 +106,19 @@ void RunMode(bool scheduler_on, double seconds) {
       const double ops =
           MeasureMissOps(*h.bm, num_pages, threads, seconds, hot);
       const auto snap = h.bm->stats().Snapshot();
-      JsonLine line;
-      line.Str("bench", "micro_miss_path")
-          .Str("sched", scheduler_on ? "on" : "off")
+      JsonLine()
+          .Str("bench", "micro_miss_path")
           .Str("pattern", hot ? "hot" : "uniform")
           .Num("threads", threads)
           .Num("pages", num_pages)
           .Num("ops_per_sec", ops)
           .Num("ssd_reads", h.ssd->stats().num_reads.load())
           .Num("ssd_read_pages", h.ssd->stats().bytes_read.load() / kPageSize)
-          .Num("ssd_fetches", snap.ssd_fetches);
-      if (scheduler_on) {
-        line.Num("reads_deduped",
-                 h.bm->io_scheduler()->stats().reads_deduped.load())
-            .Num("ra_installs", snap.read_ahead_installs);
-      }
-      line.Print();
+          .Num("ssd_fetches", snap.ssd_fetches)
+          .Num("reads_deduped",
+               h.bm->io_scheduler()->stats().reads_deduped.load())
+          .Num("ra_installs", snap.read_ahead_installs)
+          .Print();
     }
     LatencySimulator::SetScale(0.0);
   }
@@ -192,7 +187,7 @@ void RunQueueDepthSweep(const std::vector<int>& depths, double seconds) {
   }
   for (const bool hot : {false, true}) {
     {
-      MissHierarchy h = Make(/*scheduler_on=*/true);
+      MissHierarchy h = Make();
       Populate(*h.bm, num_pages);
       LatencySimulator::SetScale(EnvScale(1.0));
       h.bm->stats().Reset();
@@ -210,7 +205,7 @@ void RunQueueDepthSweep(const std::vector<int>& depths, double seconds) {
       LatencySimulator::SetScale(0.0);
     }
     for (const int qd : depths) {
-      MissHierarchy h = Make(/*scheduler_on=*/true);
+      MissHierarchy h = Make();
       Populate(*h.bm, num_pages);
       LatencySimulator::SetScale(EnvScale(1.0));
       h.bm->stats().Reset();
@@ -257,10 +252,7 @@ void Main(const std::vector<int>& depths, bool sweep_only) {
   PrintBanner("micro_miss_path", "SSD-miss fetch throughput (I/O scheduler)");
   const double seconds = EnvSeconds(1.5);
   LatencySimulator::SetScale(0.0);
-  if (!sweep_only) {
-    RunMode(/*scheduler_on=*/false, seconds);
-    RunMode(/*scheduler_on=*/true, seconds);
-  }
+  if (!sweep_only) RunMode(seconds);
   RunQueueDepthSweep(depths, seconds);
   LatencySimulator::SetScale(1.0);
 }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adaptive/online_tuner.h"
@@ -144,13 +145,14 @@ Hierarchy MakeScenarioHierarchy(ReplacerKind kind, bool with_nvm) {
 }
 
 struct PhaseRow {
-  WorkloadDriver::PhaseResult result;
+  std::string name;
+  DriverResult result;
   uint64_t windows = 0, reconvergences = 0, last_converged = 0;
   bool converged = false;
 };
 
-// Runs the five-phase scenario; phases are separate RunPhased calls so
-// hot-set residency (and tuner state) can be sampled at the boundaries.
+// Runs the five-phase scenario, one sliced Run per phase, so hot-set
+// residency (and tuner state) can be sampled at the boundaries.
 struct ScenarioOut {
   std::vector<PhaseRow> rows;
   size_t hot_before_scan = 0, hot_after_scan = 0;
@@ -177,24 +179,25 @@ ScenarioOut RunScenario(ReplacerKind kind, double phase_secs,
   }
 
   auto cursor = std::make_shared<std::atomic<uint64_t>>(0);
-  const std::vector<WorkloadDriver::PhaseSpec> phases = {
-      {"point_pre", phase_secs, PointFn(bm, 0.05)},
-      {"scan", phase_secs, ScanFn(bm, cursor)},
-      {"point_post", phase_secs, PointFn(bm, 0.05)},
-      {"write_burst", phase_secs, PointFn(bm, 0.80)},
-      {"point_final", phase_secs, PointFn(bm, 0.05)},
+  const std::pair<std::string, WorkloadDriver::TxnFn> phases[] = {
+      {"point_pre", PointFn(bm, 0.05)},
+      {"scan", ScanFn(bm, cursor)},
+      {"point_post", PointFn(bm, 0.05)},
+      {"write_burst", PointFn(bm, 0.80)},
+      {"point_final", PointFn(bm, 0.05)},
   };
 
   ScenarioOut out;
-  for (const auto& phase : phases) {
-    if (phase.name == "scan") out.hot_before_scan = HotResident(*bm);
-    auto r = WorkloadDriver::RunPhased(kThreads, {phase}, kSliceSeconds);
-    if (phase.name == "scan") {
+  for (const auto& [name, fn] : phases) {
+    if (name == "scan") out.hot_before_scan = HotResident(*bm);
+    PhaseRow row;
+    row.name = name;
+    row.result = WorkloadDriver::Run(kThreads, phase_secs, fn,
+                                     /*warmup_seconds=*/0.0, kSliceSeconds);
+    if (name == "scan") {
       out.hot_after_scan = HotResident(*bm);
       out.scan_pages = cursor->load();
     }
-    PhaseRow row;
-    row.result = std::move(r[0]);
     if (tuner != nullptr) {
       row.windows = tuner->windows();
       row.reconvergences = tuner->reconvergences();
@@ -215,16 +218,16 @@ void PrintPhaseLines(const char* section, const char* policy,
     line.Str("bench", "phase_change")
         .Str("section", section)
         .Str("policy", policy)
-        .Str("phase", row.result.name)
+        .Str("phase", row.name)
         .Num("ops_per_sec", row.result.Throughput())
         .Num("committed", row.result.committed)
         .Num("aborted", row.result.aborted)
         .Raw("slice_ops_per_sec", SlicesJson(row.result.slice_ops_per_sec));
-    if (row.result.name == "point_post") {
+    if (row.name == "point_post") {
       line.Num("recovery_window_ops_per_sec",
                WindowTput(row.result.slice_ops_per_sec, kRecoverySlices));
     }
-    if (row.result.name == "scan") {
+    if (row.name == "scan") {
       line.Num("hot_resident_before", static_cast<uint64_t>(out.hot_before_scan))
           .Num("hot_resident_after", static_cast<uint64_t>(out.hot_after_scan))
           .Num("hot_pages", kHotPages)
@@ -275,7 +278,7 @@ int Main() {
 
   const auto recovery = [](const ScenarioOut& s) {
     for (const auto& row : s.rows) {
-      if (row.result.name == "point_post") {
+      if (row.name == "point_post") {
         return WindowTput(row.result.slice_ops_per_sec, kRecoverySlices);
       }
     }

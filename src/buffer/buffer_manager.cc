@@ -79,9 +79,7 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
       dram_backing_ = owned_dram_.get();
     }
   }
-  if (options_.enable_io_scheduler) {
-    io_ = std::make_unique<IoScheduler>(ssd_, options_.io_scheduler);
-  }
+  io_ = std::make_unique<IoScheduler>(ssd_, options_.io_scheduler);
 
   std::vector<BufferStats*> stat_parts;
   shards_.reserve(n);
@@ -121,7 +119,7 @@ BufferManager::~BufferManager() {
   // shared scheduler down once; shards are destroyed after the workers
   // that could touch their pools have been joined.
   for (auto& s : shards_) s->PrepareShutdown();
-  if (io_ != nullptr) io_->Shutdown();
+  io_->Shutdown();
 }
 
 Status BufferManager::FlushAll(bool include_nvm, size_t* skipped) {

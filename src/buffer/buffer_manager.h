@@ -69,7 +69,7 @@ class BufferManager {
 
   // Runs due I/O completions on the calling thread (shared scheduler).
   bool PumpIo(bool may_sleep) {
-    return io_ != nullptr && io_->PumpCompletions(may_sleep);
+    return io_->PumpCompletions(may_sleep);
   }
 
   // Allocates a fresh page id from the global counter and materializes a
@@ -93,7 +93,7 @@ class BufferManager {
 
   // Blocks until every asynchronously staged SSD write has reached the
   // device; returns (and clears) the first async write error.
-  Status DrainIo() { return io_ != nullptr ? io_->Drain() : Status::OK(); }
+  Status DrainIo() { return io_->Drain(); }
 
   // Rebuilds every shard's mapping slice from the NVM device's persistent
   // frame table after a restart (Section 5.2, Recovery). Requires the

@@ -12,7 +12,6 @@
 namespace spitfire {
 
 namespace {
-constexpr int kFetchMaxAttempts = 8192;
 // How long a promotion waits to retire the NVM copy (drain optimistic
 // pins, Section 5.2) before giving up and serving the access from NVM.
 constexpr int kPinDrainSpins = 4096;
@@ -135,7 +134,7 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
     }
   }
   SPITFIRE_CHECK(dram_pool_ != nullptr || nvm_pool_ != nullptr);
-  SPITFIRE_CHECK(!options_.enable_io_scheduler || io_ != nullptr);
+  SPITFIRE_CHECK(io_ != nullptr);
 
   // Per-shard admission control: each shard bounds its own in-flight
   // misses so one shard's miss storm cannot starve the others' install
@@ -293,12 +292,6 @@ int BufferShard::TryHitOnce(SharedPageDescriptor* d, AccessIntent intent,
 
 Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
                                            AccessIntent intent) {
-  if (pid >= next_page_id_->load(std::memory_order_relaxed)) {
-    return Status::InvalidArgument("fetch of unallocated page");
-  }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
-  if (io_ == nullptr) return FetchPageSync(d, intent);
-
   // Blocking shim over the submission/completion split: submit a ticket,
   // drive completions until it fires, retry transient failures with a
   // bounded exponential backoff (the old code retried with a bare pause,
@@ -344,24 +337,6 @@ Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
   return Status::Busy("FetchPage exceeded retry budget");
 }
 
-Result<PageGuard> BufferShard::FetchPageSync(SharedPageDescriptor* d,
-                                               AccessIntent intent) {
-  const MigrationPolicy pol = policy();
-  for (int attempt = 0; attempt < kFetchMaxAttempts; ++attempt) {
-    Tier tier;
-    const int h = TryHitOnce(d, intent, pol, &tier);
-    if (h > 0) return PageGuard(this, d, tier);
-    if (h == 0) {
-      // Miss: fetch from SSD under the latches.
-      Result<PageGuard> r = InstallFromSsd(d, intent);
-      if (r.ok()) return r;
-      if (!r.status().IsBusy()) return r;
-    }
-    __builtin_ia32_pause();
-  }
-  return Status::Busy("FetchPage exceeded retry budget");
-}
-
 BufferShard::FrameCensus BufferShard::DebugDramCensus() const {
   FrameCensus c;
   if (dram_pool_ == nullptr) return c;
@@ -397,7 +372,7 @@ void BufferShard::FinishTicket(FetchTicket* t, Status st) {
 }
 
 bool BufferShard::PumpIo(bool may_sleep) {
-  return io_ != nullptr && io_->PumpCompletions(may_sleep);
+  return io_->PumpCompletions(may_sleep);
 }
 
 FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
@@ -414,17 +389,6 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
     return FetchSubmit::kCompleted;
   }
   SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
-  if (io_ == nullptr) {
-    // No async engine: serve through the legacy synchronous path.
-    Result<PageGuard> r = FetchPageSync(d, intent);
-    if (r.ok()) {
-      t->guard = r.MoveValue();
-      FinishTicket(t, Status::OK());
-    } else {
-      FinishTicket(t, r.status());
-    }
-    return FetchSubmit::kCompleted;
-  }
 
   // Read-ahead keepalive: two relaxed loads on the hot path; matches only
   // inside the live range of the active prefetch chain.
@@ -695,32 +659,6 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
   return Status::OutOfMemory("no frame available for new page");
 }
 
-namespace {
-// Per-thread scratch page for miss reads: the device read happens before
-// any descriptor latch is taken, so the destination cannot be the frame.
-std::byte* MissScratch() {
-  thread_local std::unique_ptr<std::byte[]> buf;
-  if (buf == nullptr) buf = std::make_unique<std::byte[]>(kPageSize);
-  return buf.get();
-}
-}  // namespace
-
-Result<PageGuard> BufferShard::InstallFromSsd(SharedPageDescriptor* d,
-                                                AccessIntent intent) {
-  // Only reached with the I/O scheduler disabled (FetchPageSync); misses
-  // otherwise go through SubmitFetch → LeadMiss → CompleteMiss.
-  SPITFIRE_DCHECK(io_ == nullptr);
-  // Legacy synchronous path: device read under the descriptor latches.
-  SpinLatchGuard gd(d->dram_latch);
-  SpinLatchGuard gn(d->nvm_latch);
-  if (d->DramResident() || d->NvmResident()) {
-    return Status::Busy("page appeared while installing");
-  }
-  std::byte* scratch = MissScratch();
-  SPITFIRE_RETURN_NOT_OK(ssd_->Read(SsdOffset(d->pid), scratch, kPageSize));
-  return InstallPinned(d, intent, scratch);
-}
-
 Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
                                                AccessIntent intent,
                                                const std::byte* src) {
@@ -800,7 +738,7 @@ Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
 // ---------------------------------------------------------------------------
 
 void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
-  if (io_ == nullptr || options_.io_scheduler.read_ahead_pages == 0) return;
+  if (options_.io_scheduler.read_ahead_pages == 0) return;
   const page_id_t prev = last_miss_pid_.exchange(pid);
   bool trigger = false;
   if (pid == ra_next_pid_.load(std::memory_order_relaxed)) {
@@ -910,27 +848,27 @@ void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
       [&](size_t i) {
         InstallPrefetched(start + i, buf.data() + i * kPageSize, seqs[i]);
       },
-      /*joined=*/nullptr,
       // Chain decision — deliberately BEFORE the executor completes the
       // window's flights. Threads that found their page freshly installed
       // are already running ahead, and on one core their device busy-waits
       // can starve the completion pass for milliseconds; deciding here
       // keeps the next window queued before the front reaches it.
       //
-      // Joiners (or a hit inside the live range) mean a scan front is
-      // consuming this window: claim the NEXT window in this quiet
-      // moment — the front is at the pages just installed, so the claim
-      // cannot race a miss storm — and leave its execution queued; the
-      // first thread to miss on the new window's boundary page joins the
-      // pre-existing flight and steals the queued read (see
-      // IoScheduler::ReadPage). The chain must also verify the front is
-      // actually AT this window (last miss within one window of it):
-      // if execution was delayed, the front has run past on single reads
-      // and chaining would start a stale chase — claims forever behind
-      // the front, each wasting a full window read whose installs evict
-      // the frames the front just filled. No signal = nobody follows:
-      // release the gate and let the run detector start a fresh chain.
-      [&](size_t early) {
+      // A hit inside the live range means a scan front is consuming this
+      // window: claim the NEXT window in this quiet moment — the front is
+      // at the pages just installed, so the claim cannot race a miss
+      // storm — and leave its execution queued; the first thread to miss
+      // on the new window's boundary page joins the pre-existing flight
+      // and steals the queued read (FetchPage's joiner wait runs pending
+      // tasks). The chain must also verify the front is actually AT this
+      // window (last miss within one window of it): if execution was
+      // delayed, the front has run past on single reads and chaining
+      // would start a stale chase — claims forever behind the front, each
+      // wasting a full window read whose installs evict the frames the
+      // front just filled. No signal = nobody follows: release the gate
+      // and let the run detector start a fresh chain. Shutdown never
+      // chains: nobody will consume the window.
+      [&] {
         const bool cons =
             ra_consumed_.exchange(false, std::memory_order_relaxed);
         const page_id_t lm = last_miss_pid_.load(std::memory_order_relaxed);
@@ -938,7 +876,7 @@ void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
         const size_t ra = options_.io_scheduler.read_ahead_pages;
         const bool near =
             lm != kInvalidPageId && lm + ra >= start && lm < next + ra;
-        if ((early > 0 || cons) && near) {
+        if (cons && near && !shutting_down_.load(std::memory_order_acquire)) {
           (void)ClaimAndQueueWindow(next);
         } else {
           read_ahead_inflight_.store(false);
@@ -948,6 +886,11 @@ void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
 
 void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
                                       uint64_t seq) {
+  // Tear-down runs the queued windows only to complete their flights
+  // (CompleteMiss follows the same rule). Installing would evict, and a
+  // dirty victim's write-back is refused by the stopping scheduler, so
+  // every frame search would sweep the whole pool again and again.
+  if (shutting_down_.load(std::memory_order_acquire)) return;
   SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
   // Never contend with foreground work: TryLock only on the target, and at
   // most one (try-lock-based) eviction round per pool when no frame is
@@ -1153,8 +1096,8 @@ void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d) {
 // through to TryPinNvm and reads pre-write-back bytes — a lost update from
 // the reader's point of view. So dirty paths retire the NVM word BEFORE
 // the DRAM word; with both retired (and both latches held, which blocks
-// InstallFromSsd), readers can only spin in FetchPage until the write-back
-// finishes and the copies are republished.
+// CompleteMiss's install), readers can only spin in FetchPage until the
+// write-back finishes and the copies are republished.
 bool BufferShard::TryEvictDramFrame(frame_id_t f) {
   SharedPageDescriptor* d = dram_pool_->Owner(f);
   if (d == nullptr) return false;
@@ -1721,13 +1664,10 @@ Status BufferShard::WriteToSsd(page_id_t pid, const std::byte* data) {
   StampPageChecksum(stamp_buf.get());
   // Asynchronous staged write: the scheduler copies the image, so the
   // buffer may be reused the moment this returns.
-  if (io_ != nullptr) return io_->WritePage(SsdOffset(pid), stamp_buf.get());
-  return ssd_->Write(SsdOffset(pid), stamp_buf.get(), kPageSize);
+  return io_->WritePage(SsdOffset(pid), stamp_buf.get());
 }
 
-Status BufferShard::DrainIo() {
-  return io_ != nullptr ? io_->Drain() : Status::OK();
-}
+Status BufferShard::DrainIo() { return io_->Drain(); }
 
 Status BufferShard::FlushPage(page_id_t pid) {
   const Status st = FlushPageImpl(pid);

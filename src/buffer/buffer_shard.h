@@ -70,10 +70,8 @@ struct BufferManagerOptions {
   size_t bg_writer_low_watermark = 0;  // frames; 0 → smallest pool / 8
   uint64_t bg_writer_interval_us = 200;
 
-  // Async SSD I/O: route all SSD-tier traffic through an IoScheduler
-  // (single-flight miss dedup, write coalescing, read-ahead). Disabling
-  // falls back to synchronous per-page device calls under latches.
-  bool enable_io_scheduler = true;
+  // All SSD-tier traffic goes through an IoScheduler (single-flight miss
+  // dedup, write coalescing, read-ahead).
   IoSchedulerOptions io_scheduler;
 
   // Devices. `ssd` is required and owned by the caller (it holds the
@@ -131,7 +129,7 @@ struct BufferShardContext {
   Device* ssd = nullptr;
   NvmDevice* nvm = nullptr;        // null when the NVM tier is absent
   Device* dram_backing = nullptr;  // null when the DRAM tier is absent
-  IoScheduler* io = nullptr;       // shared; null → synchronous device calls
+  IoScheduler* io = nullptr;       // shared SSD scheduler (required)
   std::atomic<page_id_t>* next_page_id = nullptr;  // global allocator
 };
 
@@ -267,10 +265,10 @@ class BufferShard {
 
   // Pins the page on some tier and returns a guard for it. Thread-safe.
   // A thread must not fetch a page it already holds a guard on.
-  // With the I/O scheduler enabled this is a blocking shim over the
-  // submission/completion split below: it submits a ticket, pumps I/O
-  // completions until the ticket fires, and retries transient Busy
-  // completions under a bounded exponential backoff.
+  // This is a blocking shim over the submission/completion split below:
+  // it submits a ticket, pumps I/O completions until the ticket fires,
+  // and retries transient Busy completions under a bounded exponential
+  // backoff.
   Result<PageGuard> FetchPage(page_id_t pid, AccessIntent intent);
 
   // Submission half of the asynchronous miss path. Hits complete the
@@ -286,8 +284,7 @@ class BufferShard {
 
   // Runs due I/O completions on the calling thread. With may_sleep, waits
   // briefly (marking this thread async-aware: simulated device waits then
-  // sleep instead of spinning). Returns whether any work was done. No-op
-  // without the I/O scheduler.
+  // sleep instead of spinning). Returns whether any work was done.
   bool PumpIo(bool may_sleep);
 
   // Materializes a zeroed, dirty page for `pid` (already allocated by the
@@ -308,8 +305,7 @@ class BufferShard {
   Status FlushAll(bool include_nvm = false, size_t* skipped = nullptr);
 
   // Blocks until every asynchronously staged SSD write has reached the
-  // device; returns (and clears) the first async write error. No-op when
-  // the I/O scheduler is disabled.
+  // device; returns (and clears) the first async write error.
   Status DrainIo();
 
   // Rebuilds the mapping table from the NVM device's persistent frame
@@ -418,11 +414,6 @@ class BufferShard {
   int TryHitOnce(SharedPageDescriptor* d, AccessIntent intent,
                  const MigrationPolicy& pol, Tier* tier);
 
-  // Legacy fully synchronous fetch (I/O scheduler disabled): the old
-  // pin-or-install retry loop with the device read under the latches.
-  Result<PageGuard> FetchPageSync(SharedPageDescriptor* d,
-                                  AccessIntent intent);
-
   // Async miss-path internals. SubmitFetchOnDescriptor is SubmitFetch
   // minus pid validation; LeadMiss kicks read-ahead and submits the
   // device read for a descriptor this thread just marked kIoInflight;
@@ -436,15 +427,10 @@ class BufferShard {
                     uint64_t seq);
   static void FinishTicket(FetchTicket* t, Status st);
 
-  // SSD miss path with the I/O scheduler disabled: installs into NVM
-  // (path 1, probability Nr) or directly into DRAM (path 8), then pins
-  // and returns a guard. The device read runs under the latches.
-  Result<PageGuard> InstallFromSsd(SharedPageDescriptor* d,
-                                   AccessIntent intent);
-
-  // Installs the page image in `src` (already read from SSD) into a frame
-  // and returns a pinned guard. Caller holds both descriptor latches and
-  // has verified the page is not resident on any tier.
+  // Installs the page image in `src` (already read from SSD) into NVM
+  // (path 1, probability Nr) or directly into DRAM (path 8) and returns a
+  // pinned guard. Caller holds both descriptor latches and has verified
+  // the page is not resident on any tier.
   Result<PageGuard> InstallPinned(SharedPageDescriptor* d, AccessIntent intent,
                                   const std::byte* src);
 
@@ -462,7 +448,7 @@ class BufferShard {
                        size_t count);
   // Installs one prefetched page image, preferring a free frame and
   // falling back to at most one try-lock eviction round; silently drops
-  // the page on any contention or residency change.
+  // the page on any contention or residency change, and during shutdown.
   void InstallPrefetched(page_id_t pid, const std::byte* src, uint64_t seq);
 
   // Frame acquisition with eviction. Return kInvalidFrameId on failure.
@@ -541,7 +527,7 @@ class BufferShard {
   std::atomic<page_id_t>* next_page_id_ = nullptr;
   BufferStats stats_;
   std::unique_ptr<BackgroundWriter> bg_writer_;
-  // Shared SSD scheduler, owned by the facade; null when disabled.
+  // Shared SSD scheduler, owned by the facade.
   IoScheduler* io_ = nullptr;
 
   // Sequential-miss run detection for read-ahead. `ra_next_pid_` is the

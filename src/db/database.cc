@@ -96,7 +96,6 @@ Status Database::InitCommon(bool fresh) {
   bopts.ssd = env_.db_ssd.get();
   bopts.nvm = env_.nvm.get();
   bopts.dram_backing = opts_.dram_backing;
-  bopts.enable_io_scheduler = opts_.enable_io_scheduler;
   bopts.io_scheduler = opts_.io_scheduler;
   bm_ = std::make_unique<BufferManager>(bopts);
 

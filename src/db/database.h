@@ -35,9 +35,8 @@ struct DatabaseOptions {
   std::string ssd_path;  // empty → memory-backed simulated SSD
   Device* dram_backing = nullptr;  // e.g. a MemoryModeDevice (Figure 5)
 
-  // Async SSD I/O scheduler (single-flight misses, write coalescing,
-  // read-ahead) for the buffer manager.
-  bool enable_io_scheduler = true;
+  // Tuning of the buffer manager's SSD I/O scheduler (single-flight
+  // misses, write coalescing, read-ahead).
   IoSchedulerOptions io_scheduler;
 
   // Write-ahead logging (Section 5.2).

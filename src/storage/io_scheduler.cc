@@ -136,14 +136,11 @@ void IoScheduler::CompleteFlight(uint64_t offset,
   {
     std::lock_guard<std::mutex> l(s.mu);
     Entry& e = s.table[offset];
-    f->status = st;
     f->stale = (e.write_seq != f->seq);
-    f->done = true;
     cbs.swap(f->callbacks);
     if (e.read == f) e.read.reset();
     MaybeEraseLocked(s, offset);
   }
-  s.cv.notify_all();
   if (f->stale) {
     stats_.stale_read_retries.fetch_add(cbs.size(), std::memory_order_relaxed);
   }
@@ -292,113 +289,6 @@ bool IoScheduler::PumpCompletions(bool may_sleep) {
   return PumpDue();
 }
 
-Status IoScheduler::ReadPage(uint64_t offset, std::byte* dst,
-                             uint64_t* out_seq) {
-  Shard& s = ShardFor(offset);
-  bool tried_steal = false;
-  std::unique_lock<std::mutex> l(s.mu);
-  for (;;) {
-    Entry& e = s.table[offset];
-    if (e.write != nullptr) {
-      // A staged (not yet device-durable) write holds the freshest bytes.
-      std::memcpy(dst, e.write->buf.get(), kPageSize);
-      if (out_seq != nullptr) *out_seq = e.write_seq;
-      stats_.reads_from_staged.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    if (e.read != nullptr) {
-      // Single-flight: join the in-flight read instead of duplicating it.
-      std::shared_ptr<ReadFlight> f = e.read;
-      ++f->joiners;
-      stats_.reads_deduped.fetch_add(1, std::memory_order_relaxed);
-      // The flight may belong to a claimed prefetch window whose
-      // execution is queued but not yet running (the claimer can be
-      // descheduled between registering the claim and submitting the
-      // task, and the worker never races the submitter for the core); run
-      // it inline instead of sleeping on work nobody is executing. The
-      // timed re-check matters: if the task was submitted AFTER our first
-      // steal attempt found the queue empty, a plain wait would sleep
-      // until some other thread ran it — with every peer parked on the
-      // same window, that is a multi-millisecond stall.
-      while (!f->done) {
-        l.unlock();
-        TryRunPendingTask();
-        l.lock();
-        if (f->done) break;
-        s.cv.wait_for(l, std::chrono::microseconds(100),
-                      [&] { return f->done; });
-      }
-      if (f->stale) {
-        // A write landed mid-flight; re-resolve (it is staged or queued).
-        stats_.stale_read_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (!f->status.ok()) return f->status;
-      std::memcpy(dst, f->buf, kPageSize);
-      if (out_seq != nullptr) *out_seq = f->seq;
-      return Status::OK();
-    }
-    if (!tried_steal) {
-      // Before leading a single-page read, drain one queued prefetch task
-      // (if any): a pending window may cover this offset, and on the
-      // synchronous simulated device running it here both avoids a
-      // duplicate read and keeps the window one coalesced op. The entry
-      // reference is stale after the relock either way, so loop.
-      tried_steal = true;
-      l.unlock();
-      TryRunPendingTask();
-      l.lock();
-      continue;
-    }
-    // Leader: register the flight, then run the device read without the
-    // shard lock so joiners can attach (and writers can supersede).
-    auto f = std::make_shared<ReadFlight>();
-    f->seq = e.write_seq;
-    e.read = f;
-    l.unlock();
-    const Status st = ssd_->Read(offset, dst, kPageSize);
-    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-    l.lock();
-    std::vector<ReadCallback> cbs;
-    {
-      // The map may have rehashed while unlocked; re-resolve the entry.
-      Entry& e2 = s.table[offset];
-      f->status = st;
-      f->stale = (e2.write_seq != f->seq);
-      // Joiners registered before this relock; none can attach after the
-      // flight is unlinked below, so the copy is skipped when uncontended.
-      if ((f->joiners > 0 || !f->callbacks.empty()) && st.ok() && !f->stale) {
-        std::memcpy(f->buf, dst, kPageSize);
-      }
-      f->done = true;
-      cbs.swap(f->callbacks);
-      if (e2.read == f) e2.read.reset();
-    }
-    MaybeEraseLocked(s, offset);
-    s.cv.notify_all();
-    if (!cbs.empty()) {
-      // Async joiners that attached to this blocking-led flight.
-      l.unlock();
-      if (f->stale) {
-        stats_.stale_read_retries.fetch_add(cbs.size(),
-                                            std::memory_order_relaxed);
-      }
-      const Status cb_st =
-          f->stale ? Status::Busy("read superseded by concurrent write") : st;
-      for (ReadCallback& cb : cbs) cb(cb_st, f->buf, f->seq);
-      SignalCompletions();
-      l.lock();
-    }
-    if (f->stale) {
-      stats_.stale_read_retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!st.ok()) return st;
-    if (out_seq != nullptr) *out_seq = f->seq;
-    return Status::OK();
-  }
-}
-
 std::shared_ptr<void> IoScheduler::ClaimPrefetch(uint64_t offset, size_t n) {
   auto rec = std::make_shared<PrefetchClaimRec>();
   rec->offset = offset;
@@ -427,14 +317,11 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
                                     std::byte* dst, uint64_t* seqs,
                                     bool* covered,
                                     const std::function<void(size_t)>& ready,
-                                    size_t* joined,
-                                    const std::function<void(size_t)>& installed) {
+                                    const std::function<void()>& installed) {
   auto* rec = static_cast<PrefetchClaimRec*>(claim.get());
   const uint64_t offset = rec->offset;
   const size_t n = rec->n;
   for (size_t i = 0; i < n; ++i) covered[i] = false;
-  size_t total_joiners = 0;
-  size_t early_joiners = 0;
   bool installed_fired = false;
 
   // One device op per maximal contiguous run of owned pages.
@@ -488,7 +375,6 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
         seqs[k] = f->seq;
         covered[k] = true;
       }
-      early_joiners += static_cast<size_t>(f->joiners);
     }
     if (ready) {
       for (size_t k = i; k < j; ++k) {
@@ -498,7 +384,7 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
     }
     if (installed && !installed_fired) {
       installed_fired = true;
-      installed(early_joiners);
+      installed();
     }
     for (size_t k = i; k < j; ++k) {
       const uint64_t off = offset + k * kPageSize;
@@ -512,18 +398,14 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
         // joiner retries rather than consuming superseded bytes. (The
         // install path re-validates against WriteSeq on its own.)
         f->stale = (e.write_seq != f->seq);
-        total_joiners += static_cast<size_t>(f->joiners) + f->callbacks.size();
-        if ((f->joiners > 0 || !f->callbacks.empty()) && covered[k] &&
-            !f->stale) {
-          // Waiters that joined this flight copy from its buffer.
+        if (!f->callbacks.empty() && covered[k] && !f->stale) {
+          // Callbacks that joined this flight read from its buffer.
           std::memcpy(f->buf, dst + k * kPageSize, kPageSize);
         }
-        f->done = true;
         cbs.swap(f->callbacks);
         if (e.read == f) e.read.reset();
         MaybeEraseLocked(s, off);
       }
-      s.cv.notify_all();
       if (!cbs.empty()) {
         // Async misses that joined this window's flights.
         const bool bad = !covered[k] || f->stale;
@@ -541,7 +423,6 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
     }
     i = j;
   }
-  if (joined != nullptr) *joined = total_joiners;
   // Wake sleeping pumpers and waiters: installed window pages may unblock
   // their rings or complete a joined fetch.
   SignalCompletions();

@@ -58,20 +58,20 @@ struct IoSchedulerStats {
 // Owner of all SSD-tier page traffic (an io_uring-style submission model
 // over the simulated device):
 //
-//  - ReadPage is SINGLE-FLIGHT: concurrent readers of one page register on
-//    a shared in-flight request; one leader executes the device read while
-//    the rest sleep on a condition variable and copy the result, so a miss
-//    storm on a hot page costs one device op instead of N.
+//  - SubmitRead is SINGLE-FLIGHT: concurrent reads of one page register
+//    their callbacks on a shared in-flight request; the leader's device
+//    read fires every callback with the same bytes, so a miss storm on a
+//    hot page costs one device op instead of N.
 //  - WritePage is ASYNCHRONOUS: the page image is staged in a heap buffer
 //    and queued; worker threads drain the queue, merging adjacent-page
 //    writes into one larger device op. Reads of a staged page are served
 //    from the staged image (write-through), so callers may free the source
 //    frame immediately.
 //  - Every offset carries a WRITE SEQUENCE number, bumped when a write is
-//    staged. ReadPage returns the sequence its bytes correspond to; a
-//    caller installing the page into a buffer re-validates the sequence
-//    under its own latches (WriteSeq) and retries on mismatch, which makes
-//    reads safe to run without holding any page latch.
+//    staged. A read callback receives the sequence its bytes correspond
+//    to; a caller installing the page into a buffer re-validates the
+//    sequence under its own latches (WriteSeq) and retries on mismatch,
+//    which makes reads safe to run without holding any page latch.
 //
 // Offsets must be kPageSize-aligned; every transfer is kPageSize bytes
 // (prefetch claims: a multiple).
@@ -80,10 +80,6 @@ class IoScheduler {
   explicit IoScheduler(Device* ssd, const IoSchedulerOptions& opts = {});
   ~IoScheduler();
   SPITFIRE_DISALLOW_COPY_AND_MOVE(IoScheduler);
-
-  // Reads one page into `dst`. If `out_seq` is non-null it receives the
-  // write sequence the bytes correspond to (see WriteSeq).
-  Status ReadPage(uint64_t offset, std::byte* dst, uint64_t* out_seq);
 
   // --- Asynchronous submission/completion interface -----------------------
   //
@@ -135,7 +131,7 @@ class IoScheduler {
 
   // Read-ahead, split in two so a trigger can claim its window inline
   // (cheap, no device work) before handing the reads to a worker:
-  // concurrent ReadPage callers then join the claimed flights instead of
+  // concurrent SubmitRead callers then join the claimed flights instead of
   // issuing duplicate single-page reads that would fragment the window.
   //
   // ClaimPrefetch registers read flights for up to `n` contiguous pages
@@ -144,7 +140,7 @@ class IoScheduler {
   std::shared_ptr<void> ClaimPrefetch(uint64_t offset, size_t n);
   // Performs the device reads for a claim (one op per contiguous claimed
   // run) and completes its flights; MUST be called exactly once per
-  // non-null claim or joiners sleep forever. dst must hold n pages;
+  // non-null claim or joined callbacks never fire. dst must hold n pages;
   // covered[i] is set true iff dst + i*kPageSize now holds page i's bytes
   // (with seqs[i] its write sequence). For each covered page, `ready(i)`
   // runs after the device read but BEFORE the page's flight completes, so
@@ -153,23 +149,17 @@ class IoScheduler {
   // where a fresh miss finds neither a flight nor a resident page and
   // duplicates the read.
   //
-  // If `joined` is non-null it receives the number of ReadPage callers
-  // that joined this claim's flights — the signal that a scan front is
-  // consuming the window (used to decide whether to chain another one).
-  //
-  // `installed(j)` — j the joiner count observed so far — runs once,
-  // after the first run's pages are installed but before any flight
-  // completes. It exists so the caller can claim the NEXT window at the
-  // earliest safe moment: threads that found their page installed are
-  // already running ahead, and on one core their busy-wait reads can
-  // starve this thread's completion pass for many milliseconds — any
-  // follow-up claim deferred to after ExecutePrefetch would arrive far
-  // too late to keep the stream fed.
+  // `installed()` runs once, after the first run's pages are installed
+  // but before any flight completes. It exists so the caller can claim
+  // the NEXT window at the earliest safe moment: threads that found their
+  // page installed are already running ahead, and on one core their
+  // busy-wait reads can starve this thread's completion pass for many
+  // milliseconds — any follow-up claim deferred to after ExecutePrefetch
+  // would arrive far too late to keep the stream fed.
   Status ExecutePrefetch(const std::shared_ptr<void>& claim, std::byte* dst,
                          uint64_t* seqs, bool* covered,
                          const std::function<void(size_t)>& ready = {},
-                         size_t* joined = nullptr,
-                         const std::function<void(size_t)>& installed = {});
+                         const std::function<void()>& installed = {});
 
   // Stages one page write and returns immediately; the device write
   // happens on a worker. A newer write of the same page before the queue
@@ -178,7 +168,7 @@ class IoScheduler {
   Status WritePage(uint64_t offset, const std::byte* src);
 
   // Current write sequence of `offset` (0 = never written through the
-  // scheduler). Compare against ReadPage's out_seq before installing.
+  // scheduler). Compare against a read callback's `seq` before installing.
   uint64_t WriteSeq(uint64_t offset);
 
   // Blocks until every staged write has reached the device; returns (and
@@ -207,18 +197,15 @@ class IoScheduler {
  private:
   static constexpr size_t kNumShards = 16;
 
-  // One single-flight read. `buf` is filled by the leader (under the shard
-  // mutex, before `done` is published) only when someone joined — a
-  // cv-waiter (`joiners`) or an async callback; waiters copy from it after
-  // observing done. All fields are guarded by the shard mutex until `done`
-  // is published. Async leaders (SubmitRead) read into `buf` directly.
+  // One single-flight read. SubmitRead leaders read into `buf` directly;
+  // a prefetch claim copies a page into it only when callbacks joined.
+  // Fields are guarded by the shard mutex until the flight is unlinked
+  // from its entry; its callbacks then fire with `buf`.
   struct ReadFlight {
     Status status;
     uint64_t seq = 0;    // write sequence sampled at registration
-    int joiners = 0;     // cv-waiting readers (ReadPage / prefetch heuristics)
-    bool done = false;
     bool stale = false;  // a write superseded the bytes mid-flight
-    std::vector<ReadCallback> callbacks;  // async joiners; fired at completion
+    std::vector<ReadCallback> callbacks;  // fired once, at completion
     std::byte buf[kPageSize];
   };
 
@@ -304,8 +291,9 @@ class IoScheduler {
   // aware threads (see PumpCompletions) sleep; others spin, preserving the
   // blocking path's CPU accounting.
   void WaitUntilDeadline(uint64_t deadline_ns);
-  // Finishes a SubmitRead leader flight: publishes done/stale under the
-  // shard lock, unlinks the entry, then fires callbacks and waiters.
+  // Finishes a SubmitRead leader flight: marks it stale under the shard
+  // lock if a write superseded it, unlinks the entry, then fires its
+  // callbacks.
   void CompleteFlight(uint64_t offset, std::shared_ptr<ReadFlight> f,
                       Status st);
   // Dedicated thread that sleeps to the earliest deadline and runs whatever

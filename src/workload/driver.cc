@@ -24,201 +24,158 @@ std::string DriverResult::ToString() const {
   return buf;
 }
 
-DriverResult WorkloadDriver::Run(int num_threads, double seconds,
-                                 const TxnFn& txn_fn, double warmup_seconds,
-                                 double slice_seconds) {
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  // Optional throughput-over-time bins (committed per slice of the
-  // measurement window); workers flush locally-batched counts on slice
-  // change, as in RunPhased.
-  const bool sliced = slice_seconds > 0;
-  const uint64_t slice_ns =
-      sliced ? static_cast<uint64_t>(slice_seconds * 1e9) : 1;
-  std::vector<std::atomic<uint64_t>> bins(
-      sliced ? static_cast<size_t>(seconds / slice_seconds + 0.5) + 1 : 0);
-  std::atomic<uint64_t> measure_start_ns{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
+namespace {
 
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x5EED0000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      while (phase.load(std::memory_order_acquire) == 0) {
-        (void)txn_fn(rng);
+// ---------------------------------------------------------------------------
+// The worker skeleton every driver runs on
+// ---------------------------------------------------------------------------
+
+enum class Phase : int { kWarmup, kMeasure, kStop };
+
+struct RunSpec {
+  int num_threads = 1;
+  double seconds = 0;
+  double warmup_seconds = 0;
+  double slice_seconds = 0;  // > 0: throughput-over-time bins
+  uint64_t seed = 0;         // worker t seeds its RNG with seed + t * 7919
+};
+
+// State the workers of one run share.
+struct RunState {
+  explicit RunState(const RunSpec& spec)
+      : slice_ns(spec.slice_seconds > 0
+                     ? static_cast<uint64_t>(spec.slice_seconds * 1e9)
+                     : 0),
+        bins(slice_ns > 0 ? static_cast<size_t>(
+                                spec.seconds / spec.slice_seconds + 0.5) +
+                                1
+                          : 0) {}
+
+  std::atomic<Phase> phase{Phase::kWarmup};
+  std::atomic<uint64_t> measure_start_ns{0};
+  const uint64_t slice_ns;
+  std::vector<std::atomic<uint64_t>> bins;
+};
+
+// One worker thread: its RNG and tallies. Commits are batched locally and
+// flushed into the shared throughput bins on slice change, so the atomics
+// see one RMW per worker per slice, not per transaction.
+class Worker {
+ public:
+  Worker(RunState* run, uint64_t seed) : rng(seed), run_(run) {}
+
+  // Counts one transaction that began in phase `ph` and finished with
+  // `st` after `latency_ns`; only the measurement window is recorded.
+  void Record(Phase ph, const Status& st, uint64_t latency_ns) {
+    if (ph != Phase::kMeasure) return;
+    latency.Add(latency_ns);
+    if (!st.ok()) {
+      if (!st.IsAborted() && !st.IsBusy()) {
+        std::fprintf(stderr, "driver: txn failed: %s\n",
+                     st.ToString().c_str());
       }
-      size_t cur_slice = 0;
-      uint64_t pending = 0;
-      const auto flush = [&] {
-        if (pending == 0 || bins.empty()) return;
-        bins[std::min(cur_slice, bins.size() - 1)].fetch_add(
-            pending, std::memory_order_relaxed);
-        pending = 0;
-      };
-      while (phase.load(std::memory_order_acquire) == 1) {
-        Timer txn_timer;
-        const Status st = txn_fn(rng);
-        my.latency.Add(txn_timer.ElapsedNanos());
-        if (st.ok()) {
-          ++my.committed;
-          if (sliced) {
-            const uint64_t start =
-                measure_start_ns.load(std::memory_order_relaxed);
-            const uint64_t now = NowNanos();
-            const size_t slice =
-                now > start ? static_cast<size_t>((now - start) / slice_ns)
-                            : 0;
-            if (slice != cur_slice) {
-              flush();
-              cur_slice = slice;
-            }
-            ++pending;
-          }
-        } else if (st.IsAborted() || st.IsBusy()) {
-          ++my.aborted;
-        } else {
-          std::fprintf(stderr, "driver: txn failed: %s\n",
-                       st.ToString().c_str());
-          ++my.aborted;
-        }
+      ++aborted;
+      return;
+    }
+    ++committed;
+    if (run_->bins.empty()) return;
+    const uint64_t start =
+        run_->measure_start_ns.load(std::memory_order_relaxed);
+    const uint64_t now = NowNanos();
+    const size_t slice =
+        now > start ? static_cast<size_t>((now - start) / run_->slice_ns) : 0;
+    if (slice != cur_slice_) {
+      Flush();
+      cur_slice_ = slice;
+    }
+    ++pending_;
+  }
+
+  void Flush() {
+    if (pending_ == 0) return;
+    run_->bins[std::min(cur_slice_, run_->bins.size() - 1)].fetch_add(
+        pending_, std::memory_order_relaxed);
+    pending_ = 0;
+  }
+
+  Xoshiro256 rng;
+  uint64_t committed = 0;
+  uint64_t aborted = 0;
+  Histogram latency;
+
+ private:
+  RunState* run_;
+  size_t cur_slice_ = 0;
+  uint64_t pending_ = 0;
+};
+
+// Spawns the workers, each of which builds its step with make_step(worker)
+// on its own thread and calls step(phase) until it returns false; sleeps
+// through the warm-up and the measurement window, stops the workers, and
+// merges their tallies.
+template <typename MakeStep>
+DriverResult RunWorkers(const RunSpec& spec, const MakeStep& make_step) {
+  RunState run(spec);
+  std::vector<Worker> workers;
+  workers.reserve(static_cast<size_t>(spec.num_threads));
+  for (int t = 0; t < spec.num_threads; ++t) {
+    workers.emplace_back(&run, spec.seed + static_cast<uint64_t>(t) * 7919);
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(workers.size());
+  for (Worker& w : workers) {
+    threads.emplace_back([&run, &make_step, &w] {
+      auto step = make_step(w);
+      while (step(run.phase.load(std::memory_order_acquire))) {
       }
-      flush();
+      w.Flush();
     });
   }
 
-  if (warmup_seconds > 0) {
+  if (spec.warmup_seconds > 0) {
     std::this_thread::sleep_for(
-        std::chrono::duration<double>(warmup_seconds));
+        std::chrono::duration<double>(spec.warmup_seconds));
   }
   Timer run_timer;
-  measure_start_ns.store(NowNanos(), std::memory_order_relaxed);
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
+  run.measure_start_ns.store(NowNanos(), std::memory_order_relaxed);
+  run.phase.store(Phase::kMeasure, std::memory_order_release);
+  std::this_thread::sleep_for(std::chrono::duration<double>(spec.seconds));
+  run.phase.store(Phase::kStop, std::memory_order_release);
   const double elapsed = run_timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
+  for (auto& th : threads) th.join();
 
   DriverResult result;
   result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
+  for (const Worker& w : workers) {
+    result.committed += w.committed;
+    result.aborted += w.aborted;
+    result.latency_ns.Merge(w.latency);
   }
-  result.slice_ops_per_sec.reserve(bins.size());
-  for (const auto& b : bins) {
+  result.slice_ops_per_sec.reserve(run.bins.size());
+  for (const auto& b : run.bins) {
     result.slice_ops_per_sec.push_back(
         static_cast<double>(b.load(std::memory_order_relaxed)) /
-        slice_seconds);
+        spec.slice_seconds);
   }
   return result;
 }
 
-std::vector<WorkloadDriver::PhaseResult> WorkloadDriver::RunPhased(
-    int num_threads, const std::vector<PhaseSpec>& phases,
-    double slice_seconds) {
-  const size_t num_phases = phases.size();
-  std::vector<PhaseResult> results(num_phases);
-  if (num_phases == 0 || num_threads <= 0) return results;
-  slice_seconds = std::max(1e-3, slice_seconds);
-  const uint64_t slice_ns = static_cast<uint64_t>(slice_seconds * 1e9);
+}  // namespace
 
-  // Shared throughput-over-time bins, one slab per phase. Workers
-  // accumulate locally and flush on slice/phase change, so the atomics
-  // see one RMW per worker per slice, not per transaction.
-  std::vector<std::vector<std::atomic<uint64_t>>> bins(num_phases);
-  for (size_t p = 0; p < num_phases; ++p) {
-    const size_t n = static_cast<size_t>(
-                         phases[p].seconds / slice_seconds + 0.5) +
-                     1;
-    bins[p] = std::vector<std::atomic<uint64_t>>(std::max<size_t>(1, n));
-  }
-  // Start timestamp of each phase; entry p+1 is written before phase_idx
-  // advances to p+1 (release), so workers entering the phase see it.
-  std::vector<std::atomic<uint64_t>> phase_start_ns(num_phases);
-  phase_start_ns[0].store(NowNanos(), std::memory_order_relaxed);
-  std::atomic<size_t> phase_idx{0};
-
-  struct WorkerStats {
-    std::vector<uint64_t> committed, aborted;
-  };
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0xFA5E0000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      my.committed.assign(num_phases, 0);
-      my.aborted.assign(num_phases, 0);
-      size_t cur_phase = SIZE_MAX;
-      size_t cur_slice = 0;
-      uint64_t pending = 0;
-      const auto flush = [&] {
-        if (pending == 0 || cur_phase >= num_phases) return;
-        auto& slab = bins[cur_phase];
-        bins[cur_phase][std::min(cur_slice, slab.size() - 1)].fetch_add(
-            pending, std::memory_order_relaxed);
-        pending = 0;
-      };
-      for (;;) {
-        const size_t p = phase_idx.load(std::memory_order_acquire);
-        if (p >= num_phases) break;
-        const Status st = phases[p].fn(rng);
-        const uint64_t now = NowNanos();
-        const uint64_t start =
-            phase_start_ns[p].load(std::memory_order_relaxed);
-        const size_t slice =
-            now > start ? static_cast<size_t>((now - start) / slice_ns) : 0;
-        if (p != cur_phase || slice != cur_slice) {
-          flush();
-          cur_phase = p;
-          cur_slice = slice;
-        }
-        if (st.ok()) {
-          ++my.committed[p];
-          ++pending;
-        } else {
-          ++my.aborted[p];
-        }
-      }
-      flush();
-    });
-  }
-
-  for (size_t p = 0; p < num_phases; ++p) {
-    Timer phase_timer;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(phases[p].seconds));
-    results[p].seconds = phase_timer.ElapsedSeconds();
-    if (p + 1 < num_phases) {
-      phase_start_ns[p + 1].store(NowNanos(), std::memory_order_relaxed);
-    }
-    phase_idx.store(p + 1, std::memory_order_release);
-  }
-  for (auto& w : workers) w.join();
-
-  for (size_t p = 0; p < num_phases; ++p) {
-    results[p].name = phases[p].name;
-    for (const auto& s : stats) {
-      results[p].committed += s.committed[p];
-      results[p].aborted += s.aborted[p];
-    }
-    results[p].slice_ops_per_sec.reserve(bins[p].size());
-    for (const auto& b : bins[p]) {
-      results[p].slice_ops_per_sec.push_back(
-          static_cast<double>(b.load(std::memory_order_relaxed)) /
-          slice_seconds);
-    }
-  }
-  return results;
+DriverResult WorkloadDriver::Run(int num_threads, double seconds,
+                                 const TxnFn& txn_fn, double warmup_seconds,
+                                 double slice_seconds) {
+  return RunWorkers(
+      {num_threads, seconds, warmup_seconds, slice_seconds, 0x5EED0000ULL},
+      [&txn_fn](Worker& w) {
+        return [&txn_fn, &w](Phase ph) {
+          if (ph == Phase::kStop) return false;
+          const uint64_t start = NowNanos();
+          const Status st = txn_fn(w.rng);
+          w.Record(ph, st, NowNanos() - start);
+          return true;
+        };
+      });
 }
 
 DriverResult WorkloadDriver::RunAsyncPageOps(BufferManager* bm,
@@ -241,87 +198,33 @@ DriverResult WorkloadDriver::RunAsyncPageOps(BufferManager* bm,
     int retries = 0;
     bool busy = false;
   };
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
+  const size_t depth = static_cast<size_t>(std::max(1, ring_depth));
 
-  const int depth = std::max(1, ring_depth);
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0xA51D0000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      std::vector<Slot> ring(static_cast<size_t>(depth));
-      // Mark this worker async-aware up front: simulated device waits on
-      // this thread (e.g. a stolen prefetch execution) sleep instead of
-      // spinning, letting the ring's other completions overlap.
-      (void)bm->PumpIo(/*may_sleep=*/true);
-
-      for (;;) {
-        const int ph = phase.load(std::memory_order_acquire);
-        bool progressed = false;
-        bool any_busy = false;
-        int harvested = 0;
-        // Once one submission this pass is rejected outright (miss
-        // admission: the ring overcommits the pool), every further miss
-        // this pass would be rejected too — stop submitting and let the
-        // pass fall through to PumpIo. Without this, each completion wakes
-        // every worker to re-try its whole ring, and the rejected churn
-        // monopolizes the CPU that completions need.
-        bool saturated = false;
-
-        for (Slot& s : ring) {
-          // Harvest.
-          if (s.busy && s.ticket.ready.load(std::memory_order_acquire)) {
-            if (s.ticket.status.ok()) {
-              s.ticket.guard.Release();
-              if (ph == 1) {
-                ++my.committed;
-                my.latency.Add(NowNanos() - s.start_ns);
-              }
-              s.busy = false;
-              progressed = true;
-              ++harvested;
-            } else if (s.ticket.status.IsBusy()) {
-              if (s.retries >= kOpMaxRetries) {
-                if (ph == 1) ++my.aborted;
-                s.busy = false;
-                progressed = true;
-                ++harvested;
-              } else if (!saturated) {
-                ++s.retries;
-                s.ticket.Reset();
-                // An instantly-Busy resubmission is NOT progress: counting
-                // it would keep the pass "productive" forever and starve
-                // the completion pump — the classic 1-core livelock.
-                if (bm->SubmitFetch(s.op.pid, s.op.intent, &s.ticket) !=
-                        FetchSubmit::kCompleted ||
-                    s.ticket.status.ok()) {
-                  progressed = true;
-                } else {
-                  saturated = true;
-                }
-              }
-              // Saturated: slot stays parked (ready, Busy) and is retried
-              // on a later pass; retries only count actual submissions.
-            } else {
-              if (ph == 1) ++my.aborted;
-              s.busy = false;
-              progressed = true;
-              ++harvested;
-            }
-          }
-          // Refill.
-          if (!s.busy && ph < 2 && !saturated) {
-            s.op = op_fn(rng);
-            s.retries = 0;
-            s.start_ns = NowNanos();
+  return RunWorkers(
+      {num_threads, seconds, warmup_seconds, 0.0, 0xA51D0000ULL},
+      [bm, depth, &op_fn](Worker& w) {
+        // Mark this worker async-aware up front: simulated device waits on
+        // this thread (e.g. a stolen prefetch execution) sleep instead of
+        // spinning, letting the ring's other completions overlap.
+        (void)bm->PumpIo(/*may_sleep=*/true);
+        // Tickets are written by the completer: the slots need stable
+        // addresses for the whole run.
+        auto ring = std::make_unique<Slot[]>(depth);
+        return [bm, depth, &op_fn, &w, ring = std::move(ring)](Phase ph) {
+          bool progressed = false;
+          bool any_busy = false;
+          int harvested = 0;
+          // Once one submission this pass is rejected outright (miss
+          // admission: the ring overcommits the pool), every further miss
+          // this pass would be rejected too — stop submitting and let the
+          // pass fall through to PumpIo. Without this, each completion
+          // wakes every worker to re-try its whole ring, and the rejected
+          // churn monopolizes the CPU that completions need.
+          bool saturated = false;
+          // Submits a slot's op; an instantly-Busy submission is NOT
+          // progress: counting it would keep the pass "productive" forever
+          // and starve the completion pump — the classic 1-core livelock.
+          const auto submit = [&](Slot& s) {
             s.ticket.Reset();
             if (bm->SubmitFetch(s.op.pid, s.op.intent, &s.ticket) !=
                     FetchSubmit::kCompleted ||
@@ -330,43 +233,54 @@ DriverResult WorkloadDriver::RunAsyncPageOps(BufferManager* bm,
             } else {
               saturated = true;
             }
-            s.busy = true;
+          };
+
+          for (size_t i = 0; i < depth; ++i) {
+            Slot& s = ring[i];
+            // Harvest.
+            if (s.busy && s.ticket.ready.load(std::memory_order_acquire)) {
+              const Status& st = s.ticket.status;
+              if (st.IsBusy() && s.retries < kOpMaxRetries) {
+                // Saturated: the slot stays parked (ready, Busy) and is
+                // retried on a later pass; retries only count actual
+                // submissions.
+                if (!saturated) {
+                  ++s.retries;
+                  submit(s);
+                }
+              } else {
+                s.ticket.guard.Release();
+                w.Record(ph, st, NowNanos() - s.start_ns);
+                s.busy = false;
+                progressed = true;
+                ++harvested;
+              }
+            }
+            // Refill.
+            if (!s.busy && ph != Phase::kStop && !saturated) {
+              s.op = op_fn(w.rng);
+              s.retries = 0;
+              s.start_ns = NowNanos();
+              submit(s);
+              s.busy = true;
+            }
+            any_busy |= s.busy;
           }
-          any_busy |= s.busy;
-        }
 
-        if (ph >= 2 && !any_busy) break;  // drained
-        if (harvested == 0) {
-          // Nothing in the ring completed this pass, so the worker reaps
-          // completions itself (submit-and-reap, io_uring style) rather
-          // than relying on the background completion thread — on a small
-          // core count, N submitters spinning on instant hits would starve
-          // it. Sleep only if the pass also submitted nothing: the next
-          // event that can change the ring's state is a completion.
-          (void)bm->PumpIo(/*may_sleep=*/!progressed);
-        }
-      }
-    });
-  }
-
-  if (warmup_seconds > 0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(warmup_seconds));
-  }
-  Timer run_timer;
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
-  const double elapsed = run_timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-
-  DriverResult result;
-  result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
-  }
-  return result;
+          if (ph == Phase::kStop && !any_busy) return false;  // drained
+          if (harvested == 0) {
+            // Nothing in the ring completed this pass, so the worker reaps
+            // completions itself (submit-and-reap, io_uring style) rather
+            // than relying on the background completion thread — on a
+            // small core count, N submitters spinning on instant hits
+            // would starve it. Sleep only if the pass also submitted
+            // nothing: the next event that can change the ring's state is
+            // a completion.
+            (void)bm->PumpIo(/*may_sleep=*/!progressed);
+          }
+          return true;
+        };
+      });
 }
 
 DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
@@ -382,143 +296,63 @@ DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
     std::unique_ptr<TxnMachine> machine;
     uint64_t start_ns = 0;
   };
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
+  const size_t depth = static_cast<size_t>(std::max(1, ring_depth));
 
-  const int depth = std::max(1, ring_depth);
-  const bool sliced = slice_seconds > 0;
-  const uint64_t slice_ns =
-      sliced ? static_cast<uint64_t>(slice_seconds * 1e9) : 1;
-  std::vector<std::atomic<uint64_t>> bins(
-      sliced ? static_cast<size_t>(seconds / slice_seconds + 0.5) + 1 : 0);
-  std::atomic<uint64_t> measure_start_ns{0};
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
+  return RunWorkers(
+      {num_threads, seconds, warmup_seconds, slice_seconds, 0x17E40000ULL},
+      [bm, depth, &factory](Worker& w) {
+        auto ring = std::make_unique<Slot[]>(depth);
+        for (size_t i = 0; i < depth; ++i) ring[i].machine = factory();
+        // Mark this worker async-aware up front so simulated device waits
+        // on this thread sleep instead of spinning (see RunAsyncPageOps).
+        (void)bm->PumpIo(/*may_sleep=*/true);
+        return [bm, depth, &w, ring = std::move(ring)](Phase ph) {
+          bool progressed = false;  // any real forward motion this pass
+          bool any_active = false;  // some machine still parked or running
+          int resumed = 0;          // parked machines resumed this pass
+          int finished = 0;         // transactions completed this pass
 
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x17E40000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      std::vector<std::unique_ptr<Slot>> ring;
-      ring.reserve(static_cast<size_t>(depth));
-      for (int i = 0; i < depth; ++i) {
-        ring.push_back(std::make_unique<Slot>());
-        ring.back()->machine = factory();
-      }
-      // Mark this worker async-aware up front so simulated device waits
-      // on this thread sleep instead of spinning (see RunAsyncPageOps).
-      (void)bm->PumpIo(/*may_sleep=*/true);
-
-      size_t cur_slice = 0;
-      uint64_t pending = 0;
-      const auto flush = [&] {
-        if (pending == 0 || bins.empty()) return;
-        bins[std::min(cur_slice, bins.size() - 1)].fetch_add(
-            pending, std::memory_order_relaxed);
-        pending = 0;
-      };
-
-      for (;;) {
-        const int ph = phase.load(std::memory_order_acquire);
-        bool progressed = false;  // any real forward motion this pass
-        bool any_active = false;  // some machine still parked or in flight
-        int resumed = 0;          // parked machines resumed this pass
-        int finished = 0;         // transactions completed this pass
-
-        for (auto& sp : ring) {
-          Slot& s = *sp;
-          if (s.ctx.pending()) {
-            if (!s.ctx.ready()) {
-              any_active = true;
-              continue;  // still waiting on the device
-            }
-            // Harvesting a real completion is progress; harvesting an
-            // instantly-rejected (Busy) park is not — counting it would
-            // spin the pass loop against a saturated admission gate and
-            // starve the completion pump (the RunAsyncPageOps livelock).
-            const bool was_busy = s.ctx.parked_busy();
-            (void)s.ctx.Harvest();
-            if (!was_busy) {
-              progressed = true;
-              ++resumed;
-            }
-          } else if (!s.machine->in_flight()) {
-            if (ph >= 2) continue;  // draining: no new transactions
-            s.start_ns = NowNanos();
-          }
-          const Status st = s.machine->Step(rng, &s.ctx);
-          if (st.IsWouldBlock()) {
-            any_active = true;
-            continue;
-          }
-          progressed = true;
-          ++finished;
-          if (ph == 1) {
-            my.latency.Add(NowNanos() - s.start_ns);
-            if (st.ok()) {
-              ++my.committed;
-              if (sliced) {
-                const uint64_t start =
-                    measure_start_ns.load(std::memory_order_relaxed);
-                const uint64_t now = NowNanos();
-                const size_t slice =
-                    now > start
-                        ? static_cast<size_t>((now - start) / slice_ns)
-                        : 0;
-                if (slice != cur_slice) {
-                  flush();
-                  cur_slice = slice;
-                }
-                ++pending;
+          for (size_t i = 0; i < depth; ++i) {
+            Slot& s = ring[i];
+            if (s.ctx.pending()) {
+              if (!s.ctx.ready()) {
+                any_active = true;
+                continue;  // still waiting on the device
               }
-            } else {
-              ++my.aborted;
+              // Harvesting a real completion is progress; harvesting an
+              // instantly-rejected (Busy) park is not — counting it would
+              // spin the pass loop against a saturated admission gate and
+              // starve the completion pump (the RunAsyncPageOps livelock).
+              const bool was_busy = s.ctx.parked_busy();
+              (void)s.ctx.Harvest();
+              if (!was_busy) {
+                progressed = true;
+                ++resumed;
+              }
+            } else if (!s.machine->in_flight()) {
+              if (ph == Phase::kStop) continue;  // draining: nothing new
+              s.start_ns = NowNanos();
             }
+            const Status st = s.machine->Step(w.rng, &s.ctx);
+            if (st.IsWouldBlock()) {
+              any_active = true;
+              continue;
+            }
+            progressed = true;
+            ++finished;
+            w.Record(ph, st, NowNanos() - s.start_ns);
           }
-        }
 
-        if (ph >= 2 && !any_active) break;  // drained
-        if (resumed == 0 && finished == 0) {
-          // Nothing moved: reap completions ourselves (submit-and-reap);
-          // sleep only if the pass also made no other progress, since the
-          // next state change can then only be a completion firing.
-          (void)bm->PumpIo(/*may_sleep=*/!progressed);
-        }
-      }
-      flush();
-    });
-  }
-
-  if (warmup_seconds > 0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(warmup_seconds));
-  }
-  Timer run_timer;
-  measure_start_ns.store(NowNanos(), std::memory_order_relaxed);
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
-  const double elapsed = run_timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-
-  DriverResult result;
-  result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
-  }
-  result.slice_ops_per_sec.reserve(bins.size());
-  for (const auto& b : bins) {
-    result.slice_ops_per_sec.push_back(
-        static_cast<double>(b.load(std::memory_order_relaxed)) /
-        slice_seconds);
-  }
-  return result;
+          if (ph == Phase::kStop && !any_active) return false;  // drained
+          if (resumed == 0 && finished == 0) {
+            // Nothing moved: reap completions ourselves (submit-and-reap);
+            // sleep only if the pass also made no other progress, since the
+            // next state change can then only be a completion firing.
+            (void)bm->PumpIo(/*may_sleep=*/!progressed);
+          }
+          return true;
+        };
+      });
 }
 
 }  // namespace spitfire

@@ -19,6 +19,8 @@ struct DriverResult {
   double seconds = 0;
   uint64_t committed = 0;
   uint64_t aborted = 0;
+  // Latency of every transaction finished in the measurement window,
+  // committed or aborted.
   Histogram latency_ns;
   // Committed txns per second per slice of the measurement window, when
   // the run was invoked with slice_seconds > 0 (throughput over time).
@@ -41,53 +43,25 @@ struct PageOp {
   AccessIntent intent = AccessIntent::kRead;
 };
 
-// Multi-threaded closed-loop workload driver: each worker repeatedly calls
-// `txn_fn` (one transaction per call) until the wall-clock duration ends.
-// `txn_fn` returns OK for commit and Aborted for a rolled-back conflict;
-// any other error stops the run.
+// Multi-threaded closed-loop workload drivers. All three share one worker
+// skeleton: each spawns its workers, lets them run for `warmup_seconds`
+// without recording, measures for `seconds`, then stops them, joins them,
+// and merges their tallies. They differ only in the step a worker repeats.
+// A finished transaction (or page op) counts as committed when its status
+// is OK and as aborted otherwise; errors other than Aborted and Busy are
+// also reported on stderr. With slice_seconds > 0 the measurement window
+// is additionally binned into throughput-over-time slices
+// (DriverResult::slice_ops_per_sec).
 class WorkloadDriver {
  public:
   using TxnFn = std::function<Status(Xoshiro256&)>;
   using PageOpFn = std::function<PageOp(Xoshiro256&)>;
 
-  // Runs `txn_fn` on `num_threads` workers for `seconds`, after running it
-  // for `warmup_seconds` without recording. With slice_seconds > 0 the
-  // measurement window is additionally binned into throughput-over-time
-  // slices (DriverResult::slice_ops_per_sec).
+  // Blocking closed loop: each worker calls `txn_fn` (one transaction per
+  // call, OK for commit, Aborted for a rolled-back conflict) back to back.
   static DriverResult Run(int num_threads, double seconds, const TxnFn& txn_fn,
                           double warmup_seconds = 0.0,
                           double slice_seconds = 0.0);
-
-  // One phase of a phase-change scenario: run `fn` on every worker for
-  // `seconds`, then all workers move to the next phase together.
-  struct PhaseSpec {
-    std::string name;
-    double seconds = 1.0;
-    TxnFn fn;
-  };
-
-  // Per-phase outcome, with throughput-over-time resolution: committed ops
-  // are binned into `slice_seconds` slices so transitions (e.g. the
-  // post-scan recovery of a point-lookup phase) are visible inside a
-  // phase, not just across phases.
-  struct PhaseResult {
-    std::string name;
-    double seconds = 0;
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    std::vector<double> slice_ops_per_sec;
-
-    double Throughput() const {
-      return seconds > 0 ? static_cast<double>(committed) / seconds : 0.0;
-    }
-  };
-
-  // Runs the phases back to back on `num_threads` workers (no warm-up;
-  // make the first phase the warm-up if one is needed). Workers observe
-  // the phase switch at their next transaction boundary.
-  static std::vector<PhaseResult> RunPhased(
-      int num_threads, const std::vector<PhaseSpec>& phases,
-      double slice_seconds = 0.1);
 
   // Async-aware page-op driver: each worker keeps up to `ring_depth` fetch
   // tickets in flight through BufferManager::SubmitFetch instead of
@@ -113,7 +87,8 @@ class WorkloadDriver {
   // depth exactly as RunAsyncPageOps does for raw page ops. `factory` is
   // invoked ring_depth times per worker. ring_depth <= 1 still runs
   // through the machinery (one machine, parking and resuming serially) —
-  // use Run() with the blocking procedure for the true K=1 baseline.
+  // use Run() with the blocking procedure (the same machine stepped
+  // without a context) for the true K=1 baseline.
   // Latency is begin → commit/abort, parked time included. At the end of
   // the run, in-flight transactions are stepped to completion (drained),
   // not cancelled.

@@ -1,8 +1,6 @@
 #include "workload/tpcc.h"
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
 
 namespace spitfire {
 
@@ -14,12 +12,7 @@ void FillString(Xoshiro256& rng, char* dst, size_t n) {
   }
 }
 
-// Aborts the transaction and maps every failure to Aborted so drivers can
-// count conflicts uniformly.
-Status FailTxn(Database* db, Transaction* txn, const Status& st) {
-  (void)db->Abort(txn);
-  return st.IsAborted() ? st : Status::Aborted(st.ToString());
-}
+using W = TpccWorkload;
 }  // namespace
 
 TpccWorkload::TpccWorkload(Database* db, const TpccConfig& config)
@@ -128,17 +121,55 @@ Status TpccWorkload::Load() {
 // Mix
 // ---------------------------------------------------------------------------
 
-Status TpccWorkload::RunTransaction(Xoshiro256& rng) {
+W::TxnType TpccWorkload::PickType(Xoshiro256& rng) const {
   const uint32_t pick = static_cast<uint32_t>(rng.NextUint64(100));
   uint32_t acc = config_.pct_new_order;
-  if (pick < acc) return NewOrder(rng);
+  if (pick < acc) return TxnType::kNewOrder;
   acc += config_.pct_payment;
-  if (pick < acc) return Payment(rng);
+  if (pick < acc) return TxnType::kPayment;
   acc += config_.pct_order_status;
-  if (pick < acc) return OrderStatus(rng);
+  if (pick < acc) return TxnType::kOrderStatus;
   acc += config_.pct_delivery;
-  if (pick < acc) return Delivery(rng);
-  return StockLevel(rng);
+  if (pick < acc) return TxnType::kDelivery;
+  return TxnType::kStockLevel;
+}
+
+Status TpccWorkload::RunTransaction(Xoshiro256& rng) {
+  return TpccTxnMachine(this).Run(rng);
+}
+
+Status TpccWorkload::NewOrder(Xoshiro256& rng) {
+  return TpccNewOrderMachine(this).Run(rng);
+}
+
+Status TpccWorkload::Payment(Xoshiro256& rng) {
+  return TpccPaymentMachine(this).Run(rng);
+}
+
+Status TpccWorkload::OrderStatus(Xoshiro256& rng) {
+  return TpccOrderStatusMachine(this).Run(rng);
+}
+
+Status TpccWorkload::Delivery(Xoshiro256& rng) {
+  return TpccDeliveryMachine(this).Run(rng);
+}
+
+Status TpccWorkload::StockLevel(Xoshiro256& rng) {
+  return TpccStockLevelMachine(this).Run(rng);
+}
+
+Status TpccTxnMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
+  if (!current_->in_flight()) {
+    type_ = w_->PickType(rng);
+    switch (type_) {
+      case W::TxnType::kNewOrder: current_ = &new_order_; break;
+      case W::TxnType::kPayment: current_ = &payment_; break;
+      case W::TxnType::kOrderStatus: current_ = &order_status_; break;
+      case W::TxnType::kDelivery: current_ = &delivery_; break;
+      case W::TxnType::kStockLevel: current_ = &stock_level_; break;
+    }
+  }
+  return current_->Step(rng, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,338 +177,29 @@ Status TpccWorkload::RunTransaction(Xoshiro256& rng) {
 // stock quantities, inserts ORDER / NEW-ORDER / ORDER-LINE rows.
 // ---------------------------------------------------------------------------
 
-Status TpccWorkload::NewOrder(Xoshiro256& rng) {
-  const uint32_t w = RandomWarehouse(rng);
-  const uint32_t d =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.districts_per_warehouse));
-  const uint32_t c =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.customers_per_district));
-  const uint32_t ol_cnt = 5 + static_cast<uint32_t>(rng.NextUint64(11));
-
-  auto txn = db_->Begin();
-
-  WarehouseTuple wt{};
-  Status st = table(kWarehouse)->Read(txn.get(), WarehouseKey(w), &wt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  DistrictTuple dt{};
-  st = table(kDistrict)->Read(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-  const uint32_t o_id = dt.next_o_id;
-  dt.next_o_id++;
-  st = table(kDistrict)->Update(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  CustomerTuple ct{};
-  st = table(kCustomer)->Read(txn.get(), CustomerKey(w, d, c), &ct);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  double total = 0.0;
-  for (uint32_t line = 1; line <= ol_cnt; ++line) {
-    const uint32_t i_id =
-        1 + static_cast<uint32_t>(rng.NextUint64(config_.num_items));
-    ItemTuple item{};
-    st = table(kItem)->Read(txn.get(), ItemKey(i_id), &item);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-    StockTuple stock{};
-    st = table(kStock)->Read(txn.get(), StockKey(w, i_id), &stock);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    const uint32_t qty = 1 + static_cast<uint32_t>(rng.NextUint64(10));
-    stock.quantity = stock.quantity >= qty + 10 ? stock.quantity - qty
-                                                : stock.quantity + 91 - qty;
-    stock.ytd += qty;
-    stock.order_cnt++;
-    st = table(kStock)->Update(txn.get(), StockKey(w, i_id), &stock);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-    OrderLineTuple ol{};
-    ol.i_id = i_id;
-    ol.supply_w_id = w;
-    ol.quantity = qty;
-    ol.amount = qty * item.price;
-    std::memcpy(ol.dist_info, stock.dist[d - 1], sizeof(ol.dist_info));
-    st = table(kOrderLine)
-             ->Insert(txn.get(), OrderLineKey(w, d, o_id, line), &ol);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    total += ol.amount;
+void TpccNewOrderMachine::Draw(Xoshiro256& rng) {
+  wid_ = w_->RandomWarehouse(rng);
+  did_ = w_->RandomDistrict(rng);
+  cid_ = w_->RandomCustomer(rng);
+  ol_cnt_ = 5 + static_cast<uint32_t>(rng.NextUint64(11));
+  for (uint32_t i = 0; i < ol_cnt_; ++i) {
+    item_ids_[i] =
+        1 + static_cast<uint32_t>(rng.NextUint64(w_->config().num_items));
+    qtys_[i] = 1 + static_cast<uint32_t>(rng.NextUint64(10));
   }
-  (void)total;
-
-  OrderTuple ot{};
-  ot.c_id = c;
-  ot.carrier_id = 0;
-  ot.ol_cnt = ol_cnt;
-  ot.all_local = 1;
-  ot.entry_d = rng.Next();
-  st = table(kOrder)->Insert(txn.get(), OrderKey(w, d, o_id), &ot);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  NewOrderTuple no{};
-  st = table(kNewOrder)->Insert(txn.get(), OrderKey(w, d, o_id), &no);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  return db_->Commit(txn.get());
+  entry_d_ = rng.Next();
+  o_id_ = 0;
+  line_ = 1;
+  phase_ = Phase::kReadWarehouse;
 }
 
-// ---------------------------------------------------------------------------
-// PAYMENT: updates warehouse/district YTD and the customer balance,
-// inserts a HISTORY row.
-// ---------------------------------------------------------------------------
-
-Status TpccWorkload::Payment(Xoshiro256& rng) {
-  const uint32_t w = RandomWarehouse(rng);
-  const uint32_t d =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.districts_per_warehouse));
-  const uint32_t c =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.customers_per_district));
-  const double amount =
-      1.0 + static_cast<double>(rng.NextUint64(499'900)) / 100.0;
-
-  auto txn = db_->Begin();
-
-  WarehouseTuple wt{};
-  Status st = table(kWarehouse)->Read(txn.get(), WarehouseKey(w), &wt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-  wt.ytd += amount;
-  st = table(kWarehouse)->Update(txn.get(), WarehouseKey(w), &wt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  DistrictTuple dt{};
-  st = table(kDistrict)->Read(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-  dt.ytd += amount;
-  st = table(kDistrict)->Update(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  CustomerTuple ct{};
-  st = table(kCustomer)->Read(txn.get(), CustomerKey(w, d, c), &ct);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-  ct.balance -= amount;
-  ct.ytd_payment += amount;
-  ct.payment_cnt++;
-  st = table(kCustomer)->Update(txn.get(), CustomerKey(w, d, c), &ct);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  HistoryTuple ht{};
-  ht.c_id = c;
-  ht.c_d_id = d;
-  ht.c_w_id = w;
-  ht.d_id = d;
-  ht.w_id = w;
-  ht.amount = amount;
-  FillString(rng, ht.data, sizeof(ht.data));
-  const uint64_t hkey = history_seq_.fetch_add(1, std::memory_order_relaxed) |
-                        (static_cast<uint64_t>(w) << 40);
-  st = table(kHistory)->Insert(txn.get(), hkey, &ht);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  return db_->Commit(txn.get());
-}
-
-// ---------------------------------------------------------------------------
-// ORDER-STATUS: reads a customer's most recent order and its lines.
-// ---------------------------------------------------------------------------
-
-Status TpccWorkload::OrderStatus(Xoshiro256& rng) {
-  const uint32_t w = RandomWarehouse(rng);
-  const uint32_t d =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.districts_per_warehouse));
-  const uint32_t c =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.customers_per_district));
-
-  auto txn = db_->Begin();
-
-  CustomerTuple ct{};
-  Status st = table(kCustomer)->Read(txn.get(), CustomerKey(w, d, c), &ct);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  // Find the customer's latest order by scanning the district's order
-  // range backwards (keys are ordered by o_id).
-  DistrictTuple dt{};
-  st = table(kDistrict)->Read(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  uint32_t found_o = 0;
-  OrderTuple ot{};
-  for (uint32_t o = dt.next_o_id; o > 0 && found_o == 0; --o) {
-    OrderTuple cur{};
-    st = table(kOrder)->Read(txn.get(), OrderKey(w, d, o), &cur);
-    if (st.IsNotFound()) continue;
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    if (cur.c_id == c) {
-      found_o = o;
-      ot = cur;
-    }
-    // Bound the backwards walk (spec uses a secondary index; we cap it).
-    if (dt.next_o_id - o > 64) break;
-  }
-  if (found_o != 0) {
-    OrderLineTuple ol{};
-    for (uint32_t line = 1; line <= ot.ol_cnt; ++line) {
-      st = table(kOrderLine)
-               ->Read(txn.get(), OrderLineKey(w, d, found_o, line), &ol);
-      if (!st.ok() && !st.IsNotFound()) return FailTxn(db_, txn.get(), st);
-    }
-  }
-  return db_->Commit(txn.get());
-}
-
-// ---------------------------------------------------------------------------
-// DELIVERY: for each district, deliver the oldest undelivered order:
-// mark its NEW-ORDER row delivered, set the carrier, stamp order lines,
-// and credit the customer.
-// ---------------------------------------------------------------------------
-
-Status TpccWorkload::Delivery(Xoshiro256& rng) {
-  const uint32_t w = RandomWarehouse(rng);
-  const uint32_t carrier = 1 + static_cast<uint32_t>(rng.NextUint64(10));
-
-  auto txn = db_->Begin();
-  for (uint32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-    // Oldest pending order in this district.
-    uint32_t o_id = 0;
-    Status scan_st = table(kNewOrder)
-        ->Scan(txn.get(), OrderKey(w, d, 0), OrderKey(w, d, 0x0FFFFFFF),
-               [&](uint64_t key, const void*) {
-                 // Rows are deleted on delivery, so the first row in key
-                 // order is the oldest pending order.
-                 o_id = static_cast<uint32_t>(key & 0x0FFFFFFF);
-                 return false;
-               });
-    if (!scan_st.ok()) return FailTxn(db_, txn.get(), scan_st);
-    if (o_id == 0) continue;  // nothing pending in this district
-
-    // The specification deletes the NEW-ORDER row once delivered.
-    Status st = table(kNewOrder)->Delete(txn.get(), OrderKey(w, d, o_id));
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-    OrderTuple ot{};
-    st = table(kOrder)->Read(txn.get(), OrderKey(w, d, o_id), &ot);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    ot.carrier_id = carrier;
-    st = table(kOrder)->Update(txn.get(), OrderKey(w, d, o_id), &ot);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-    double total = 0.0;
-    for (uint32_t line = 1; line <= ot.ol_cnt; ++line) {
-      OrderLineTuple ol{};
-      st = table(kOrderLine)
-               ->Read(txn.get(), OrderLineKey(w, d, o_id, line), &ol);
-      if (st.IsNotFound()) continue;
-      if (!st.ok()) return FailTxn(db_, txn.get(), st);
-      ol.delivery_d = rng.Next();
-      total += ol.amount;
-      st = table(kOrderLine)
-               ->Update(txn.get(), OrderLineKey(w, d, o_id, line), &ol);
-      if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    }
-
-    CustomerTuple ct{};
-    st = table(kCustomer)->Read(txn.get(), CustomerKey(w, d, ot.c_id), &ct);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    ct.balance += total;
-    ct.delivery_cnt++;
-    st = table(kCustomer)->Update(txn.get(), CustomerKey(w, d, ot.c_id), &ct);
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-  }
-  return db_->Commit(txn.get());
-}
-
-// ---------------------------------------------------------------------------
-// STOCK-LEVEL: count stock entries below a threshold among the last 20
-// orders' lines of one district (read-only).
-// ---------------------------------------------------------------------------
-
-Status TpccWorkload::StockLevel(Xoshiro256& rng) {
-  const uint32_t w = RandomWarehouse(rng);
-  const uint32_t d =
-      1 + static_cast<uint32_t>(rng.NextUint64(config_.districts_per_warehouse));
-  const uint32_t threshold = 10 + static_cast<uint32_t>(rng.NextUint64(11));
-
-  auto txn = db_->Begin();
-  DistrictTuple dt{};
-  Status st = table(kDistrict)->Read(txn.get(), DistrictKey(w, d), &dt);
-  if (!st.ok()) return FailTxn(db_, txn.get(), st);
-
-  const uint32_t last = dt.next_o_id > 0 ? dt.next_o_id - 1 : 0;
-  const uint32_t first = last > 20 ? last - 20 + 1 : 1;
-  uint32_t low_stock = 0;
-  for (uint32_t o = first; o <= last; ++o) {
-    OrderTuple ot{};
-    st = table(kOrder)->Read(txn.get(), OrderKey(w, d, o), &ot);
-    if (st.IsNotFound()) continue;
-    if (!st.ok()) return FailTxn(db_, txn.get(), st);
-    for (uint32_t line = 1; line <= ot.ol_cnt; ++line) {
-      OrderLineTuple ol{};
-      st = table(kOrderLine)
-               ->Read(txn.get(), OrderLineKey(w, d, o, line), &ol);
-      if (st.IsNotFound()) continue;
-      if (!st.ok()) return FailTxn(db_, txn.get(), st);
-      StockTuple stock{};
-      st = table(kStock)->Read(txn.get(), StockKey(w, ol.i_id), &stock);
-      if (st.IsNotFound()) continue;
-      if (!st.ok()) return FailTxn(db_, txn.get(), st);
-      if (stock.quantity < threshold) ++low_stock;
-    }
-  }
-  (void)low_stock;
-  return db_->Commit(txn.get());
-}
-
-// ---------------------------------------------------------------------------
-// Interleaved machines
-// ---------------------------------------------------------------------------
-
-Status TpccNewOrderMachine::Finish(const Status& st) {
-  txn_->fetch_ctx = nullptr;
-  if (st.ok()) {
-    const Status cst = w_->db_->Commit(txn_.get());
-    txn_.reset();
-    return cst;
-  }
-  (void)w_->db_->Abort(txn_.get());
-  txn_.reset();
-  return st.IsAborted() ? st : Status::Aborted(st.ToString());
-}
-
-void TpccNewOrderMachine::Cancel() {
-  if (txn_ == nullptr) return;
-  txn_->fetch_ctx = nullptr;
-  (void)w_->db_->Abort(txn_.get());
-  txn_.reset();
-}
-
-Status TpccNewOrderMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
-  SPITFIRE_DCHECK(ctx == nullptr || !ctx->pending());
-  const TpccConfig& cfg = w_->config_;
-  if (txn_ == nullptr) {
-    wid_ = w_->RandomWarehouse(rng);
-    did_ = 1 + static_cast<uint32_t>(
-                   rng.NextUint64(cfg.districts_per_warehouse));
-    cid_ = 1 + static_cast<uint32_t>(
-                   rng.NextUint64(cfg.customers_per_district));
-    ol_cnt_ = 5 + static_cast<uint32_t>(rng.NextUint64(11));
-    for (uint32_t i = 0; i < ol_cnt_; ++i) {
-      item_ids_[i] = 1 + static_cast<uint32_t>(rng.NextUint64(cfg.num_items));
-      qtys_[i] = 1 + static_cast<uint32_t>(rng.NextUint64(10));
-    }
-    entry_d_ = rng.Next();
-    o_id_ = 0;
-    line_ = 1;
-    phase_ = Phase::kReadWarehouse;
-    txn_ = w_->db_->Begin();
-  }
-  txn_->fetch_ctx = ctx;
+Status TpccNewOrderMachine::Resume() {
   for (;;) {
     switch (phase_) {
       case Phase::kReadWarehouse: {
-        TpccWorkload::WarehouseTuple wt{};
-        const Status st = w_->table(TpccWorkload::kWarehouse)
-                              ->Read(txn_.get(),
-                                     TpccWorkload::WarehouseKey(wid_), &wt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::WarehouseTuple wt{};
+        SPITFIRE_RETURN_NOT_OK(w_->table(W::kWarehouse)
+                                   ->Read(txn(), W::WarehouseKey(wid_), &wt));
         phase_ = Phase::kReadDistrict;
         break;
       }
@@ -485,56 +207,43 @@ Status TpccNewOrderMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
         // Read + one write. A park inside Update happens before the write
         // applied, so the re-run re-reads next_o_id and recomputes o_id_ —
         // no re-roll.
-        TpccWorkload::DistrictTuple dt{};
-        const uint64_t dkey = TpccWorkload::DistrictKey(wid_, did_);
-        Table* districts = w_->table(TpccWorkload::kDistrict);
-        Status st = districts->Read(txn_.get(), dkey, &dt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::DistrictTuple dt{};
+        const uint64_t dkey = W::DistrictKey(wid_, did_);
+        Table* districts = w_->table(W::kDistrict);
+        SPITFIRE_RETURN_NOT_OK(districts->Read(txn(), dkey, &dt));
         o_id_ = dt.next_o_id;
         dt.next_o_id++;
-        st = districts->Update(txn_.get(), dkey, &dt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(districts->Update(txn(), dkey, &dt));
         phase_ = Phase::kReadCustomer;
         break;
       }
       case Phase::kReadCustomer: {
-        TpccWorkload::CustomerTuple ct{};
-        const Status st =
-            w_->table(TpccWorkload::kCustomer)
-                ->Read(txn_.get(),
-                       TpccWorkload::CustomerKey(wid_, did_, cid_), &ct);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::CustomerTuple ct{};
+        SPITFIRE_RETURN_NOT_OK(
+            w_->table(W::kCustomer)
+                ->Read(txn(), W::CustomerKey(wid_, did_, cid_), &ct));
         phase_ = Phase::kLineStock;
         break;
       }
       case Phase::kLineStock: {
         const uint32_t i_id = item_ids_[line_ - 1];
         const uint32_t qty = qtys_[line_ - 1];
-        TpccWorkload::ItemTuple item{};
-        Status st = w_->table(TpccWorkload::kItem)
-                        ->Read(txn_.get(), TpccWorkload::ItemKey(i_id), &item);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        TpccWorkload::StockTuple stock{};
-        const uint64_t skey = TpccWorkload::StockKey(wid_, i_id);
-        Table* stocks = w_->table(TpccWorkload::kStock);
-        st = stocks->Read(txn_.get(), skey, &stock);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::ItemTuple item{};
+        SPITFIRE_RETURN_NOT_OK(
+            w_->table(W::kItem)->Read(txn(), W::ItemKey(i_id), &item));
+        W::StockTuple stock{};
+        const uint64_t skey = W::StockKey(wid_, i_id);
+        Table* stocks = w_->table(W::kStock);
+        SPITFIRE_RETURN_NOT_OK(stocks->Read(txn(), skey, &stock));
         stock.quantity = stock.quantity >= qty + 10
                              ? stock.quantity - qty
                              : stock.quantity + 91 - qty;
         stock.ytd += qty;
         stock.order_cnt++;
-        st = stocks->Update(txn_.get(), skey, &stock);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(stocks->Update(txn(), skey, &stock));
         // Stage the order line for the next phase while the item and
         // stock reads are at hand.
-        ol_ = TpccWorkload::OrderLineTuple{};
+        ol_ = W::OrderLineTuple{};
         ol_.i_id = i_id;
         ol_.supply_w_id = wid_;
         ol_.quantity = qty;
@@ -545,169 +254,319 @@ Status TpccNewOrderMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
         break;
       }
       case Phase::kLineInsert: {
-        const Status st =
-            w_->table(TpccWorkload::kOrderLine)
-                ->Insert(txn_.get(),
-                         TpccWorkload::OrderLineKey(wid_, did_, o_id_, line_),
-                         &ol_);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(
+            w_->table(W::kOrderLine)
+                ->Insert(txn(), W::OrderLineKey(wid_, did_, o_id_, line_),
+                         &ol_));
         ++line_;
         phase_ = line_ <= ol_cnt_ ? Phase::kLineStock : Phase::kInsertOrder;
         break;
       }
       case Phase::kInsertOrder: {
-        TpccWorkload::OrderTuple ot{};
+        W::OrderTuple ot{};
         ot.c_id = cid_;
         ot.carrier_id = 0;
         ot.ol_cnt = ol_cnt_;
         ot.all_local = 1;
         ot.entry_d = entry_d_;
-        const Status st =
-            w_->table(TpccWorkload::kOrder)
-                ->Insert(txn_.get(), TpccWorkload::OrderKey(wid_, did_, o_id_),
-                         &ot);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(
+            w_->table(W::kOrder)
+                ->Insert(txn(), W::OrderKey(wid_, did_, o_id_), &ot));
         phase_ = Phase::kInsertNewOrder;
         break;
       }
       case Phase::kInsertNewOrder: {
-        TpccWorkload::NewOrderTuple no{};
-        const Status st =
-            w_->table(TpccWorkload::kNewOrder)
-                ->Insert(txn_.get(), TpccWorkload::OrderKey(wid_, did_, o_id_),
-                         &no);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        phase_ = Phase::kCommit;
-        break;
+        W::NewOrderTuple no{};
+        return w_->table(W::kNewOrder)
+            ->Insert(txn(), W::OrderKey(wid_, did_, o_id_), &no);
       }
-      case Phase::kCommit:
-        return Finish(Status::OK());
     }
   }
 }
 
-Status TpccPaymentMachine::Finish(const Status& st) {
-  txn_->fetch_ctx = nullptr;
-  if (st.ok()) {
-    const Status cst = w_->db_->Commit(txn_.get());
-    txn_.reset();
-    return cst;
-  }
-  (void)w_->db_->Abort(txn_.get());
-  txn_.reset();
-  return st.IsAborted() ? st : Status::Aborted(st.ToString());
+// ---------------------------------------------------------------------------
+// PAYMENT: updates warehouse/district YTD and the customer balance,
+// inserts a HISTORY row.
+// ---------------------------------------------------------------------------
+
+void TpccPaymentMachine::Draw(Xoshiro256& rng) {
+  wid_ = w_->RandomWarehouse(rng);
+  did_ = w_->RandomDistrict(rng);
+  cid_ = w_->RandomCustomer(rng);
+  amount_ = 1.0 + static_cast<double>(rng.NextUint64(499'900)) / 100.0;
+  ht_ = W::HistoryTuple{};
+  ht_.c_id = cid_;
+  ht_.c_d_id = did_;
+  ht_.c_w_id = wid_;
+  ht_.d_id = did_;
+  ht_.w_id = wid_;
+  ht_.amount = amount_;
+  FillString(rng, ht_.data, sizeof(ht_.data));
+  hkey_ = w_->NextHistoryKey(wid_);
+  phase_ = Phase::kWarehouse;
 }
 
-void TpccPaymentMachine::Cancel() {
-  if (txn_ == nullptr) return;
-  txn_->fetch_ctx = nullptr;
-  (void)w_->db_->Abort(txn_.get());
-  txn_.reset();
-}
-
-Status TpccPaymentMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
-  SPITFIRE_DCHECK(ctx == nullptr || !ctx->pending());
-  const TpccConfig& cfg = w_->config_;
-  if (txn_ == nullptr) {
-    wid_ = w_->RandomWarehouse(rng);
-    did_ = 1 + static_cast<uint32_t>(
-                   rng.NextUint64(cfg.districts_per_warehouse));
-    cid_ = 1 + static_cast<uint32_t>(
-                   rng.NextUint64(cfg.customers_per_district));
-    amount_ = 1.0 + static_cast<double>(rng.NextUint64(499'900)) / 100.0;
-    ht_ = TpccWorkload::HistoryTuple{};
-    ht_.c_id = cid_;
-    ht_.c_d_id = did_;
-    ht_.c_w_id = wid_;
-    ht_.d_id = did_;
-    ht_.w_id = wid_;
-    ht_.amount = amount_;
-    FillString(rng, ht_.data, sizeof(ht_.data));
-    hkey_ = w_->history_seq_.fetch_add(1, std::memory_order_relaxed) |
-            (static_cast<uint64_t>(wid_) << 40);
-    phase_ = Phase::kWarehouse;
-    txn_ = w_->db_->Begin();
-  }
-  txn_->fetch_ctx = ctx;
+Status TpccPaymentMachine::Resume() {
   for (;;) {
     switch (phase_) {
       case Phase::kWarehouse: {
-        TpccWorkload::WarehouseTuple wt{};
-        const uint64_t wkey = TpccWorkload::WarehouseKey(wid_);
-        Table* warehouses = w_->table(TpccWorkload::kWarehouse);
-        Status st = warehouses->Read(txn_.get(), wkey, &wt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::WarehouseTuple wt{};
+        const uint64_t wkey = W::WarehouseKey(wid_);
+        Table* warehouses = w_->table(W::kWarehouse);
+        SPITFIRE_RETURN_NOT_OK(warehouses->Read(txn(), wkey, &wt));
         wt.ytd += amount_;
-        st = warehouses->Update(txn_.get(), wkey, &wt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(warehouses->Update(txn(), wkey, &wt));
         phase_ = Phase::kDistrict;
         break;
       }
       case Phase::kDistrict: {
-        TpccWorkload::DistrictTuple dt{};
-        const uint64_t dkey = TpccWorkload::DistrictKey(wid_, did_);
-        Table* districts = w_->table(TpccWorkload::kDistrict);
-        Status st = districts->Read(txn_.get(), dkey, &dt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::DistrictTuple dt{};
+        const uint64_t dkey = W::DistrictKey(wid_, did_);
+        Table* districts = w_->table(W::kDistrict);
+        SPITFIRE_RETURN_NOT_OK(districts->Read(txn(), dkey, &dt));
         dt.ytd += amount_;
-        st = districts->Update(txn_.get(), dkey, &dt);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(districts->Update(txn(), dkey, &dt));
         phase_ = Phase::kCustomer;
         break;
       }
       case Phase::kCustomer: {
-        TpccWorkload::CustomerTuple ct{};
-        const uint64_t ckey = TpccWorkload::CustomerKey(wid_, did_, cid_);
-        Table* customers = w_->table(TpccWorkload::kCustomer);
-        Status st = customers->Read(txn_.get(), ckey, &ct);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        W::CustomerTuple ct{};
+        const uint64_t ckey = W::CustomerKey(wid_, did_, cid_);
+        Table* customers = w_->table(W::kCustomer);
+        SPITFIRE_RETURN_NOT_OK(customers->Read(txn(), ckey, &ct));
         ct.balance -= amount_;
         ct.ytd_payment += amount_;
         ct.payment_cnt++;
-        st = customers->Update(txn_.get(), ckey, &ct);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
+        SPITFIRE_RETURN_NOT_OK(customers->Update(txn(), ckey, &ct));
         phase_ = Phase::kHistory;
         break;
       }
-      case Phase::kHistory: {
-        const Status st = w_->table(TpccWorkload::kHistory)
-                              ->Insert(txn_.get(), hkey_, &ht_);
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        phase_ = Phase::kCommit;
-        break;
-      }
-      case Phase::kCommit:
-        return Finish(Status::OK());
+      case Phase::kHistory:
+        return w_->table(W::kHistory)->Insert(txn(), hkey_, &ht_);
     }
   }
 }
 
-Status TpccTxnMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
-  if (new_order_.in_flight()) return new_order_.Step(rng, ctx);
-  if (payment_.in_flight()) return payment_.Step(rng, ctx);
-  // Idle: pick the next type with NEW-ORDER / PAYMENT renormalized from
-  // the standard mix percentages.
-  const TpccConfig& cfg = w_->config();
-  const uint32_t total = cfg.pct_new_order + cfg.pct_payment;
-  const bool pick_new_order =
-      total == 0 || rng.NextUint64(total) < cfg.pct_new_order;
-  return pick_new_order ? new_order_.Step(rng, ctx)
-                        : payment_.Step(rng, ctx);
+// ---------------------------------------------------------------------------
+// ORDER-STATUS: reads a customer's most recent order and its lines.
+// ---------------------------------------------------------------------------
+
+void TpccOrderStatusMachine::Draw(Xoshiro256& rng) {
+  wid_ = w_->RandomWarehouse(rng);
+  did_ = w_->RandomDistrict(rng);
+  cid_ = w_->RandomCustomer(rng);
+  phase_ = Phase::kCustomer;
 }
 
-void TpccTxnMachine::Cancel() {
-  new_order_.Cancel();
-  payment_.Cancel();
+Status TpccOrderStatusMachine::Resume() {
+  for (;;) {
+    switch (phase_) {
+      case Phase::kCustomer: {
+        W::CustomerTuple ct{};
+        SPITFIRE_RETURN_NOT_OK(
+            w_->table(W::kCustomer)
+                ->Read(txn(), W::CustomerKey(wid_, did_, cid_), &ct));
+        phase_ = Phase::kDistrict;
+        break;
+      }
+      case Phase::kDistrict: {
+        W::DistrictTuple dt{};
+        SPITFIRE_RETURN_NOT_OK(w_->table(W::kDistrict)
+                                   ->Read(txn(), W::DistrictKey(wid_, did_),
+                                          &dt));
+        next_o_id_ = dt.next_o_id;
+        o_id_ = next_o_id_;
+        phase_ = Phase::kFindOrder;
+        break;
+      }
+      case Phase::kFindOrder: {
+        // Walk the district's orders back from the newest (keys are
+        // ordered by o_id); the spec uses a secondary index, we cap the
+        // walk. One read per step: a park resumes at the same order.
+        if (o_id_ == 0) return Status::OK();  // no recent order
+        W::OrderTuple ot{};
+        const Status st = w_->table(W::kOrder)->Read(
+            txn(), W::OrderKey(wid_, did_, o_id_), &ot);
+        if (st.IsNotFound()) {
+          --o_id_;
+          break;
+        }
+        SPITFIRE_RETURN_NOT_OK(st);
+        if (ot.c_id == cid_) {
+          ol_cnt_ = ot.ol_cnt;
+          line_ = 1;
+          phase_ = Phase::kLines;
+        } else {
+          o_id_ = next_o_id_ - o_id_ > 64 ? 0 : o_id_ - 1;
+        }
+        break;
+      }
+      case Phase::kLines: {
+        if (line_ > ol_cnt_) return Status::OK();
+        W::OrderLineTuple ol{};
+        const Status st = w_->table(W::kOrderLine)
+                              ->Read(txn(),
+                                     W::OrderLineKey(wid_, did_, o_id_, line_),
+                                     &ol);
+        if (!st.ok() && !st.IsNotFound()) return st;
+        ++line_;
+        break;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DELIVERY: for each district, deliver the oldest undelivered order:
+// delete its NEW-ORDER row, set the carrier, stamp order lines, and credit
+// the customer.
+// ---------------------------------------------------------------------------
+
+void TpccDeliveryMachine::Draw(Xoshiro256& rng) {
+  wid_ = w_->RandomWarehouse(rng);
+  carrier_ = 1 + static_cast<uint32_t>(rng.NextUint64(10));
+  delivery_d_ = rng.Next();
+  did_ = 1;
+  phase_ = Phase::kNewOrder;
+}
+
+Status TpccDeliveryMachine::Resume() {
+  for (;;) {
+    if (did_ > w_->config().districts_per_warehouse) return Status::OK();
+    switch (phase_) {
+      case Phase::kNewOrder: {
+        // Rows are deleted on delivery, so the first visible row in key
+        // order is the district's oldest pending order.
+        uint32_t o_id = 0;
+        Table* new_orders = w_->table(W::kNewOrder);
+        SPITFIRE_RETURN_NOT_OK(new_orders->Scan(
+            txn(), W::OrderKey(wid_, did_, 0),
+            W::OrderKey(wid_, did_, 0x0FFFFFFF),
+            [&](uint64_t key, const void*) {
+              o_id = static_cast<uint32_t>(key & 0x0FFFFFFF);
+              return false;
+            }));
+        if (o_id == 0) {  // nothing pending in this district
+          ++did_;
+          break;
+        }
+        SPITFIRE_RETURN_NOT_OK(
+            new_orders->Delete(txn(), W::OrderKey(wid_, did_, o_id)));
+        o_id_ = o_id;
+        phase_ = Phase::kOrder;
+        break;
+      }
+      case Phase::kOrder: {
+        W::OrderTuple ot{};
+        const uint64_t okey = W::OrderKey(wid_, did_, o_id_);
+        Table* orders = w_->table(W::kOrder);
+        SPITFIRE_RETURN_NOT_OK(orders->Read(txn(), okey, &ot));
+        ot.carrier_id = carrier_;
+        SPITFIRE_RETURN_NOT_OK(orders->Update(txn(), okey, &ot));
+        cid_ = ot.c_id;
+        ol_cnt_ = ot.ol_cnt;
+        line_ = 1;
+        total_ = 0;
+        phase_ = Phase::kLine;
+        break;
+      }
+      case Phase::kLine: {
+        if (line_ > ol_cnt_) {
+          phase_ = Phase::kCustomer;
+          break;
+        }
+        W::OrderLineTuple ol{};
+        const uint64_t lkey = W::OrderLineKey(wid_, did_, o_id_, line_);
+        Table* lines = w_->table(W::kOrderLine);
+        const Status st = lines->Read(txn(), lkey, &ol);
+        if (!st.IsNotFound()) {
+          SPITFIRE_RETURN_NOT_OK(st);
+          ol.delivery_d = delivery_d_;
+          SPITFIRE_RETURN_NOT_OK(lines->Update(txn(), lkey, &ol));
+          total_ += ol.amount;
+        }
+        ++line_;
+        break;
+      }
+      case Phase::kCustomer: {
+        W::CustomerTuple ct{};
+        const uint64_t ckey = W::CustomerKey(wid_, did_, cid_);
+        Table* customers = w_->table(W::kCustomer);
+        SPITFIRE_RETURN_NOT_OK(customers->Read(txn(), ckey, &ct));
+        ct.balance += total_;
+        ct.delivery_cnt++;
+        SPITFIRE_RETURN_NOT_OK(customers->Update(txn(), ckey, &ct));
+        ++did_;
+        phase_ = Phase::kNewOrder;
+        break;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// STOCK-LEVEL: count stock entries below a threshold among the last 20
+// orders' lines of one district (read-only).
+// ---------------------------------------------------------------------------
+
+void TpccStockLevelMachine::Draw(Xoshiro256& rng) {
+  wid_ = w_->RandomWarehouse(rng);
+  did_ = w_->RandomDistrict(rng);
+  threshold_ = 10 + static_cast<uint32_t>(rng.NextUint64(11));
+  low_stock_ = 0;
+  phase_ = Phase::kDistrict;
+}
+
+Status TpccStockLevelMachine::Resume() {
+  for (;;) {
+    switch (phase_) {
+      case Phase::kDistrict: {
+        W::DistrictTuple dt{};
+        SPITFIRE_RETURN_NOT_OK(w_->table(W::kDistrict)
+                                   ->Read(txn(), W::DistrictKey(wid_, did_),
+                                          &dt));
+        last_o_id_ = dt.next_o_id > 0 ? dt.next_o_id - 1 : 0;
+        o_id_ = last_o_id_ > 20 ? last_o_id_ - 20 + 1 : 1;
+        phase_ = Phase::kOrder;
+        break;
+      }
+      case Phase::kOrder: {
+        if (o_id_ > last_o_id_) return Status::OK();
+        W::OrderTuple ot{};
+        const Status st = w_->table(W::kOrder)->Read(
+            txn(), W::OrderKey(wid_, did_, o_id_), &ot);
+        if (st.IsNotFound()) {
+          ++o_id_;
+          break;
+        }
+        SPITFIRE_RETURN_NOT_OK(st);
+        ol_cnt_ = ot.ol_cnt;
+        line_ = 1;
+        phase_ = Phase::kLine;
+        break;
+      }
+      case Phase::kLine: {
+        if (line_ > ol_cnt_) {
+          ++o_id_;
+          phase_ = Phase::kOrder;
+          break;
+        }
+        W::OrderLineTuple ol{};
+        Status st = w_->table(W::kOrderLine)
+                        ->Read(txn(), W::OrderLineKey(wid_, did_, o_id_, line_),
+                               &ol);
+        if (st.ok()) {
+          W::StockTuple stock{};
+          st = w_->table(W::kStock)->Read(txn(), W::StockKey(wid_, ol.i_id),
+                                          &stock);
+          if (st.ok() && stock.quantity < threshold_) ++low_stock_;
+        }
+        if (!st.ok() && !st.IsNotFound()) return st;
+        ++line_;
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace spitfire

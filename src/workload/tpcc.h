@@ -157,10 +157,21 @@ class TpccWorkload {
   // items, and stock.
   Status Load();
 
+  enum class TxnType : uint8_t {
+    kNewOrder,
+    kPayment,
+    kOrderStatus,
+    kDelivery,
+    kStockLevel,
+  };
+  // Draws a transaction type from the configured mix.
+  TxnType PickType(Xoshiro256& rng) const;
+
   // Executes one transaction drawn from the standard mix.
   Status RunTransaction(Xoshiro256& rng);
 
-  // Individual transactions (public for targeted tests).
+  // Individual transactions (public for targeted tests). Each is its
+  // machine below stepped without a context.
   Status NewOrder(Xoshiro256& rng);
   Status Payment(Xoshiro256& rng);
   Status OrderStatus(Xoshiro256& rng);
@@ -168,36 +179,46 @@ class TpccWorkload {
   Status StockLevel(Xoshiro256& rng);
 
   const TpccConfig& config() const { return config_; }
-
- private:
-  friend class TpccNewOrderMachine;
-  friend class TpccPaymentMachine;
-
+  Database* db() { return db_; }
   Table* table(TableId id) { return db_->GetTable(id); }
-  uint32_t RandomWarehouse(Xoshiro256& rng) {
+
+  // Uniform draws of a warehouse, district and customer id.
+  uint32_t RandomWarehouse(Xoshiro256& rng) const {
     return 1 + static_cast<uint32_t>(rng.NextUint64(config_.num_warehouses));
   }
+  uint32_t RandomDistrict(Xoshiro256& rng) const {
+    return 1 + static_cast<uint32_t>(
+                   rng.NextUint64(config_.districts_per_warehouse));
+  }
+  uint32_t RandomCustomer(Xoshiro256& rng) const {
+    return 1 + static_cast<uint32_t>(
+                   rng.NextUint64(config_.customers_per_district));
+  }
+  // A fresh HISTORY key for warehouse `w` (the table has no natural key).
+  uint64_t NextHistoryKey(uint32_t w) {
+    return history_seq_.fetch_add(1, std::memory_order_relaxed) |
+           (static_cast<uint64_t>(w) << 40);
+  }
 
+ private:
   Database* db_;
   TpccConfig config_;
   std::atomic<uint64_t> history_seq_{0};
 };
 
-// NEW-ORDER as a parked continuation (see TxnMachine). Phase shape:
-//   read W → read D + bump/update next_o_id → read C →
-//   per line: (read item, read stock, update stock) → insert ORDER-LINE →
-//   insert ORDER → insert NEW-ORDER → commit.
-// Every random decision (warehouse, district, customer, line items,
-// quantities) is drawn when the transaction begins; each phase ends in at
-// most one write and advances only once that write succeeded, so a re-run
-// after a parked miss never re-rolls next_o_id or double-decrements stock.
-class TpccNewOrderMachine : public TxnMachine {
- public:
-  explicit TpccNewOrderMachine(TpccWorkload* workload) : w_(workload) {}
+// The five TPC-C transactions as parked continuations (see TxnMachine and
+// DbTxnMachine). Every random decision is drawn when the transaction
+// begins, and each phase ends in at most one write and advances only once
+// that write succeeded, so a re-run after a parked miss never re-rolls
+// next_o_id, double-decrements stock, or credits a delivery twice.
 
-  Status Step(Xoshiro256& rng, FetchContext* ctx) override;
-  void Cancel() override;
-  bool in_flight() const override { return txn_ != nullptr; }
+// NEW-ORDER: read W → read D + bump next_o_id → read C →
+// per line: (read item, read stock, update stock) → insert ORDER-LINE →
+// insert ORDER → insert NEW-ORDER.
+class TpccNewOrderMachine : public DbTxnMachine {
+ public:
+  explicit TpccNewOrderMachine(TpccWorkload* workload)
+      : DbTxnMachine(workload->db()), w_(workload) {}
 
  private:
   enum class Phase : uint8_t {
@@ -208,14 +229,13 @@ class TpccNewOrderMachine : public TxnMachine {
     kLineInsert,
     kInsertOrder,
     kInsertNewOrder,
-    kCommit,
   };
   static constexpr uint32_t kMaxLines = 15;
 
-  Status Finish(const Status& st);
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
 
   TpccWorkload* w_;
-  std::unique_ptr<Transaction> txn_;
   Phase phase_ = Phase::kReadWarehouse;
   // Decisions drawn at begin.
   uint32_t wid_ = 0, did_ = 0, cid_ = 0, ol_cnt_ = 0;
@@ -228,30 +248,19 @@ class TpccNewOrderMachine : public TxnMachine {
   TpccWorkload::OrderLineTuple ol_{};  // staged by kLineStock for kLineInsert
 };
 
-// PAYMENT as a parked continuation: read+update W → read+update D →
-// read+update C → insert HISTORY → commit. Same phase discipline as
-// NEW-ORDER (one write per phase, drawn-up-front decisions).
-class TpccPaymentMachine : public TxnMachine {
+// PAYMENT: read+update W → read+update D → read+update C → insert HISTORY.
+class TpccPaymentMachine : public DbTxnMachine {
  public:
-  explicit TpccPaymentMachine(TpccWorkload* workload) : w_(workload) {}
-
-  Status Step(Xoshiro256& rng, FetchContext* ctx) override;
-  void Cancel() override;
-  bool in_flight() const override { return txn_ != nullptr; }
+  explicit TpccPaymentMachine(TpccWorkload* workload)
+      : DbTxnMachine(workload->db()), w_(workload) {}
 
  private:
-  enum class Phase : uint8_t {
-    kWarehouse,
-    kDistrict,
-    kCustomer,
-    kHistory,
-    kCommit,
-  };
+  enum class Phase : uint8_t { kWarehouse, kDistrict, kCustomer, kHistory };
 
-  Status Finish(const Status& st);
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
 
   TpccWorkload* w_;
-  std::unique_ptr<Transaction> txn_;
   Phase phase_ = Phase::kWarehouse;
   uint32_t wid_ = 0, did_ = 0, cid_ = 0;
   double amount_ = 0;
@@ -259,24 +268,103 @@ class TpccPaymentMachine : public TxnMachine {
   TpccWorkload::HistoryTuple ht_{};
 };
 
-// The interleavable slice of the TPC-C mix: picks NEW-ORDER vs PAYMENT
-// per transaction (the two types renormalized — together 88% of the
-// standard mix) and delegates to the corresponding machine.
+// ORDER-STATUS (read-only): read C → read D → walk back from the newest
+// order to the customer's latest (bounded) → read its order lines.
+class TpccOrderStatusMachine : public DbTxnMachine {
+ public:
+  explicit TpccOrderStatusMachine(TpccWorkload* workload)
+      : DbTxnMachine(workload->db()), w_(workload) {}
+
+ private:
+  enum class Phase : uint8_t { kCustomer, kDistrict, kFindOrder, kLines };
+
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
+
+  TpccWorkload* w_;
+  Phase phase_ = Phase::kCustomer;
+  uint32_t wid_ = 0, did_ = 0, cid_ = 0;
+  uint32_t next_o_id_ = 0;
+  uint32_t o_id_ = 0;  // walk cursor, then the order found
+  uint32_t ol_cnt_ = 0;
+  uint32_t line_ = 1;
+};
+
+// DELIVERY: for each district of one warehouse, deliver the oldest
+// undelivered order — find and delete its NEW-ORDER row → set the ORDER's
+// carrier → stamp each ORDER-LINE → credit the customer — one write per
+// phase. The delivery date is one timestamp for the whole transaction.
+class TpccDeliveryMachine : public DbTxnMachine {
+ public:
+  explicit TpccDeliveryMachine(TpccWorkload* workload)
+      : DbTxnMachine(workload->db()), w_(workload) {}
+
+ private:
+  enum class Phase : uint8_t { kNewOrder, kOrder, kLine, kCustomer };
+
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
+
+  TpccWorkload* w_;
+  Phase phase_ = Phase::kNewOrder;
+  uint32_t wid_ = 0, carrier_ = 0;
+  uint64_t delivery_d_ = 0;
+  // Progress state: the district being delivered and its order.
+  uint32_t did_ = 1;
+  uint32_t o_id_ = 0, cid_ = 0, ol_cnt_ = 0, line_ = 1;
+  double total_ = 0;  // order-line amounts credited so far
+};
+
+// STOCK-LEVEL (read-only): read D → for each of the district's last 20
+// orders, read the order and, per line, the order line and its stock.
+class TpccStockLevelMachine : public DbTxnMachine {
+ public:
+  explicit TpccStockLevelMachine(TpccWorkload* workload)
+      : DbTxnMachine(workload->db()), w_(workload) {}
+
+ private:
+  enum class Phase : uint8_t { kDistrict, kOrder, kLine };
+
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
+
+  TpccWorkload* w_;
+  Phase phase_ = Phase::kDistrict;
+  uint32_t wid_ = 0, did_ = 0, threshold_ = 0;
+  uint32_t o_id_ = 0, last_o_id_ = 0, ol_cnt_ = 0, line_ = 1;
+  uint32_t low_stock_ = 0;
+};
+
+// The full TPC-C mix as one machine: picks the next transaction's type
+// from the configured percentages (TpccWorkload::PickType) and delegates
+// to that type's machine until it finishes.
 class TpccTxnMachine : public TxnMachine {
  public:
   explicit TpccTxnMachine(TpccWorkload* workload)
-      : new_order_(workload), payment_(workload), w_(workload) {}
+      : w_(workload),
+        new_order_(workload),
+        payment_(workload),
+        order_status_(workload),
+        delivery_(workload),
+        stock_level_(workload) {}
+  SPITFIRE_DISALLOW_COPY_AND_MOVE(TpccTxnMachine);
 
   Status Step(Xoshiro256& rng, FetchContext* ctx) override;
-  void Cancel() override;
-  bool in_flight() const override {
-    return new_order_.in_flight() || payment_.in_flight();
-  }
+  void Cancel() override { current_->Cancel(); }
+  bool in_flight() const override { return current_->in_flight(); }
+
+  // The type of the transaction in flight (when idle, of the last one).
+  TpccWorkload::TxnType type() const { return type_; }
 
  private:
+  TpccWorkload* w_;
   TpccNewOrderMachine new_order_;
   TpccPaymentMachine payment_;
-  TpccWorkload* w_;
+  TpccOrderStatusMachine order_status_;
+  TpccDeliveryMachine delivery_;
+  TpccStockLevelMachine stock_level_;
+  TpccWorkload::TxnType type_ = TpccWorkload::TxnType::kNewOrder;
+  TxnMachine* current_ = &new_order_;
 };
 
 }  // namespace spitfire

@@ -7,6 +7,7 @@
 #include "buffer/buffer_manager.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "db/database.h"
 
 namespace spitfire {
 
@@ -38,16 +39,54 @@ namespace spitfire {
 //  - Cancel() aborts any in-flight transaction and resets the machine.
 //    The caller must drain the context first (FetchContext::CancelSync)
 //    so no parked fetch still targets it.
+//  - A null `ctx` never parks: every fetch blocks, so one Step() runs the
+//    whole transaction. That is the blocking form of the procedure (Run).
 class TxnMachine {
  public:
   virtual ~TxnMachine() = default;
   virtual Status Step(Xoshiro256& rng, FetchContext* ctx) = 0;
   virtual void Cancel() = 0;
   virtual bool in_flight() const = 0;
+
+  // Runs one whole transaction without a context (see above).
+  Status Run(Xoshiro256& rng) {
+    const Status st = Step(rng, nullptr);
+    SPITFIRE_DCHECK(!st.IsWouldBlock());
+    return st;
+  }
 };
 
 // Creates one machine per ring slot; called once per slot per worker.
 using TxnMachineFactory = std::function<std::unique_ptr<TxnMachine>()>;
+
+// The begin/finish/cancel plumbing every workload machine shares. Step()
+// begins a transaction when none is in flight — Draw() first takes every
+// random decision, so a phase re-run after a park replays the identical
+// operation — binds the step's context to it, and runs Resume(). Unless
+// the step parked, it then finishes the transaction: commit when Resume()
+// returned OK, otherwise abort, reporting Aborted so drivers count every
+// failure as a conflict.
+class DbTxnMachine : public TxnMachine {
+ public:
+  Status Step(Xoshiro256& rng, FetchContext* ctx) final;
+  void Cancel() final;
+  bool in_flight() const final { return txn_ != nullptr; }
+
+ protected:
+  explicit DbTxnMachine(Database* db) : db_(db) {}
+
+  // Draws the next transaction's decisions and resets its progress.
+  virtual void Draw(Xoshiro256& rng) = 0;
+  // Runs the phases left: OK when all are done, WouldBlock when a fetch
+  // parked, or the failure that aborts the transaction.
+  virtual Status Resume() = 0;
+
+  Transaction* txn() const { return txn_.get(); }
+
+ private:
+  Database* db_;
+  std::unique_ptr<Transaction> txn_;
+};
 
 }  // namespace spitfire
 

@@ -59,135 +59,62 @@ Status YcsbWorkload::WarmUp() {
 
 Status YcsbWorkload::RunTransaction(Xoshiro256& rng) {
   SPITFIRE_CHECK(table_ != nullptr);
-  const uint64_t key = NextKey(rng);
-  const bool is_scan =
-      config_.scan_ratio > 0 && rng.Bernoulli(config_.scan_ratio);
-  const bool is_read = rng.Bernoulli(config_.read_ratio);
-  auto txn = db_->Begin();
-  std::vector<std::byte> tuple(kTupleSize);
-  Status st;
-  if (is_scan) {
-    // Short range scan starting at the zipfian key (YCSB-E flavor);
-    // aggregate the first word of each row so the reads are not dead.
-    uint64_t checksum = 0;
-    st = table_->Scan(txn.get(), key, key + config_.scan_length - 1,
-                      [&](uint64_t, const void* t) {
-                        uint64_t v;
-                        std::memcpy(&v, t, sizeof(v));
-                        checksum += v;
-                        return true;
-                      });
-    (void)checksum;
-  } else if (is_read) {
-    st = table_->Read(txn.get(), key, tuple.data());
-  } else {
-    st = table_->Read(txn.get(), key, tuple.data());
-    if (st.ok()) {
-      // Modify one column, as in the paper's update transaction.
-      const uint64_t v = rng.Next();
-      std::memcpy(tuple.data() + (key % kColumns) * kColumnSize, &v,
-                  sizeof(v));
-      st = table_->Update(txn.get(), key, tuple.data());
-    }
-  }
-  if (!st.ok()) {
-    (void)db_->Abort(txn.get());
-    return st.IsAborted() ? st : Status::Aborted(st.message());
-  }
-  return db_->Commit(txn.get());
+  return YcsbTxnMachine(this).Run(rng);
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved machine
+// Transaction machine
 // ---------------------------------------------------------------------------
 
 YcsbTxnMachine::YcsbTxnMachine(YcsbWorkload* workload)
-    : w_(workload), tuple_(YcsbWorkload::kTupleSize) {}
+    : DbTxnMachine(workload->db()),
+      w_(workload),
+      tuple_(YcsbWorkload::kTupleSize) {}
 
-Status YcsbTxnMachine::Finish(const Status& st) {
-  // Commit/abort processing is always blocking: the pages it touches were
-  // just written by this transaction and are almost surely resident.
-  txn_->fetch_ctx = nullptr;
-  if (st.ok()) {
-    const Status cst = w_->db()->Commit(txn_.get());
-    txn_.reset();
-    return cst;
-  }
-  (void)w_->db()->Abort(txn_.get());
-  txn_.reset();
-  return st.IsAborted() ? st : Status::Aborted(st.message());
-}
-
-void YcsbTxnMachine::Cancel() {
-  if (txn_ == nullptr) return;
-  txn_->fetch_ctx = nullptr;
-  (void)w_->db()->Abort(txn_.get());
-  txn_.reset();
-}
-
-Status YcsbTxnMachine::Step(Xoshiro256& rng, FetchContext* ctx) {
-  SPITFIRE_DCHECK(ctx == nullptr || !ctx->pending());
+void YcsbTxnMachine::Draw(Xoshiro256& rng) {
   const YcsbConfig& cfg = w_->config();
-  if (txn_ == nullptr) {
-    // Draw every decision up front: a phase re-run after a park replays
-    // the identical operation.
-    key_ = w_->SampleKey(rng);
-    is_read_ = rng.Bernoulli(cfg.read_ratio);
-    update_value_ = rng.Next();
-    phase_ = cfg.scan_ratio > 0 && rng.Bernoulli(cfg.scan_ratio)
-                 ? Phase::kScan
-                 : Phase::kRead;
-    txn_ = w_->db()->Begin();
-  }
-  txn_->fetch_ctx = ctx;
+  key_ = w_->SampleKey(rng);
+  is_read_ = rng.Bernoulli(cfg.read_ratio);
+  update_value_ = rng.Next();
+  phase_ = cfg.scan_ratio > 0 && rng.Bernoulli(cfg.scan_ratio)
+               ? Phase::kScan
+               : Phase::kRead;
+}
+
+Status YcsbTxnMachine::Resume() {
   Table* table = w_->table();
-  for (;;) {
-    switch (phase_) {
-      case Phase::kRead: {
-        const Status st = table->Read(txn_.get(), key_, tuple_.data());
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        if (is_read_) {
-          phase_ = Phase::kCommit;
-          break;
-        }
-        std::memcpy(
-            tuple_.data() +
-                (key_ % YcsbWorkload::kColumns) * YcsbWorkload::kColumnSize,
-            &update_value_, sizeof(update_value_));
-        phase_ = Phase::kUpdate;
-        break;
-      }
-      case Phase::kUpdate: {
-        const Status st = table->Update(txn_.get(), key_, tuple_.data());
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        phase_ = Phase::kCommit;
-        break;
-      }
-      case Phase::kScan: {
-        // The aggregate is recomputed from scratch on every attempt, so a
-        // parked scan that re-observes earlier rows stays exactly-once at
-        // the transaction level.
-        uint64_t checksum = 0;
-        const Status st =
-            table->Scan(txn_.get(), key_, key_ + cfg.scan_length - 1,
-                        [&](uint64_t, const void* t) {
-                          uint64_t v;
-                          std::memcpy(&v, t, sizeof(v));
-                          checksum += v;
-                          return true;
-                        });
-        if (st.IsWouldBlock()) return st;
-        if (!st.ok()) return Finish(st);
-        (void)checksum;
-        phase_ = Phase::kCommit;
-        break;
-      }
-      case Phase::kCommit:
-        return Finish(Status::OK());
+  switch (phase_) {
+    case Phase::kRead:
+      SPITFIRE_RETURN_NOT_OK(table->Read(txn(), key_, tuple_.data()));
+      if (is_read_) return Status::OK();
+      // Modify one column, as in the paper's update transaction.
+      std::memcpy(
+          tuple_.data() +
+              (key_ % YcsbWorkload::kColumns) * YcsbWorkload::kColumnSize,
+          &update_value_, sizeof(update_value_));
+      phase_ = Phase::kUpdate;
+      [[fallthrough]];
+    case Phase::kUpdate:
+      return table->Update(txn(), key_, tuple_.data());
+    case Phase::kScan: {
+      // Short range scan starting at the zipfian key (YCSB-E flavor);
+      // aggregate the first word of each row so the reads are not dead.
+      // The aggregate is recomputed from scratch on every attempt, so a
+      // parked scan that re-observes earlier rows stays exactly-once.
+      uint64_t checksum = 0;
+      const Status st = table->Scan(
+          txn(), key_, key_ + w_->config().scan_length - 1,
+          [&](uint64_t, const void* t) {
+            uint64_t v;
+            std::memcpy(&v, t, sizeof(v));
+            checksum += v;
+            return true;
+          });
+      (void)checksum;
+      return st;
     }
   }
+  return Status::OK();
 }
 
 }  // namespace spitfire

@@ -48,8 +48,9 @@ class YcsbWorkload {
   // Creates the table and bulk-loads num_tuples records.
   Status Load();
 
-  // Executes one YCSB transaction with this thread's RNG. Returns OK on
-  // commit, Aborted on an MVTO conflict (the transaction is rolled back).
+  // Executes one YCSB transaction with this thread's RNG: a YcsbTxnMachine
+  // stepped without a context. Returns OK on commit, Aborted on an MVTO
+  // conflict (the transaction is rolled back).
   Status RunTransaction(Xoshiro256& rng);
 
   // Touches every tuple once (used to warm the buffer pool).
@@ -59,12 +60,10 @@ class YcsbWorkload {
   Table* table() { return table_; }
   Database* db() { return db_; }
 
-  // Draws a key from the workload's zipfian (shared with the interleaved
-  // machine below so both executors sample the same distribution).
+  // Draws a key from the workload's zipfian.
   uint64_t SampleKey(Xoshiro256& rng) { return zipf_.Next(rng); }
 
  private:
-  uint64_t NextKey(Xoshiro256& rng) { return zipf_.Next(rng); }
   static void FillTuple(Xoshiro256& rng, std::byte* out);
 
   Database* db_;
@@ -74,27 +73,20 @@ class YcsbWorkload {
 };
 
 // One YCSB transaction as a parked continuation (see TxnMachine): phases
-// kRead → [kUpdate] → kCommit, or kScan → kCommit for the scan flavor.
-// All random decisions (key, op kind, new column value) are drawn when the
-// transaction begins, so a phase re-run after a parked miss replays the
-// identical operation. Running every machine with ring depth 1 on a
-// blocking driver is behaviorally the K=1 degenerate case of
-// YcsbWorkload::RunTransaction.
-class YcsbTxnMachine : public TxnMachine {
+// kRead → [kUpdate], or kScan for the scan flavor. The decisions are drawn
+// in this order when the transaction begins: key, read-or-update, the new
+// column value, scan-or-point.
+class YcsbTxnMachine : public DbTxnMachine {
  public:
   explicit YcsbTxnMachine(YcsbWorkload* workload);
 
-  Status Step(Xoshiro256& rng, FetchContext* ctx) override;
-  void Cancel() override;
-  bool in_flight() const override { return txn_ != nullptr; }
-
  private:
-  enum class Phase : uint8_t { kRead, kUpdate, kScan, kCommit };
+  enum class Phase : uint8_t { kRead, kUpdate, kScan };
 
-  Status Finish(const Status& st);
+  void Draw(Xoshiro256& rng) override;
+  Status Resume() override;
 
   YcsbWorkload* w_;
-  std::unique_ptr<Transaction> txn_;
   Phase phase_ = Phase::kRead;
   uint64_t key_ = 0;
   bool is_read_ = true;

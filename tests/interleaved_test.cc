@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
+#include <numeric>
 
 #include "storage/perf_model.h"
 #include "workload/driver.h"
@@ -17,6 +19,12 @@ namespace {
 // case rather than a corner.
 constexpr size_t kPoolFrames = 64;
 constexpr size_t kTupleBytes = 1000;  // ~15 slots per 16 KB page
+// At scale 0 the simulated device completes reads inline at submit time
+// and nothing ever parks. Tests that need parks keep misses queueing with
+// twice the Table 1 latency: at a quarter of it, a ThreadSanitizer build
+// spends longer submitting a read than the read takes, so it completes
+// inline and nothing parks.
+constexpr double kParkingLatencyScale = 2.0;
 
 class InterleavedTest : public ::testing::Test {
  protected:
@@ -140,10 +148,7 @@ class CounterTableTest : public InterleavedTest {
  protected:
   void SetUp() override {
     InterleavedTest::SetUp();
-    // At scale 0 the simulated device completes reads inline at submit
-    // time and nothing ever parks; keep a sliver of latency so misses
-    // genuinely queue and the continuation machinery is exercised.
-    LatencySimulator::SetScale(0.25);
+    LatencySimulator::SetScale(kParkingLatencyScale);
     db_ = Database::Create(Opts()).MoveValue();
     table_ = db_->CreateTable(kCounterTable, kTupleBytes).MoveValue();
     std::byte zero[kTupleBytes] = {};
@@ -338,38 +343,146 @@ TEST_F(InterleavedTest, RunInterleavedRingDepthOneStillCorrect) {
   EXPECT_GT(res.committed, 20u);
 }
 
+// Counts a TpccTxnMachine's parks and commits by transaction type.
+class CountingTpccMachine : public TxnMachine {
+ public:
+  struct Counts {
+    std::array<uint64_t, 5> parks{}, commits{};
+    uint64_t parked(TpccWorkload::TxnType t) const {
+      return parks[static_cast<size_t>(t)];
+    }
+    uint64_t committed(TpccWorkload::TxnType t) const {
+      return commits[static_cast<size_t>(t)];
+    }
+  };
+  CountingTpccMachine(TpccWorkload* tpcc, Counts* counts)
+      : inner_(tpcc), counts_(counts) {}
+
+  Status Step(Xoshiro256& rng, FetchContext* ctx) override {
+    const Status st = inner_.Step(rng, ctx);
+    const size_t type = static_cast<size_t>(inner_.type());
+    if (st.IsWouldBlock()) ++counts_->parks[type];
+    if (st.ok()) ++counts_->commits[type];
+    return st;
+  }
+  void Cancel() override { inner_.Cancel(); }
+  bool in_flight() const override { return inner_.in_flight(); }
+
+ private:
+  TpccTxnMachine inner_;
+  Counts* counts_;
+};
+
+// The full TPC-C mix on one worker's ring, over a pool far smaller than
+// the schema, so machines park inside every transaction type. One worker
+// keeps this a check of the machines alone: with two TPC-C workers a
+// B+Tree race can lose committed index keys, which is tracked separately.
 TEST_F(InterleavedTest, RunInterleavedTpccKeepsMoneyConsistent) {
+  using W = TpccWorkload;
+  LatencySimulator::SetScale(kParkingLatencyScale);
   auto db = Database::Create(Opts()).MoveValue();
   TpccConfig cfg;
   cfg.num_warehouses = 1;
-  cfg.customers_per_district = 30;
-  cfg.num_items = 200;
+  // Weight the three rarer types up so each runs (and parks) often.
+  cfg.pct_new_order = 30;
+  cfg.pct_payment = 25;
+  cfg.pct_order_status = 15;
+  cfg.pct_delivery = 15;
+  cfg.pct_stock_level = 15;
   TpccWorkload tpcc(db.get(), cfg);
   ASSERT_TRUE(tpcc.Load().ok());
+  ASSERT_TRUE(db->buffer_manager()->DrainIo().ok());
 
-  DriverResult res = WorkloadDriver::RunInterleaved(
-      db->buffer_manager(), 2, 0.4, /*ring_depth=*/4,
-      [&] { return std::make_unique<TpccTxnMachine>(&tpcc); });
-  EXPECT_GT(res.committed, 10u);
+  // Run in rounds until every type under test has parked and a delivery
+  // committed (one round in a normal build; sanitizer builds run slower).
+  CountingTpccMachine::Counts counts;
+  const auto covered = [&] {
+    return counts.parked(W::TxnType::kOrderStatus) > 0 &&
+           counts.parked(W::TxnType::kDelivery) > 0 &&
+           counts.parked(W::TxnType::kStockLevel) > 0 &&
+           counts.committed(W::TxnType::kDelivery) > 0;
+  };
+  for (int round = 0; round < 20 && !covered(); ++round) {
+    (void)WorkloadDriver::RunInterleaved(
+        db->buffer_manager(), /*num_threads=*/1, 0.5, /*ring_depth=*/8, [&] {
+          return std::make_unique<CountingTpccMachine>(&tpcc, &counts);
+        });
+  }
+  EXPECT_GT(counts.parked(W::TxnType::kOrderStatus), 0u);
+  EXPECT_GT(counts.parked(W::TxnType::kDelivery), 0u);
+  EXPECT_GT(counts.parked(W::TxnType::kStockLevel), 0u);
+  EXPECT_GT(counts.committed(W::TxnType::kDelivery), 0u);
+  EXPECT_GT(std::accumulate(counts.commits.begin(), counts.commits.end(),
+                            uint64_t{0}),
+            10u);
+
+  auto txn = db->Begin();
+  Table* orders = db->GetTable(W::kOrder);
+  Table* new_orders = db->GetTable(W::kNewOrder);
+  Table* lines = db->GetTable(W::kOrderLine);
+  Table* customers = db->GetTable(W::kCustomer);
 
   // PAYMENT adds its amount to both the warehouse and the district YTD in
   // one transaction; both start at 300,000 per warehouse. A phase that
   // double-applied after a parked resume would break this equality.
-  auto txn = db->Begin();
-  TpccWorkload::WarehouseTuple wt{};
-  ASSERT_TRUE(db->GetTable(TpccWorkload::kWarehouse)
-                  ->Read(txn.get(), TpccWorkload::WarehouseKey(1), &wt)
+  W::WarehouseTuple wt{};
+  ASSERT_TRUE(db->GetTable(W::kWarehouse)
+                  ->Read(txn.get(), W::WarehouseKey(1), &wt)
                   .ok());
   double district_ytd = 0;
+  uint64_t delivered = 0;
+  double delivered_amount = 0;
   for (uint32_t d = 1; d <= cfg.districts_per_warehouse; ++d) {
-    TpccWorkload::DistrictTuple dt{};
-    ASSERT_TRUE(db->GetTable(TpccWorkload::kDistrict)
-                    ->Read(txn.get(), TpccWorkload::DistrictKey(1, d), &dt)
+    W::DistrictTuple dt{};
+    ASSERT_TRUE(db->GetTable(W::kDistrict)
+                    ->Read(txn.get(), W::DistrictKey(1, d), &dt)
                     .ok());
     district_ytd += dt.ytd;
+    for (uint32_t o = 1; o < dt.next_o_id; ++o) {
+      W::OrderTuple ot{};
+      ASSERT_TRUE(orders->Read(txn.get(), W::OrderKey(1, d, o), &ot).ok())
+          << "order " << d << "/" << o;
+      // Oracle 1: an order is pending (NEW-ORDER row) exactly when it has
+      // no carrier yet.
+      W::NewOrderTuple no{};
+      const Status nst = new_orders->Read(txn.get(), W::OrderKey(1, d, o), &no);
+      ASSERT_TRUE(nst.ok() || nst.IsNotFound()) << nst.ToString();
+      EXPECT_EQ(nst.ok(), ot.carrier_id == 0) << "order " << d << "/" << o;
+      if (ot.carrier_id == 0) continue;
+      ++delivered;
+      for (uint32_t l = 1; l <= ot.ol_cnt; ++l) {
+        W::OrderLineTuple ol{};
+        ASSERT_TRUE(
+            lines->Read(txn.get(), W::OrderLineKey(1, d, o, l), &ol).ok());
+        delivered_amount += ol.amount;
+      }
+    }
+  }
+  EXPECT_NEAR(wt.ytd, district_ytd, 1e-6);
+
+  uint64_t delivery_cnt = 0;
+  double balance = 0;
+  const uint64_t num_customers = static_cast<uint64_t>(
+      cfg.districts_per_warehouse) * cfg.customers_per_district;
+  for (uint32_t d = 1; d <= cfg.districts_per_warehouse; ++d) {
+    for (uint32_t c = 1; c <= cfg.customers_per_district; ++c) {
+      W::CustomerTuple ct{};
+      ASSERT_TRUE(
+          customers->Read(txn.get(), W::CustomerKey(1, d, c), &ct).ok());
+      delivery_cnt += ct.delivery_cnt;
+      balance += ct.balance;
+    }
   }
   ASSERT_TRUE(db->Commit(txn.get()).ok());
-  EXPECT_NEAR(wt.ytd, district_ytd, 1e-6);
+  // Oracle 2: every delivered order credited its customer exactly once.
+  EXPECT_EQ(delivery_cnt, delivered);
+  // Oracle 3: balances start at -10; PAYMENT debits what it adds to
+  // W.ytd, DELIVERY credits the order-line amounts of the orders it
+  // delivered.
+  EXPECT_NEAR(balance,
+              -10.0 * static_cast<double>(num_customers) -
+                  (wt.ytd - 300'000.0) + delivered_amount,
+              1e-3);
 }
 
 }  // namespace

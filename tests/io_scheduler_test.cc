@@ -59,6 +59,30 @@ class IoSchedulerTest : public ::testing::Test {
     return true;
   }
 
+  // One single-flight read through SubmitRead, pumping completions until
+  // its callback fires. Busy means a concurrent write superseded the
+  // bytes; like any SubmitRead caller, resubmit to read the fresh image.
+  static Status SubmitReadAndWait(IoScheduler& io, uint64_t offset,
+                                  std::byte* dst, uint64_t* seq) {
+    for (;;) {
+      std::atomic<bool> fired{false};
+      Status out;
+      (void)io.SubmitRead(offset, [&](const Status& st, const std::byte* data,
+                                      uint64_t s) {
+        out = st;
+        if (st.ok()) {
+          std::memcpy(dst, data, kPageSize);
+          *seq = s;
+        }
+        fired.store(true, std::memory_order_release);
+      });
+      while (!fired.load(std::memory_order_acquire)) {
+        (void)io.PumpCompletions(/*may_sleep=*/false);
+      }
+      if (!out.IsBusy()) return out;
+    }
+  }
+
   std::unique_ptr<SsdDevice> ssd_;
 };
 
@@ -116,10 +140,19 @@ TEST_F(IoSchedulerTest, ReadOfStagedWriteSeesNewBytesBeforeDeviceWrite) {
   EXPECT_NE(io.WriteSeq(0), 0u);
 
   // The device has not been written yet; the read must come from the
-  // staged image, with the matching sequence.
+  // staged image, inline, with the matching sequence.
   std::vector<std::byte> got(kPageSize);
   uint64_t seq = 0;
-  ASSERT_TRUE(io.ReadPage(0, got.data(), &seq).ok());
+  bool fired = false;
+  const IoScheduler::SubmitKind kind = io.SubmitRead(
+      0, [&](const Status& st, const std::byte* data, uint64_t s) {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        std::memcpy(got.data(), data, kPageSize);
+        seq = s;
+        fired = true;
+      });
+  EXPECT_EQ(kind, IoScheduler::SubmitKind::kInline);
+  ASSERT_TRUE(fired);
   EXPECT_EQ(ssd_->stats().num_writes.load(), 0u);
   EXPECT_EQ(ssd_->stats().num_reads.load(), 0u);
   EXPECT_EQ(seq, io.WriteSeq(0));
@@ -214,8 +247,9 @@ TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
     uint64_t seq;
     int i = 0;
     while (!stop.load()) {
-      ASSERT_TRUE(
-          io.ReadPage((i++ % kOffsets) * kPageSize, page.data(), &seq).ok());
+      ASSERT_TRUE(SubmitReadAndWait(io, (i++ % kOffsets) * kPageSize,
+                                    page.data(), &seq)
+                      .ok());
       ASSERT_TRUE(IsUniform(page.data()));
     }
   });
@@ -453,29 +487,59 @@ TEST_F(IoSchedulerTest, ReadAheadInstallRacesSynchronousWaiter) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-// The scheduler-off configuration is the seed behavior; everything must
-// still work (and the scheduler accessor reports null).
-TEST_F(IoSchedulerTest, DisabledSchedulerFallsBackToSyncIo) {
-  SeedColdPages(8);
+// Tear-down with a chained read-ahead window still queued, over pools
+// full of dirty pages. The scheduler's shutdown runs the queued window so
+// its flights complete; installing its pages would evict dirty victims
+// whose write-backs the stopping scheduler refuses, so every install
+// would sweep both pools again and again (NVM admission retries each
+// DRAM victim 64 times) — seconds even for these small pools and window.
+// Shutdown must skip the installs.
+TEST_F(IoSchedulerTest, TeardownWithQueuedReadAheadOverDirtyPoolsIsPrompt) {
+  constexpr page_id_t kPages = 512;
+  constexpr page_id_t kScanPages = 64;
+  constexpr size_t kDramFrames = 16;
+  constexpr size_t kNvmFrames = 16;
+  SeedColdPages(kPages);
   BufferManagerOptions opt;
-  opt.dram_frames = 4;
-  opt.nvm_frames = 4;
-  opt.policy = MigrationPolicy::Eager();
+  opt.dram_frames = kDramFrames;
+  opt.nvm_frames = kNvmFrames;
+  opt.num_shards = 1;
+  // Misses land in DRAM; every dirty DRAM victim is admitted into NVM.
+  opt.policy = MigrationPolicy{0.0, 0.0, 0.0, 1.0};
+  opt.io_scheduler.read_ahead_pages = 4;
   opt.ssd = ssd_.get();
-  opt.enable_io_scheduler = false;
-  BufferManager bm(opt);
-  bm.SetNextPageId(8);
-  EXPECT_EQ(bm.io_scheduler(), nullptr);
+  auto bm = std::make_unique<BufferManager>(opt);
+  bm->SetNextPageId(kPages);
 
-  for (page_id_t pid = 0; pid < 8; ++pid) {
-    auto r = bm.FetchPage(pid, AccessIntent::kRead);
+  const uint64_t mark = 0xD1;
+  // 1. Dirty both pools with pages from the top of the range, descending
+  //    so the run detector never arms read-ahead.
+  for (page_id_t pid = kPages - 1; pid >= kPages - 2 * kNvmFrames; --pid) {
+    auto r = bm->FetchPage(pid, AccessIntent::kWrite);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    PageGuard g = r.MoveValue();
-    uint64_t v = 0;
-    ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
-    EXPECT_EQ(v, Stamp(pid));
+    ASSERT_TRUE(r.value().WriteAt(kPageHeaderSize, sizeof(mark), &mark).ok());
   }
-  ASSERT_TRUE(bm.FlushAll(true).ok());
+  // 2. A sequential scan from page 0 chains read-ahead windows; the chain
+  //    decision on the last one leaves the next window claimed and queued.
+  for (page_id_t pid = 0; pid < kScanPages; ++pid) {
+    auto r = bm->FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_GT(bm->stats().Snapshot().read_ahead_installs, 0u);
+  // 3. Dirty what the scan left in DRAM, through hits only: a miss would
+  //    run the queued window.
+  for (page_id_t pid = 0; pid < kScanPages; ++pid) {
+    if (!bm->IsDramResident(pid)) continue;
+    auto r = bm->FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r.value().WriteAt(kPageHeaderSize, sizeof(mark), &mark).ok());
+  }
+  ASSERT_EQ(bm->DramResidentPages(), kDramFrames);
+  ASSERT_EQ(bm->NvmResidentPages(), kNvmFrames);
+
+  const auto start = std::chrono::steady_clock::now();
+  bm.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 }  // namespace
