@@ -1,12 +1,11 @@
-// Microbenchmarks of the substrates (google-benchmark): concurrent hash
-// table, concurrent bitmap / CLOCK, latches, B+Tree, NVM log buffer, and
-// raw buffer manager fetch paths. These are not paper figures; they guard
-// against performance regressions in the building blocks.
+// Microbenchmarks of the substrates (google-benchmark): concurrent bitmap
+// / CLOCK, latches, B+Tree, NVM log buffer, and raw buffer manager fetch
+// paths. These are not paper figures; they guard against performance
+// regressions in the building blocks.
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_manager.h"
 #include "container/concurrent_bitmap.h"
-#include "container/concurrent_hash_table.h"
 #include "container/mpmc_queue.h"
 #include "index/btree.h"
 #include "storage/perf_model.h"
@@ -17,30 +16,6 @@
 
 namespace spitfire {
 namespace {
-
-void BM_HashTableInsert(benchmark::State& state) {
-  ConcurrentHashTable<uint64_t, uint64_t> table;
-  uint64_t k = state.thread_index() * 1'000'000'000ull;
-  for (auto _ : state) {
-    table.Insert(k++, k);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashTableInsert)->Threads(1)->Threads(2);
-
-void BM_HashTableFind(benchmark::State& state) {
-  static ConcurrentHashTable<uint64_t, uint64_t> table;
-  if (state.thread_index() == 0) {
-    for (uint64_t i = 0; i < 100'000; ++i) table.Insert(i, i);
-  }
-  Xoshiro256 rng(state.thread_index() + 1);
-  uint64_t v;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Find(rng.NextUint64(100'000), &v));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashTableFind)->Threads(1)->Threads(2);
 
 void BM_ConcurrentBitmapSet(benchmark::State& state) {
   static ConcurrentBitmap bm(1 << 20);

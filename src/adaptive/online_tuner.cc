@@ -92,22 +92,8 @@ void OnlineTuner::ThreadLoop() {
 void OnlineTuner::Step(const BufferStatsSnapshot& snapshot,
                        double window_seconds) {
   std::lock_guard<std::mutex> l(mu_);
-  BufferStatsSnapshot delta = snapshot;
-  if (have_prev_) {
-    // Counters are monotonic; field-wise subtraction yields the window.
-    delta.dram_hits -= prev_.dram_hits;
-    delta.nvm_hits -= prev_.nvm_hits;
-    delta.ssd_fetches -= prev_.ssd_fetches;
-    delta.promotions -= prev_.promotions;
-    delta.demotions_to_nvm -= prev_.demotions_to_nvm;
-    delta.demotions_to_ssd -= prev_.demotions_to_ssd;
-    delta.nvm_installs -= prev_.nvm_installs;
-    delta.nvm_evictions -= prev_.nvm_evictions;
-    delta.dram_evictions -= prev_.dram_evictions;
-    delta.write_fetches -= prev_.write_fetches;
-    delta.replacer_sampled -= prev_.replacer_sampled;
-    delta.read_ahead_installs -= prev_.read_ahead_installs;
-  }
+  const BufferStatsSnapshot delta =
+      have_prev_ ? snapshot.Since(prev_) : snapshot;
   prev_ = snapshot;
   have_prev_ = true;
 

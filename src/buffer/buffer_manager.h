@@ -36,11 +36,11 @@ class BufferStatsAggregate {
 
 // The Spitfire three-tier buffer manager: N self-contained BufferShards
 // routed by page-id hash (ShardOfPage), LeanStore-style. Each shard owns
-// its slice of the mapping table, its DRAM/NVM pools (frames, free list,
-// replacer), its miss-admission counter, and its background writer, so
-// the only state every core still shares is genuinely global: the SSD
-// I/O scheduler (device queues are a physical resource), the page-id
-// allocator, and — outside this class — the WAL and MVTO timestamps.
+// its page table, its DRAM/NVM pools (frames, free list, replacer), its
+// miss-admission counter, and its background writer, so the only state
+// every core still shares is genuinely global: the SSD I/O scheduler
+// (device queues are a physical resource), the page-id allocator, and —
+// outside this class — the WAL and MVTO timestamps.
 //
 // The facade carves each tier device into per-shard frame-region slices
 // whose on-device layout (data region, NVM persistent frame table) is
@@ -85,21 +85,23 @@ class BufferManager {
 
   // Flushes every dirty page (all shards) to SSD. When `include_nvm` is
   // false, dirty NVM-resident pages are left in place (they are
-  // persistent — the paper's recovery-overhead advantage). `*skipped`
-  // (optional) sums the dirty pages every shard had to leave behind
-  // because they were actively referenced; a nonzero count means the
-  // sweep was incomplete and must not advance the durable redo horizon.
+  // persistent — the paper's recovery-overhead advantage) and dirty
+  // cache-line-grained or mini DRAM copies are written into them.
+  // `*skipped` (optional) sums the dirty pages every shard had to leave
+  // behind because they were actively referenced; a nonzero count means
+  // the sweep was incomplete and must not advance the durable redo
+  // horizon.
   Status FlushAll(bool include_nvm = false, size_t* skipped = nullptr);
 
   // Blocks until every asynchronously staged SSD write has reached the
   // device; returns (and clears) the first async write error.
   Status DrainIo() { return io_->Drain(); }
 
-  // Rebuilds every shard's mapping slice from the NVM device's persistent
+  // Rebuilds every shard's page table from the NVM device's persistent
   // frame table after a restart (Section 5.2, Recovery). Requires the
-  // same num_shards the device was populated under (each shard validates
-  // that recovered pages route back to it) and an externally supplied
-  // options.nvm device.
+  // same num_shards and SSD size the device was populated under (each
+  // shard validates that recovered pages route back to it and fit on the
+  // SSD) and an externally supplied options.nvm device.
   Status RecoverNvmResidentPages();
 
   // --- policy & introspection ---

@@ -80,6 +80,7 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
       ssd_(ctx.ssd),
       nvm_(ctx.nvm),
       dram_backing_(ctx.dram_backing),
+      table_(ctx.ssd->capacity() / kPageSize),
       next_page_id_(ctx.next_page_id),
       io_(ctx.io) {
   SPITFIRE_CHECK(ssd_ != nullptr);
@@ -181,16 +182,6 @@ void BufferShard::PrepareShutdown() {
 }
 
 BufferShard::~BufferShard() { PrepareShutdown(); }
-
-SharedPageDescriptor* BufferShard::GetOrCreateDescriptor(page_id_t pid) {
-  return mapping_table_.GetOrCreate(pid, [this, pid]() {
-    auto d = std::make_unique<SharedPageDescriptor>(pid);
-    SharedPageDescriptor* raw = d.get();
-    std::lock_guard<std::mutex> g(desc_mu_);
-    descriptors_.push_back(std::move(d));
-    return raw;
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Pinning (the latch-free hit path)
@@ -384,11 +375,15 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
   if (intent == AccessIntent::kWrite) {
     stats_.Add(BufferCounter::kWriteFetches);
   }
-  if (pid >= next_page_id_->load(std::memory_order_relaxed)) {
+  // A pid past the SSD's end is unallocated too: NewPage refused it.
+  SharedPageDescriptor* d =
+      pid < next_page_id_->load(std::memory_order_relaxed)
+          ? table_.GetOrCreate(pid)
+          : nullptr;
+  if (d == nullptr) {
     FinishTicket(t, Status::InvalidArgument("fetch of unallocated page"));
     return FetchSubmit::kCompleted;
   }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
 
   // Read-ahead keepalive: two relaxed loads on the hot path; matches only
   // inside the live range of the active prefetch chain.
@@ -624,10 +619,8 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
 Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
                                              uint32_t page_type) {
   SPITFIRE_DCHECK(ShardOfPage(pid, num_shards_) == shard_index_);
-  if (SsdOffset(pid) + kPageSize > ssd_->capacity()) {
-    return Status::OutOfMemory("SSD device full");
-  }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+  SharedPageDescriptor* d = table_.GetOrCreate(pid);
+  if (d == nullptr) return Status::OutOfMemory("SSD device full");
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
   if (dram_pool_ != nullptr) {
@@ -765,7 +758,8 @@ void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
 bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   // Precondition: this thread owns read_ahead_inflight_; ownership passes
   // to the queued execution on success and is released here on failure.
-  const page_id_t horizon = next_page_id_->load(std::memory_order_relaxed);
+  const page_id_t horizon = std::min(
+      next_page_id_->load(std::memory_order_relaxed), table_.num_pages());
   // Skip pages that are already resident (e.g. whole windows surviving
   // from the scan's previous pass over the database). Claiming them is
   // not just wasted transfer: the front HITS straight through a resident
@@ -776,8 +770,8 @@ bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   // walks (bounded) when the stall it prevents would otherwise begin.
   size_t trim_budget = 4 * options_.io_scheduler.read_ahead_pages;
   while (start < horizon && OwnsPage(start)) {
-    SharedPageDescriptor* d = GetOrCreateDescriptor(start);
-    if (!d->DramResident() && !d->NvmResident()) break;
+    const SharedPageDescriptor* d = table_.Find(start);
+    if (d == nullptr || (!d->DramResident() && !d->NvmResident())) break;
     ++start;
     if (--trim_budget == 0) break;
   }
@@ -891,7 +885,7 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
   // dirty victim's write-back is refused by the stopping scheduler, so
   // every frame search would sweep the whole pool again and again.
   if (shutting_down_.load(std::memory_order_acquire)) return;
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+  SharedPageDescriptor* d = table_.GetOrCreate(pid);
   // Never contend with foreground work: TryLock only on the target, and at
   // most one (try-lock-based) eviction round per pool when no frame is
   // free — without it read-ahead would go dead the moment the pool warms
@@ -1068,21 +1062,36 @@ bool BufferShard::DecideNvmAdmission(page_id_t pid) {
   return policy().AdmitToNvmOnDramEviction();
 }
 
-void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d) {
+void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d,
+                                      DramMode mode) {
   const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
   SPITFIRE_DCHECK(nf != kInvalidFrameId);
   const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-  const frame_id_t df = d->dram.frame.load(std::memory_order_relaxed);
-  std::byte* dram_ptr = dram_pool_->FramePtr(df);
-  const uint32_t usize = d->cl.unit_size;
-  const size_t units = d->cl.UnitsPerPage();
   bool any = false;
-  for (size_t u = 0; u < units; ++u) {
-    if (!d->cl.dirty.Test(u)) continue;
-    (void)nvm_->Write(nvm_off + u * usize, dram_ptr + u * usize, usize);
-    any = true;
+  if (mode == DramMode::kMini) {
+    MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
+    const uint32_t usize = mp.meta()->unit_size;
+    for (size_t s = 0; s < mp.count(); ++s) {
+      if (!mp.IsDirty(s)) continue;
+      const uint64_t unit = mp.meta()->slots[s];
+      (void)nvm_->Write(nvm_off + unit * usize, mp.UnitPtr(s), usize);
+      any = true;
+    }
+    mp.meta()->dirty_mask = 0;
+  } else {
+    SPITFIRE_DCHECK(mode == DramMode::kCacheLineGrained);
+    std::byte* dram_ptr =
+        dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
+    const uint32_t usize = d->cl.unit_size;
+    for (size_t u = 0; u < d->cl.UnitsPerPage(); ++u) {
+      if (!d->cl.dirty.Test(u)) continue;
+      (void)nvm_->Write(nvm_off + u * usize, dram_ptr + u * usize, usize);
+      any = true;
+    }
+    d->cl.dirty.Reset();
   }
   if (any) d->nvm.dirty.store(true, std::memory_order_relaxed);
+  d->dram.dirty.store(false, std::memory_order_relaxed);
 }
 
 // Eviction protocol: retire the state word FIRST (fails if any pin exists
@@ -1197,10 +1206,9 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     // already retired above, since CLG dirt is latch-protected and thus
     // always visible in the hint).
     SPITFIRE_DCHECK(nvm_retired);
-    WriteBackUnitsToNvm(d);
+    WriteBackUnitsToNvm(d, mode);
     d->nvm.Publish(DramMode::kFull, 0);
     d->dram.frame.store(kInvalidFrameId, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
     dram_pool_->FreeFrame(f);
     d->nvm_latch.Unlock();
     d->dram_latch.Unlock();
@@ -1362,17 +1370,7 @@ bool BufferShard::TryEvictMini(uint32_t mini_id) {
     return false;
   }
   if (dirty) {
-    const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-    SPITFIRE_DCHECK(nf != kInvalidFrameId);
-    const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-    const uint32_t usize = mp.meta()->unit_size;
-    for (size_t s = 0; s < mp.count(); ++s) {
-      if (!mp.IsDirty(s)) continue;
-      const uint16_t unit = mp.meta()->slots[s];
-      (void)nvm_->Write(nvm_off + static_cast<uint64_t>(unit) * usize,
-                        mp.UnitPtr(s), usize);
-    }
-    d->nvm.dirty.store(true, std::memory_order_relaxed);
+    WriteBackUnitsToNvm(d, DramMode::kMini);
     d->nvm.Publish(DramMode::kFull, 0);
     d->nvm_latch.Unlock();
   }
@@ -1670,82 +1668,70 @@ Status BufferShard::WriteToSsd(page_id_t pid, const std::byte* data) {
 Status BufferShard::DrainIo() { return io_->Drain(); }
 
 Status BufferShard::FlushPage(page_id_t pid) {
-  const Status st = FlushPageImpl(pid);
+  SharedPageDescriptor* d = table_.Find(pid);
+  bool wrote = false;
+  const Status st = d == nullptr  // never buffered
+                        ? Status::OK()
+                        : FlushDescriptor(d, /*include_nvm=*/true,
+                                          /*skipped=*/nullptr, &wrote);
   const Status drained = DrainIo();
   SPITFIRE_RETURN_NOT_OK(st);
   return drained;
 }
 
-Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
-  SharedPageDescriptor* d = nullptr;
-  if (!mapping_table_.Find(pid, &d)) return Status::OK();  // never buffered
+Status BufferShard::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
+                                    size_t* skipped, bool* wrote) {
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
   SpinLatchGuard gs(d->ssd_latch);
 
   // Guard holders may be mutating page contents; flushing a pinned page
-  // could persist a torn image. Each copy is retired for the duration of
-  // its copy-out, so optimistic pins cannot land mid-flush; copies that
-  // cannot be retired (pinned) are skipped — the WAL keeps them
-  // recoverable and a later flush round catches them.
+  // could persist a torn image. Each dirty copy is retired for the
+  // duration of its copy-out, so optimistic pins cannot land mid-flush;
+  // copies that cannot be retired (pinned) are skipped — the WAL keeps
+  // them recoverable and a later flush round catches them. Clean copies
+  // are left alone. The dirty reads are latch-authoritative for CLG/mini
+  // (their dirt is written under the dram latch); for kFull a
+  // just-unpinned writer's store may be missed, which only postpones that
+  // page to a later round.
   const DramMode dmode = d->dram.Mode();
-  if (dmode != DramMode::kNone) {
+  bool dram_dirty = false;
+  if (dmode == DramMode::kMini) {
+    dram_dirty =
+        MiniPageView(MiniPtr(d->mini_id.load(std::memory_order_relaxed)))
+            .AnyDirty();
+  } else if (dmode == DramMode::kCacheLineGrained) {
+    dram_dirty = d->cl.dirty.Any();
+  } else if (dmode == DramMode::kFull) {
+    dram_dirty = d->dram.dirty.load(std::memory_order_relaxed);
+  }
+  if (dram_dirty) {
     // Dirty DRAM state makes any NVM copy stale, so the NVM word must be
     // retired BEFORE the DRAM word: a reader that loses its optimistic
     // DRAM pin mid-flush would otherwise fall through to TryPinNvm and
-    // read pre-flush bytes (see TryEvictDramFrame). The dirty reads here
-    // are latch-authoritative for CLG/mini (their dirt is written under
-    // the dram latch); for kFull a just-unpinned writer's store may be
-    // missed, which only postpones that page to a later round.
-    bool mini_dirty = false;
-    if (dmode == DramMode::kMini) {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      mini_dirty = mp.AnyDirty();
-    }
-    const bool clg_dirty =
-        dmode == DramMode::kCacheLineGrained && d->cl.dirty.Any();
-    const bool full_dirty = dmode == DramMode::kFull &&
-                            d->dram.dirty.load(std::memory_order_relaxed);
+    // read pre-flush bytes (see TryEvictDramFrame). CLG and mini copies
+    // always have the NVM copy they load their units from.
     const bool nvm_resident = d->NvmResident();
-    const bool need_nvm =
-        nvm_resident && (mini_dirty || clg_dirty || full_dirty);
-    if (need_nvm && !d->nvm.TryRetire()) {
+    if (nvm_resident && !d->nvm.TryRetire()) {
       if (skipped != nullptr) ++*skipped;
       return Status::OK();  // NVM copy actively referenced; later round
     }
     if (!d->dram.TryRetire()) {  // actively referenced
-      if (need_nvm) d->nvm.Publish(DramMode::kFull, 0);
-      if (skipped != nullptr && (mini_dirty || clg_dirty || full_dirty)) {
-        ++*skipped;
-      }
+      if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
+      if (skipped != nullptr) ++*skipped;
       return Status::OK();
     }
     Status st = Status::OK();
-    if (clg_dirty) {
-      WriteBackUnitsToNvm(d);
-      d->cl.dirty.Reset();
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-    } else if (mini_dirty) {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      const uint32_t usize = mp.meta()->unit_size;
-      for (size_t s = 0; s < mp.count(); ++s) {
-        if (!mp.IsDirty(s)) continue;
-        const uint16_t unit = mp.meta()->slots[s];
-        (void)nvm_->Write(nvm_off + static_cast<uint64_t>(unit) * usize,
-                          mp.UnitPtr(s), usize);
-      }
-      mp.meta()->dirty_mask = 0;
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-    } else if (full_dirty) {
+    if (dmode != DramMode::kFull) {
+      WriteBackUnitsToNvm(d, dmode);
+    } else {
       // After the SSD write the NVM copy (if any) is overwritten with the
       // freshest data so later direct NVM reads never observe stale bytes.
       std::byte* ptr =
           dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
-      st = WriteToSsd(pid, ptr);
+      st = WriteToSsd(d->pid, ptr);
       if (st.ok()) {
+        *wrote = true;
         if (nvm_resident) {
           const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
           (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
@@ -1754,12 +1740,15 @@ Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
         d->dram.dirty.store(false, std::memory_order_relaxed);
       }
     }
-    if (need_nvm) d->nvm.Publish(DramMode::kFull, 0);
+    if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
     d->dram.Publish(dmode, 0);
     SPITFIRE_RETURN_NOT_OK(st);
   }
 
-  if (d->NvmResident() && d->nvm.dirty.load(std::memory_order_relaxed)) {
+  // Dirty NVM copies are persistent already; only a full flush moves them
+  // down (background checkpoints leave them in place, Section 5.2).
+  if (include_nvm && d->NvmResident() &&
+      d->nvm.dirty.load(std::memory_order_relaxed)) {
     if (!d->nvm.TryRetire()) {
       if (skipped != nullptr) ++*skipped;
       return Status::OK();  // actively referenced
@@ -1768,8 +1757,11 @@ Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
     std::byte* ptr = nvm_pool_->FramePtr(nf);
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(nf), kPageSize,
                        /*sequential=*/true);
-    const Status st = WriteToSsd(pid, ptr);
-    if (st.ok()) d->nvm.dirty.store(false, std::memory_order_relaxed);
+    const Status st = WriteToSsd(d->pid, ptr);
+    if (st.ok()) {
+      *wrote = true;
+      d->nvm.dirty.store(false, std::memory_order_relaxed);
+    }
     d->nvm.Publish(DramMode::kFull, 0);
     SPITFIRE_RETURN_NOT_OK(st);
   }
@@ -1778,86 +1770,22 @@ Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
 
 Status BufferShard::FlushAll(bool include_nvm, size_t* skipped) {
   Status result = Status::OK();
-  if (include_nvm) {
-    // Collect first: FlushPage re-enters the mapping table, so it must not
-    // run under ForEach's shard latch.
-    std::vector<page_id_t> pids;
-    mapping_table_.ForEach(
-        [&](const page_id_t& pid, SharedPageDescriptor*&) {
-          pids.push_back(pid);
-        });
-    for (page_id_t pid : pids) {
-      Status st = FlushPageImpl(pid, skipped);
-      // Drain per page rather than once per sweep: the I/O scheduler would
-      // otherwise coalesce the whole batch into a handful of device ops,
-      // and this path feeds checkpoints whose write accounting (and fault
-      // injection points) assume one write per flushed page.
+  table_.ForEach([&](SharedPageDescriptor* d) {
+    bool wrote = false;
+    Status st = FlushDescriptor(d, include_nvm, skipped, &wrote);
+    // A full flush drains per written page rather than once per sweep:
+    // the I/O scheduler would otherwise coalesce the whole batch into a
+    // handful of device ops, and write accounting (and fault injection
+    // points) assume one write per flushed page. A checkpoint sweep lets
+    // its staged writes coalesce and drains once below.
+    if (include_nvm && wrote) {
       const Status drained = DrainIo();
       if (st.ok()) st = drained;
-      if (!st.ok()) result = st;
     }
-    return result;
-  }
-  mapping_table_.ForEach([&](const page_id_t& pid, SharedPageDescriptor*& d) {
-    {
-      // Background checkpointing (Section 5.2): only dirty DRAM pages are
-      // pushed down; NVM-resident modifications are already persistent.
-      SpinLatchGuard gd(d->dram_latch);
-      const DramMode mode = d->dram.Mode();
-      if (mode == DramMode::kFull &&
-          d->dram.dirty.load(std::memory_order_relaxed)) {
-        SpinLatchGuard gn(d->nvm_latch);
-        SpinLatchGuard gs(d->ssd_latch);
-        // NVM-before-DRAM retire order: the dirty DRAM copy makes the NVM
-        // copy stale, see FlushPage / TryEvictDramFrame.
-        const bool nvm_resident = d->NvmResident();
-        if (nvm_resident && !d->nvm.TryRetire()) {
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        if (!d->dram.TryRetire()) {  // actively referenced
-          if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        std::byte* ptr = dram_pool_->FramePtr(
-            d->dram.frame.load(std::memory_order_relaxed));
-        const Status st = WriteToSsd(pid, ptr);
-        if (st.ok()) {
-          if (nvm_resident) {
-            const frame_id_t nf =
-                d->nvm.frame.load(std::memory_order_relaxed);
-            (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
-            d->nvm.dirty.store(false, std::memory_order_relaxed);
-          }
-          d->dram.dirty.store(false, std::memory_order_relaxed);
-        } else {
-          result = st;
-        }
-        if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
-        d->dram.Publish(mode, 0);
-      } else if (mode == DramMode::kCacheLineGrained && d->cl.dirty.Any()) {
-        SpinLatchGuard gn(d->nvm_latch);
-        // NVM-before-DRAM retire order, as above.
-        if (!d->nvm.TryRetire()) {
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        if (!d->dram.TryRetire()) {  // actively referenced
-          d->nvm.Publish(DramMode::kFull, 0);
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        WriteBackUnitsToNvm(d);
-        d->cl.dirty.Reset();
-        d->dram.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, 0);
-        d->dram.Publish(mode, 0);
-      }
-    }
+    if (!st.ok()) result = st;
   });
-  // One drain for the whole sweep: the staged writes coalesce while the
-  // sweep runs, and any async error surfaces here.
+  // Any async error (this sweep's or an earlier write-back's) surfaces
+  // here.
   const Status drained = DrainIo();
   if (result.ok()) result = drained;
   return result;
@@ -1872,7 +1800,6 @@ Status BufferShard::RecoverNvmResidentPages() {
   std::vector<frame_id_t> all;
   frame_id_t f;
   while (nvm_pool_->TryAllocateFrame(&f)) all.push_back(f);
-  size_t recovered = 0;
   for (frame_id_t frame : all) {
     const page_id_t pid = nvm_pool_->PersistedOwner(frame);
     bool valid = pid != kInvalidPageId;
@@ -1884,17 +1811,22 @@ Status BufferShard::RecoverNvmResidentPages() {
       nvm_pool_->FreeFrame(frame);
       continue;
     }
+    // Both refusals bail without freeing the frame (FreeFrame would zero
+    // the persisted entry and destroy the only copy); the caller must
+    // re-open the device with the configuration it was populated under.
     if (!OwnsPage(pid)) {
       // The persistent frame table was written under a different shard
-      // count: this frame's page routes to another shard's slice. Bail
-      // without freeing the frame (FreeFrame would zero the persisted
-      // entry and destroy the only copy); the caller must re-open the
-      // device with the num_shards it was populated under.
+      // count: this frame's page routes to another shard's slice.
       return Status::InvalidArgument(
           "persisted NVM page routes to a different shard; recover with "
           "the original num_shards");
     }
-    SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+    SharedPageDescriptor* d = table_.GetOrCreate(pid);
+    if (d == nullptr) {
+      return Status::InvalidArgument(
+          "persisted NVM page lies past the end of the SSD; recover with "
+          "the original SSD");
+    }
     d->nvm.frame.store(frame, std::memory_order_relaxed);
     // NVM copies may be newer than their SSD counterparts; treat them as
     // dirty so they flow down before being dropped.
@@ -1905,63 +1837,43 @@ Status BufferShard::RecoverNvmResidentPages() {
     while (pid + 1 > expect &&
            !next_page_id_->compare_exchange_weak(expect, pid + 1)) {
     }
-    ++recovered;
   }
-  (void)recovered;
   return Status::OK();
 }
 
 void BufferShard::InclusivityCounts(size_t* both, size_t* either) const {
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        const bool in_dram = d->DramResident();
-        const bool in_nvm = d->NvmResident();
-        if (in_dram && in_nvm) ++*both;
-        if (in_dram || in_nvm) ++*either;
-      });
-}
-
-double BufferShard::InclusivityRatio() const {
-  size_t both = 0;
-  size_t either = 0;
-  InclusivityCounts(&both, &either);
-  return either == 0 ? 0.0
-                     : static_cast<double>(both) / static_cast<double>(either);
+  table_.ForEach([&](const SharedPageDescriptor* d) {
+    const bool in_dram = d->DramResident();
+    const bool in_nvm = d->NvmResident();
+    if (in_dram && in_nvm) ++*both;
+    if (in_dram || in_nvm) ++*either;
+  });
 }
 
 size_t BufferShard::DramResidentPages() const {
   size_t n = 0;
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        if (d->DramResident()) ++n;
-      });
+  table_.ForEach([&](const SharedPageDescriptor* d) {
+    if (d->DramResident()) ++n;
+  });
   return n;
-}
-
-bool BufferShard::IsDramResident(page_id_t pid) const {
-  SharedPageDescriptor* d = nullptr;
-  auto* self = const_cast<BufferShard*>(this);
-  if (!self->mapping_table_.Find(pid, &d)) return false;
-  return d->DramResident();
-}
-
-bool BufferShard::IsNvmResident(page_id_t pid) const {
-  SharedPageDescriptor* d = nullptr;
-  auto* self = const_cast<BufferShard*>(this);
-  if (!self->mapping_table_.Find(pid, &d)) return false;
-  return d->NvmResident();
 }
 
 size_t BufferShard::NvmResidentPages() const {
   size_t n = 0;
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        if (d->NvmResident()) ++n;
-      });
+  table_.ForEach([&](const SharedPageDescriptor* d) {
+    if (d->NvmResident()) ++n;
+  });
   return n;
+}
+
+bool BufferShard::IsDramResident(page_id_t pid) const {
+  const SharedPageDescriptor* d = table_.Find(pid);
+  return d != nullptr && d->DramResident();
+}
+
+bool BufferShard::IsNvmResident(page_id_t pid) const {
+  const SharedPageDescriptor* d = table_.Find(pid);
+  return d != nullptr && d->NvmResident();
 }
 
 }  // namespace spitfire

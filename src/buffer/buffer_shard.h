@@ -2,7 +2,6 @@
 #define SPITFIRE_BUFFER_BUFFER_SHARD_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "buffer/background_writer.h"
@@ -10,10 +9,10 @@
 #include "buffer/migration_policy.h"
 #include "buffer/page.h"
 #include "buffer/page_descriptor.h"
+#include "buffer/page_table.h"
 #include "buffer/stats.h"
 #include "common/status.h"
 #include "container/admission_queue.h"
-#include "container/concurrent_hash_table.h"
 #include "storage/device.h"
 #include "storage/io_scheduler.h"
 #include "storage/nvm_device.h"
@@ -84,22 +83,21 @@ struct BufferManagerOptions {
   Device* dram_backing = nullptr;
 
   // Number of independent buffer-manager shards pages are hash-routed
-  // over (LeanStore-style partitioning). Each shard owns its slice of the
-  // mapping table, its DRAM/NVM pools (frames, free list, replacer), its
-  // miss-admission counter, and its background writer; the I/O scheduler,
-  // WAL, and MVTO timestamps stay global. 1 reproduces the unsharded
-  // engine bit-for-bit (same device layout, same policy decisions).
+  // over (LeanStore-style partitioning). Each shard owns its page table
+  // (the blocks routed to it), its DRAM/NVM pools (frames, free list,
+  // replacer), its miss-admission counter, and its background writer; the
+  // I/O scheduler, WAL, and MVTO timestamps stay global. 1 reproduces the
+  // unsharded engine bit-for-bit (same device layout, same policy
+  // decisions).
   // 0 → min(8, hardware_concurrency), clamped so every present tier keeps
   // at least 64 frames per shard. Explicit values are honored as given.
   size_t num_shards = 0;
 };
 
 // Pages are routed to shards in blocks of 2^kShardBlockBits consecutive
-// page ids so sequential scans stay inside one shard long enough for its
-// read-ahead run detector to work; the block index is mixed (finalizer of
-// MurmurHash3) so block placement is uniform.
-inline constexpr uint32_t kShardBlockBits = 5;
-
+// page ids (page_table.h) so sequential scans stay inside one shard long
+// enough for its read-ahead run detector to work; the block index is mixed
+// (finalizer of MurmurHash3) so block placement is uniform.
 inline uint32_t ShardOfPage(page_id_t pid, uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   uint64_t x = static_cast<uint64_t>(pid) >> kShardBlockBits;
@@ -234,18 +232,18 @@ enum class FetchSubmit : uint8_t {
 // (Section 5) — a complete engine for the slice of the page-id space that
 // hashes to it (ShardOfPage).
 //
-// A unified DRAM-resident mapping table maps page ids to shared page
-// descriptors holding per-tier latches and residency state (Figure 4).
+// A DRAM-resident page table maps page ids to shared page descriptors
+// holding per-tier latches and residency state (Figure 4).
 // FetchPage serves pages from DRAM when possible, from NVM directly (the
 // CPU can operate on NVM in place), or from SSD, and migrates pages
 // between tiers according to the probabilistic policy <Dr, Dw, Nr, Nw>
 // (Section 3). CLOCK replacement reclaims space in both buffers.
 //
-// The shard owns its mapping-table slice, DRAM/NVM pools (frames, free
-// list, replacer), miss-admission counter, and background writer; it
-// borrows the shared SSD scheduler, tier devices, and page-id allocator
-// from the BufferManager facade via BufferShardContext. With
-// num_shards == 1 this IS the pre-sharding engine, unchanged.
+// The shard owns its page table, DRAM/NVM pools (frames, free list,
+// replacer), miss-admission counter, and background writer; it borrows
+// the shared SSD scheduler, tier devices, and page-id allocator from the
+// BufferManager facade via BufferShardContext. With num_shards == 1 this
+// IS the pre-sharding engine, unchanged.
 class BufferShard {
  public:
   BufferShard(const BufferManagerOptions& options,
@@ -297,9 +295,10 @@ class BufferShard {
 
   // Flushes every dirty page to SSD. When `include_nvm` is false, dirty
   // NVM-resident pages are left in place (they are persistent — the
-  // paper's recovery-overhead advantage of app-direct mode). Pages whose
-  // copies are actively referenced are skipped (a later round catches
-  // them); `*skipped` (optional) counts them so callers like the
+  // paper's recovery-overhead advantage of app-direct mode), and dirty
+  // cache-line-grained or mini DRAM copies are written back into them.
+  // Pages whose copies are actively referenced are skipped (a later round
+  // catches them); `*skipped` (optional) counts them so callers like the
   // checkpointer know whether the sweep was complete — an incomplete
   // sweep must not advance the durable redo horizon.
   Status FlushAll(bool include_nvm = false, size_t* skipped = nullptr);
@@ -308,9 +307,11 @@ class BufferShard {
   // device; returns (and clears) the first async write error.
   Status DrainIo();
 
-  // Rebuilds the mapping table from the NVM device's persistent frame
-  // table after a restart (Section 5.2, Recovery). The NvmDevice must have
-  // been supplied externally via options.nvm.
+  // Rebuilds the page table from the NVM device's persistent frame table
+  // after a restart (Section 5.2, Recovery). The NvmDevice must have been
+  // supplied externally via options.nvm. Fails, without freeing the frame,
+  // on a persisted page that routes to another shard or lies past the
+  // end of the SSD.
   Status RecoverNvmResidentPages();
 
   // --- policy & introspection ---
@@ -350,10 +351,9 @@ class BufferShard {
   };
   FrameCensus DebugDramCensus() const;
 
-  // Fraction of buffered pages resident in both DRAM and NVM (Section 3.3).
-  double InclusivityRatio() const;
-  // Raw both/either counts behind the ratio, so the facade can merge
-  // shards without averaging ratios.
+  // Pages resident in both DRAM and NVM, and in either: the facade merges
+  // these across shards into the inclusivity ratio (Section 3.3) without
+  // averaging ratios.
   void InclusivityCounts(size_t* both, size_t* either) const;
   size_t DramResidentPages() const;
   size_t NvmResidentPages() const;
@@ -376,6 +376,7 @@ class BufferShard {
   Device* dram_device() { return dram_backing_; }
   BufferPool* dram_pool() { return dram_pool_.get(); }
   BufferPool* nvm_pool() { return nvm_pool_.get(); }
+  const PageTable& page_table() const { return table_; }
   const BufferManagerOptions& options() const { return options_; }
 
  private:
@@ -391,8 +392,6 @@ class BufferShard {
     std::unique_ptr<Replacer> replacer;
     std::vector<std::atomic<SharedPageDescriptor*>> owners;
   };
-
-  SharedPageDescriptor* GetOrCreateDescriptor(page_id_t pid);
 
   // Latch-free pin helpers: return true with a pin taken if resident (one
   // CAS on the tier's packed state word; see TierState).
@@ -471,9 +470,10 @@ class BufferShard {
   // descriptor's dram latch; mode is kMini on entry, kFull on success.
   Status PromoteMiniToFull(SharedPageDescriptor* d);
 
-  // Writes the DRAM copy's dirty content back into the page's NVM frame.
-  // Caller holds the dram latch (and the nvm latch for full pages).
-  void WriteBackUnitsToNvm(SharedPageDescriptor* d);
+  // Writes the dirty units of a cache-line-grained or mini (`mode`) DRAM
+  // copy back into the page's NVM frame, marks the NVM copy dirty and the
+  // DRAM copy clean. Caller holds both latches and has retired both copies.
+  void WriteBackUnitsToNvm(SharedPageDescriptor* d, DramMode mode);
 
   // Decides whether a dirty page evicted from DRAM is admitted into NVM
   // (probability Nw, or HyMem's admission queue).
@@ -485,10 +485,15 @@ class BufferShard {
 
   Status WriteToSsd(page_id_t pid, const std::byte* data);
 
-  // FlushPage body without the I/O drain (FlushAll batches the drain).
-  // `*skipped` (optional) is incremented when a dirty copy could not be
-  // flushed because it was actively referenced.
-  Status FlushPageImpl(page_id_t pid, size_t* skipped = nullptr);
+  // The one flush routine behind FlushPage and FlushAll, without the I/O
+  // drain: pushes a dirty DRAM copy down (a full one to SSD, refreshing
+  // any NVM copy; a cache-line-grained or mini one into its NVM copy),
+  // then, if `include_nvm`, a dirty NVM copy to SSD. A clean copy is not
+  // retired. `*skipped` (optional) is incremented when a dirty copy could
+  // not be flushed because it was actively referenced; `*wrote` is set
+  // when an SSD write was staged.
+  Status FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
+                         size_t* skipped, bool* wrote);
 
   // Loads the units covering [offset, offset+size) of a cache-line-grained
   // page from its NVM copy. Caller holds the dram latch.
@@ -519,9 +524,8 @@ class BufferShard {
   std::unique_ptr<AdmissionQueue> admission_queue_;
   MiniRegion mini_;
 
-  ConcurrentHashTable<page_id_t, SharedPageDescriptor*> mapping_table_;
-  std::mutex desc_mu_;
-  std::vector<std::unique_ptr<SharedPageDescriptor>> descriptors_;
+  // Sized from the SSD's page count; owns every descriptor of the shard.
+  PageTable table_;
 
   // Global page-id allocator, owned by the facade (shared by all shards).
   std::atomic<page_id_t>* next_page_id_ = nullptr;

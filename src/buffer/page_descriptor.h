@@ -168,7 +168,7 @@ enum class IoState : uint8_t { kIdle = 0, kIoInflight = 1 };
 struct FetchTicket;
 
 // The shared page descriptor of Figure 4: one per logical page, stored in
-// the DRAM-resident mapping table. It carries one latch per storage tier —
+// the DRAM-resident page table (page_table.h). It carries one latch per storage tier —
 // a migration from tier X to tier Y takes only the X and Y latches, so
 // e.g. an NVM→SSD write-back never blocks operations on the DRAM copy
 // (Section 5.2, "Thread-Safe Page Migration"). Buffer hits never take a

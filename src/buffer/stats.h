@@ -3,109 +3,95 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "common/macros.h"
 
 namespace spitfire {
 
-// Buffer manager counters.
+// Every buffer manager counter, spelled once: X(enum name, snapshot
+// field). The enum, the snapshot fields, and every field-wise operation
+// below are generated from this list.
+#define SPITFIRE_BUFFER_COUNTERS(X)                                           \
+  X(kDramHits, dram_hits)                                                     \
+  X(kNvmHits, nvm_hits)                       /* served directly from NVM */  \
+  X(kSsdFetches, ssd_fetches)                 /* misses that went to SSD */   \
+  X(kPromotions, promotions)                  /* NVM → DRAM migrations */     \
+  X(kDemotionsToNvm, demotions_to_nvm)        /* DRAM → NVM on eviction */    \
+  X(kDemotionsToSsd, demotions_to_ssd)        /* DRAM → SSD, NVM bypassed */  \
+  X(kNvmInstalls, nvm_installs)               /* SSD → NVM on read (Nr) */    \
+  X(kNvmEvictions, nvm_evictions)             /* NVM → SSD / dropped */       \
+  X(kDramEvictions, dram_evictions)                                           \
+  X(kFineGrainedLoads, fine_grained_loads)    /* cache-line units loaded */   \
+  X(kMiniPageAdmits, mini_page_admits)                                        \
+  X(kMiniPagePromotions, mini_page_promotions) /* mini → full overflow */     \
+  X(kReadAheadInstalls, read_ahead_installs)  /* pages prefetched */          \
+  X(kMissSubmits, miss_submits)               /* led a device read */         \
+  X(kMissJoins, miss_joins)                   /* joined an in-flight read */  \
+  X(kReplacerSampled, replacer_sampled)       /* hits sent to RecordAccess */ \
+  X(kWriteFetches, write_fetches)             /* fetches with write intent */
+
 enum class BufferCounter : uint8_t {
-  kDramHits = 0,
-  kNvmHits,             // served directly from NVM
-  kSsdFetches,          // page misses that went to SSD
-  kPromotions,          // NVM → DRAM migrations
-  kDemotionsToNvm,      // DRAM → NVM on eviction
-  kDemotionsToSsd,      // DRAM → SSD (NVM bypassed)
-  kNvmInstalls,         // SSD → NVM on read (Nr path)
-  kNvmEvictions,        // NVM → SSD / dropped
-  kDramEvictions,
-  kFineGrainedLoads,    // cache-line units loaded
-  kMiniPageAdmits,
-  kMiniPagePromotions,  // mini → full overflow
-  kReadAheadInstalls,   // pages prefetched by the I/O scheduler
-  kMissSubmits,         // misses that led (submitted) a device read
-  kMissJoins,           // misses that joined an already in-flight read
-  kReplacerSampled,     // hits forwarded to Replacer::RecordAccess
-  kWriteFetches,        // fetches submitted with write intent
+#define SPITFIRE_X(counter, field) counter,
+  SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
   kNumCounters,
 };
 
 // Point-in-time aggregation of BufferStats; plain integers, safe to copy
-// and diff. Field names match the historical counter names.
+// and diff.
 struct BufferStatsSnapshot {
-  uint64_t dram_hits = 0;
-  uint64_t nvm_hits = 0;
-  uint64_t ssd_fetches = 0;
-  uint64_t promotions = 0;
-  uint64_t demotions_to_nvm = 0;
-  uint64_t demotions_to_ssd = 0;
-  uint64_t nvm_installs = 0;
-  uint64_t nvm_evictions = 0;
-  uint64_t dram_evictions = 0;
-  uint64_t fine_grained_loads = 0;
-  uint64_t mini_page_admits = 0;
-  uint64_t mini_page_promotions = 0;
-  uint64_t read_ahead_installs = 0;
-  uint64_t miss_submits = 0;
-  uint64_t miss_joins = 0;
-  uint64_t replacer_sampled = 0;
+#define SPITFIRE_X(counter, field) uint64_t field = 0;
+  SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
   // Derived, not counted: hits the 1-in-N sampler dropped. Counting these
   // per hit would put an atomic RMW back on the latch-free hit path.
   uint64_t replacer_suppressed = 0;
-  uint64_t write_fetches = 0;
 
   // Every successful FetchPage increments exactly one of these three.
   uint64_t TotalFetches() const { return dram_hits + nvm_hits + ssd_fetches; }
 
+  // Every DRAM/NVM hit either forwards to the replacer or is suppressed;
+  // derive the suppressed count instead of paying for it on the hit path.
+  void DeriveSuppressed() {
+    const uint64_t hits = dram_hits + nvm_hits;
+    replacer_suppressed = hits > replacer_sampled ? hits - replacer_sampled : 0;
+  }
+
   // Field-wise sum; the sharded buffer manager merges its per-shard
   // snapshots through this.
   void Accumulate(const BufferStatsSnapshot& o) {
-    dram_hits += o.dram_hits;
-    nvm_hits += o.nvm_hits;
-    ssd_fetches += o.ssd_fetches;
-    promotions += o.promotions;
-    demotions_to_nvm += o.demotions_to_nvm;
-    demotions_to_ssd += o.demotions_to_ssd;
-    nvm_installs += o.nvm_installs;
-    nvm_evictions += o.nvm_evictions;
-    dram_evictions += o.dram_evictions;
-    fine_grained_loads += o.fine_grained_loads;
-    mini_page_admits += o.mini_page_admits;
-    mini_page_promotions += o.mini_page_promotions;
-    read_ahead_installs += o.read_ahead_installs;
-    miss_submits += o.miss_submits;
-    miss_joins += o.miss_joins;
-    replacer_sampled += o.replacer_sampled;
+#define SPITFIRE_X(counter, field) field += o.field;
+    SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
     replacer_suppressed += o.replacer_suppressed;
-    write_fetches += o.write_fetches;
   }
 
+  // Field-wise difference from an earlier snapshot of the same counters;
+  // they are monotonic, so this is the window between the two.
+  BufferStatsSnapshot Since(const BufferStatsSnapshot& earlier) const {
+    BufferStatsSnapshot d;
+#define SPITFIRE_X(counter, field) d.field = field - earlier.field;
+    SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
+    d.DeriveSuppressed();
+    return d;
+  }
+
+  // "name=value" pairs, one per field.
   std::string ToString() const {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "dram_hits=%llu nvm_hits=%llu ssd_fetches=%llu promotions=%llu "
-        "dem_nvm=%llu dem_ssd=%llu nvm_installs=%llu nvm_evict=%llu "
-        "dram_evict=%llu fg_loads=%llu mini_admits=%llu mini_promos=%llu "
-        "ra_installs=%llu miss_submits=%llu miss_joins=%llu "
-        "repl_sampled=%llu repl_suppressed=%llu write_fetches=%llu",
-        (unsigned long long)dram_hits, (unsigned long long)nvm_hits,
-        (unsigned long long)ssd_fetches, (unsigned long long)promotions,
-        (unsigned long long)demotions_to_nvm,
-        (unsigned long long)demotions_to_ssd,
-        (unsigned long long)nvm_installs, (unsigned long long)nvm_evictions,
-        (unsigned long long)dram_evictions,
-        (unsigned long long)fine_grained_loads,
-        (unsigned long long)mini_page_admits,
-        (unsigned long long)mini_page_promotions,
-        (unsigned long long)read_ahead_installs,
-        (unsigned long long)miss_submits, (unsigned long long)miss_joins,
-        (unsigned long long)replacer_sampled,
-        (unsigned long long)replacer_suppressed,
-        (unsigned long long)write_fetches);
-    return buf;
+    std::string out;
+    const auto add = [&out](const char* name, uint64_t v) {
+      if (!out.empty()) out += ' ';
+      out += name;
+      out += '=';
+      out += std::to_string(v);
+    };
+#define SPITFIRE_X(counter, field) add(#field, field);
+    SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
+    add("replacer_suppressed", replacer_suppressed);
+    return out;
   }
 };
 
@@ -132,38 +118,11 @@ class BufferStats {
       }
     }
     BufferStatsSnapshot snap;
-    snap.dram_hits = sums[static_cast<size_t>(BufferCounter::kDramHits)];
-    snap.nvm_hits = sums[static_cast<size_t>(BufferCounter::kNvmHits)];
-    snap.ssd_fetches = sums[static_cast<size_t>(BufferCounter::kSsdFetches)];
-    snap.promotions = sums[static_cast<size_t>(BufferCounter::kPromotions)];
-    snap.demotions_to_nvm =
-        sums[static_cast<size_t>(BufferCounter::kDemotionsToNvm)];
-    snap.demotions_to_ssd =
-        sums[static_cast<size_t>(BufferCounter::kDemotionsToSsd)];
-    snap.nvm_installs = sums[static_cast<size_t>(BufferCounter::kNvmInstalls)];
-    snap.nvm_evictions =
-        sums[static_cast<size_t>(BufferCounter::kNvmEvictions)];
-    snap.dram_evictions =
-        sums[static_cast<size_t>(BufferCounter::kDramEvictions)];
-    snap.fine_grained_loads =
-        sums[static_cast<size_t>(BufferCounter::kFineGrainedLoads)];
-    snap.mini_page_admits =
-        sums[static_cast<size_t>(BufferCounter::kMiniPageAdmits)];
-    snap.mini_page_promotions =
-        sums[static_cast<size_t>(BufferCounter::kMiniPagePromotions)];
-    snap.read_ahead_installs =
-        sums[static_cast<size_t>(BufferCounter::kReadAheadInstalls)];
-    snap.miss_submits = sums[static_cast<size_t>(BufferCounter::kMissSubmits)];
-    snap.miss_joins = sums[static_cast<size_t>(BufferCounter::kMissJoins)];
-    snap.replacer_sampled =
-        sums[static_cast<size_t>(BufferCounter::kReplacerSampled)];
-    // Every DRAM/NVM hit either forwards to the replacer or is suppressed;
-    // derive the suppressed count instead of paying for it on the hit path.
-    const uint64_t hits = snap.dram_hits + snap.nvm_hits;
-    snap.replacer_suppressed =
-        hits > snap.replacer_sampled ? hits - snap.replacer_sampled : 0;
-    snap.write_fetches =
-        sums[static_cast<size_t>(BufferCounter::kWriteFetches)];
+#define SPITFIRE_X(counter, field) \
+  snap.field = sums[static_cast<size_t>(BufferCounter::counter)];
+    SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
+#undef SPITFIRE_X
+    snap.DeriveSuppressed();
     return snap;
   }
 

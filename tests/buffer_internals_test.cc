@@ -1,18 +1,22 @@
 // Unit tests for the buffer manager's internal building blocks: page
-// layout, buffer pool + persistent frame table, CLOCK replacement, and the
-// migration-policy decision distribution.
+// layout, buffer pool + persistent frame table, the page table and the
+// page-id bounds it enforces, CLOCK replacement, and the migration-policy
+// decision distribution.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
+#include "buffer/buffer_manager.h"
 #include "buffer/buffer_pool.h"
 #include "buffer/clock_replacer.h"
 #include "buffer/migration_policy.h"
 #include "buffer/page.h"
+#include "buffer/page_table.h"
 #include "storage/dram_device.h"
 #include "storage/nvm_device.h"
 #include "storage/perf_model.h"
+#include "storage/ssd_device.h"
 
 namespace spitfire {
 namespace {
@@ -91,6 +95,108 @@ TEST_F(BufferInternalsTest, FrameTableDistinguishesPageZeroFromFree) {
   EXPECT_EQ(pool.PersistedOwner(f), 0u);
   pool.SetOwner(f, nullptr, kInvalidPageId);
   EXPECT_EQ(pool.PersistedOwner(f), kInvalidPageId);
+}
+
+TEST_F(BufferInternalsTest, PageTableFirstTouchHasOneWinner) {
+  // Eight threads race to first-touch the same pid of each of 64 blocks;
+  // every thread must get the same descriptor, and the walk must see each
+  // block once (the CAS losers freed theirs).
+  constexpr int kThreads = 8;
+  constexpr page_id_t kBlocks = 64;
+  constexpr page_id_t kBlockPages = page_id_t{1} << kShardBlockBits;
+  PageTable table(kBlocks * kBlockPages);
+  std::vector<std::vector<SharedPageDescriptor*>> seen(
+      kThreads, std::vector<SharedPageDescriptor*>(kBlocks));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> ths;
+  for (int t = 0; t < kThreads; ++t) {
+    ths.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (page_id_t b = 0; b < kBlocks; ++b) {
+        seen[t][b] = table.GetOrCreate(b * kBlockPages + 5);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : ths) th.join();
+  for (page_id_t b = 0; b < kBlocks; ++b) {
+    ASSERT_NE(seen[0][b], nullptr);
+    EXPECT_EQ(seen[0][b]->pid, b * kBlockPages + 5);
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][b], seen[0][b]);
+  }
+  size_t walked = 0;
+  table.ForEach([&](const SharedPageDescriptor*) { ++walked; });
+  EXPECT_EQ(walked, kBlocks * kBlockPages);
+}
+
+TEST_F(BufferInternalsTest, ResidencyProbeOfUntouchedPageAllocatesNothing) {
+  SsdDevice ssd(256 * kPageSize);
+  BufferManagerOptions opt;
+  opt.dram_frames = 16;
+  opt.num_shards = 1;
+  opt.ssd = &ssd;
+  BufferManager bm(opt);
+  ASSERT_TRUE(bm.NewPage().ok());  // pid 0: allocates block 0
+  const PageTable& table = bm.shard(0)->page_table();
+  const auto descriptors = [&table] {
+    size_t n = 0;
+    table.ForEach([&n](const SharedPageDescriptor*) { ++n; });
+    return n;
+  };
+  const size_t before = descriptors();
+  EXPECT_EQ(before, size_t{1} << kShardBlockBits);
+  EXPECT_FALSE(bm.IsDramResident(100));  // a block never touched
+  EXPECT_FALSE(bm.IsNvmResident(100));
+  EXPECT_FALSE(bm.IsDramResident(256));  // past the end of the SSD
+  EXPECT_EQ(table.Find(100), nullptr);
+  EXPECT_EQ(table.Find(256), nullptr);
+  EXPECT_EQ(descriptors(), before);
+  EXPECT_TRUE(bm.IsDramResident(0));
+}
+
+TEST_F(BufferInternalsTest, PageIdsPastTheSsdAreRefused) {
+  SsdDevice ssd(4 * kPageSize);
+  BufferManagerOptions opt;
+  opt.dram_frames = 8;
+  opt.num_shards = 1;
+  opt.ssd = &ssd;
+  BufferManager bm(opt);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(bm.NewPage().ok());
+  // The fifth page does not fit, but its id was already drawn.
+  EXPECT_TRUE(bm.NewPage().status().IsOutOfMemory());
+  EXPECT_EQ(bm.next_page_id(), 5u);
+  const auto r = bm.FetchPage(4, AccessIntent::kRead);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  EXPECT_TRUE(bm.FetchPage(3, AccessIntent::kRead).ok());
+}
+
+TEST_F(BufferInternalsTest, RecoveryRefusesPersistedPagePastTheSsd) {
+  NvmDevice nvm(
+      BufferPool::RequiredCapacity(16, /*persistent_frame_table=*/true));
+  SsdDevice large(64 * kPageSize);
+  const auto options = [&nvm](Device* ssd) {
+    BufferManagerOptions opt;
+    opt.nvm_frames = 16;
+    opt.num_shards = 1;
+    opt.ssd = ssd;
+    opt.nvm = &nvm;
+    return opt;
+  };
+  {
+    BufferManager bm(options(&large));
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(bm.NewPage().ok());  // on NVM
+  }
+  {
+    SsdDevice small(4 * kPageSize);
+    BufferManager bm(options(&small));
+    const Status st = bm.RecoverNvmResidentPages();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  // The refusal freed no frame: under the original SSD every page is back.
+  BufferManager bm(options(&large));
+  ASSERT_TRUE(bm.RecoverNvmResidentPages().ok());
+  EXPECT_EQ(bm.NvmResidentPages(), 8u);
 }
 
 TEST_F(BufferInternalsTest, ClockGivesSecondChance) {

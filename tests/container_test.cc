@@ -6,73 +6,10 @@
 
 #include "container/admission_queue.h"
 #include "container/concurrent_bitmap.h"
-#include "container/concurrent_hash_table.h"
 #include "container/mpmc_queue.h"
 
 namespace spitfire {
 namespace {
-
-TEST(ConcurrentHashTableTest, InsertFindErase) {
-  ConcurrentHashTable<uint64_t, int> t;
-  EXPECT_TRUE(t.Insert(1, 10));
-  EXPECT_FALSE(t.Insert(1, 20));  // duplicate
-  int v = 0;
-  EXPECT_TRUE(t.Find(1, &v));
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(t.Erase(1));
-  EXPECT_FALSE(t.Find(1, &v));
-  EXPECT_FALSE(t.Erase(1));
-}
-
-TEST(ConcurrentHashTableTest, GetOrCreateRunsFactoryOnce) {
-  ConcurrentHashTable<uint64_t, int> t;
-  int calls = 0;
-  EXPECT_EQ(t.GetOrCreate(5, [&] { return ++calls; }), 1);
-  EXPECT_EQ(t.GetOrCreate(5, [&] { return ++calls; }), 1);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ConcurrentHashTableTest, SizeAndForEach) {
-  ConcurrentHashTable<uint64_t, int> t;
-  for (uint64_t i = 0; i < 100; ++i) t.Insert(i, static_cast<int>(i));
-  EXPECT_EQ(t.Size(), 100u);
-  int sum = 0;
-  t.ForEach([&](const uint64_t&, int& v) { sum += v; });
-  EXPECT_EQ(sum, 4950);
-  t.Clear();
-  EXPECT_EQ(t.Size(), 0u);
-}
-
-TEST(ConcurrentHashTableTest, ConcurrentInsertsAreAllVisible) {
-  ConcurrentHashTable<uint64_t, uint64_t> t;
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 5000;
-  std::vector<std::thread> ths;
-  for (int i = 0; i < kThreads; ++i) {
-    ths.emplace_back([&t, i] {
-      for (uint64_t k = 0; k < kPerThread; ++k) {
-        t.Insert(static_cast<uint64_t>(i) * kPerThread + k, k);
-      }
-    });
-  }
-  for (auto& th : ths) th.join();
-  EXPECT_EQ(t.Size(), kThreads * kPerThread);
-}
-
-TEST(ConcurrentHashTableTest, ConcurrentGetOrCreateSingleWinner) {
-  ConcurrentHashTable<uint64_t, int> t;
-  std::atomic<int> counter{0};
-  std::vector<std::thread> ths;
-  for (int i = 0; i < 4; ++i) {
-    ths.emplace_back([&] {
-      for (int r = 0; r < 1000; ++r) {
-        (void)t.GetOrCreate(42, [&] { return counter.fetch_add(1) + 100; });
-      }
-    });
-  }
-  for (auto& th : ths) th.join();
-  EXPECT_EQ(counter.load(), 1);
-}
 
 TEST(ConcurrentBitmapTest, SetTestClear) {
   ConcurrentBitmap bm(200);

@@ -6,6 +6,7 @@
 #include "buffer/buffer_manager.h"
 #include "hymem/cacheline_page.h"
 #include "hymem/mini_page.h"
+#include "storage/nvm_device.h"
 #include "storage/perf_model.h"
 #include "storage/ssd_device.h"
 
@@ -246,6 +247,77 @@ TEST_F(HymemIntegrationTest, MiniPageDirtyUnitsSurviveEviction) {
   ASSERT_TRUE(g.ReadAt(8192, sizeof(v), &v).ok());
   EXPECT_EQ(v, 0xABCD1234u);
 }
+
+// A checkpoint sweep (FlushAll without NVM) must not report a complete
+// sweep while a dirty cache-line-grained or mini DRAM copy holds the only
+// copy of a write: the checkpointer would then move the redo horizon past
+// it. Either the sweep counts the page as skipped or the write reaches the
+// persistent NVM copy. The parameter selects mini pages.
+class CheckpointSweepTest : public HymemIntegrationTest,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(CheckpointSweepTest, DirtyDramUnitsReachNvmOrCountAsSkipped) {
+  const bool mini = GetParam();
+  NvmDevice nvm(
+      BufferPool::RequiredCapacity(16, /*persistent_frame_table=*/true));
+  const auto options = [&](size_t dram_frames) {
+    BufferManagerOptions opt;
+    opt.dram_frames = dram_frames;
+    opt.nvm_frames = 16;
+    opt.policy = MigrationPolicy::Eager();
+    opt.ssd = ssd_.get();
+    opt.nvm = &nvm;
+    return opt;
+  };
+  constexpr size_t kOffset = 8192;
+  {
+    BufferManager seed(options(/*dram_frames=*/0));
+    for (int i = 0; i < 4; ++i) {
+      auto r = seed.NewPage();
+      ASSERT_TRUE(r.ok());
+      const uint64_t v = 1111;
+      ASSERT_TRUE(r.value().WriteAt(kOffset, sizeof(v), &v).ok());
+    }
+    ASSERT_TRUE(seed.FlushAll(/*include_nvm=*/true).ok());
+  }
+
+  const uint64_t written = 0xABCD1234;
+  size_t skipped = 0;
+  {
+    BufferManagerOptions opt = options(/*dram_frames=*/8);
+    opt.enable_fine_grained_loading = true;
+    opt.enable_mini_pages = mini;
+    opt.mini_host_frames = 2;
+    BufferManager bm(opt);
+    ASSERT_TRUE(bm.RecoverNvmResidentPages().ok());
+    PageGuard g;
+    for (int i = 0; i < 8 && !(g.valid() && g.tier() == Tier::kDram); ++i) {
+      auto r = bm.FetchPage(0, AccessIntent::kWrite);
+      ASSERT_TRUE(r.ok());
+      g = r.MoveValue();
+    }
+    ASSERT_EQ(g.tier(), Tier::kDram);
+    ASSERT_EQ(bm.stats().Snapshot().mini_page_admits > 0, mini);
+    ASSERT_TRUE(g.WriteAt(kOffset, sizeof(written), &written).ok());
+    g.Release();
+    ASSERT_TRUE(bm.FlushAll(/*include_nvm=*/false, &skipped).ok());
+  }
+
+  BufferManager recovered(options(/*dram_frames=*/0));
+  ASSERT_TRUE(recovered.RecoverNvmResidentPages().ok());
+  auto r = recovered.FetchPage(0, AccessIntent::kRead);
+  ASSERT_TRUE(r.ok());
+  uint64_t v = 0;
+  ASSERT_TRUE(r.value().ReadAt(kOffset, sizeof(v), &v).ok());
+  EXPECT_TRUE(skipped > 0 || v == written)
+      << "sweep reported complete (skipped=0) but page 0 reads back " << v;
+}
+
+INSTANTIATE_TEST_SUITE_P(DramCopies, CheckpointSweepTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "MiniPage" : "CacheLineGrained";
+                         });
 
 // Loading granularity sweep (the Figure 11 knob): all granularities must
 // preserve data; smaller granularities issue more unit loads.
