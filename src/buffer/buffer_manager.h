@@ -165,7 +165,7 @@ class BufferManager {
     for (auto& s : shards_) s->SetReadAheadPages(n);
   }
 
-  Device* ssd() { return ssd_; }
+  SsdDevice* ssd() { return ssd_; }
   NvmDevice* nvm_device() { return nvm_; }
   Device* dram_device() { return dram_backing_; }
   // Shard 0's pools: tier presence is uniform across shards, so these
@@ -190,7 +190,7 @@ class BufferManager {
 
   BufferManagerOptions options_;
 
-  Device* ssd_ = nullptr;
+  SsdDevice* ssd_ = nullptr;
   NvmDevice* nvm_ = nullptr;
   Device* dram_backing_ = nullptr;
   std::unique_ptr<NvmDevice> owned_nvm_;

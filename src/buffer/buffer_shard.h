@@ -16,6 +16,7 @@
 #include "storage/device.h"
 #include "storage/io_scheduler.h"
 #include "storage/nvm_device.h"
+#include "storage/ssd_device.h"
 
 namespace spitfire {
 
@@ -78,7 +79,7 @@ struct BufferManagerOptions {
   // contents survive buffer manager teardown (recovery tests); when null
   // and nvm_frames > 0 an internal NvmDevice is created. `dram_backing`
   // lets experiments substitute a MemoryModeDevice for plain DRAM.
-  Device* ssd = nullptr;
+  SsdDevice* ssd = nullptr;
   NvmDevice* nvm = nullptr;
   Device* dram_backing = nullptr;
 
@@ -124,7 +125,7 @@ struct BufferShardContext {
   size_t dram_total_frames = 0;
   size_t nvm_frame_base = 0;
   size_t nvm_total_frames = 0;
-  Device* ssd = nullptr;
+  SsdDevice* ssd = nullptr;
   NvmDevice* nvm = nullptr;        // null when the NVM tier is absent
   Device* dram_backing = nullptr;  // null when the DRAM tier is absent
   IoScheduler* io = nullptr;       // shared SSD scheduler (required)
@@ -371,7 +372,7 @@ class BufferShard {
     options_.io_scheduler.read_ahead_pages = n;
   }
 
-  Device* ssd() { return ssd_; }
+  SsdDevice* ssd() { return ssd_; }
   NvmDevice* nvm_device() { return nvm_; }
   Device* dram_device() { return dram_backing_; }
   BufferPool* dram_pool() { return dram_pool_.get(); }
@@ -515,7 +516,7 @@ class BufferShard {
   uint32_t num_shards_ = 1;
 
   // Shared infrastructure borrowed from the facade (BufferShardContext).
-  Device* ssd_ = nullptr;
+  SsdDevice* ssd_ = nullptr;
   NvmDevice* nvm_ = nullptr;
   Device* dram_backing_ = nullptr;
 

@@ -18,7 +18,7 @@ constexpr size_t kMaxTables = 64;
 struct CatalogEntry {
   uint32_t table_id;
   uint32_t tuple_size;
-  page_id_t index_meta_pid;
+  page_id_t index_root_pid;
 };
 struct CatalogPayload {
   uint32_t magic;
@@ -183,7 +183,7 @@ Status Database::WriteCatalog() {
     for (const auto& [id, entry] : tables_) {
       slot.payload.entries[i++] = CatalogEntry{
           id, static_cast<uint32_t>(entry.tuple_size),
-          entry.index->meta_pid()};
+          entry.index->root_pid()};
     }
   }
   slot.Stamp();

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <thread>
-
-#include "common/timer.h"
+#include <vector>
 
 namespace spitfire {
 
@@ -21,103 +21,156 @@ static_assert(sizeof(NodeHeader) == 16);
 
 constexpr size_t kEntryArea = kPagePayloadSize - sizeof(NodeHeader);
 // Leaf: key/value pairs. Inner: n keys + (n+1) children.
-constexpr size_t kLeafCapacity = kEntryArea / (2 * sizeof(uint64_t));
-constexpr size_t kInnerCapacity = (kEntryArea - sizeof(page_id_t)) /
-                                  (sizeof(uint64_t) + sizeof(page_id_t));
+constexpr uint32_t kLeafCapacity = kEntryArea / (2 * sizeof(uint64_t));
+constexpr uint32_t kInnerCapacity = (kEntryArea - sizeof(page_id_t)) /
+                                    (sizeof(uint64_t) + sizeof(page_id_t));
 
-struct MetaPayload {
-  page_id_t root;
-  uint32_t height;
-  uint32_t magic;
-};
-constexpr uint32_t kMetaMagic = 0x42545245;  // "BTRE"
-
-// The meta page is hot, but under an async miss storm FetchPage can return
-// Busy transiently (submission starved by races, or a retry budget hit).
-// Meta accessors retry with exponential backoff instead of treating Busy
-// as fatal; hard errors (corruption, I/O) still crash.
-constexpr int kMetaFetchRetries = 64;
-
-void MetaFetchBackoff(const Status& st, int attempt) {
-  SPITFIRE_CHECK(st.IsBusy());
-  SpinWaitNanos(std::min<uint64_t>(uint64_t{1'000} << std::min(attempt, 6),
-                                   uint64_t{64'000}));
-}
+// Restarts before an operation gives up with Busy. With a yield every 64
+// restarts, only a livelock reaches it.
+constexpr int kMaxRestarts = 1'000'000;
 
 class NodeView {
  public:
   explicit NodeView(std::byte* page) : p_(page + kPageHeaderSize) {}
 
-  NodeHeader* hdr() { return reinterpret_cast<NodeHeader*>(p_); }
-  const NodeHeader* hdr() const {
-    return reinterpret_cast<const NodeHeader*>(p_);
-  }
-
-  uint64_t* keys() {
+  NodeHeader* hdr() const { return reinterpret_cast<NodeHeader*>(p_); }
+  uint64_t* keys() const {
     return reinterpret_cast<uint64_t*>(p_ + sizeof(NodeHeader));
   }
-  const uint64_t* keys() const {
-    return reinterpret_cast<const uint64_t*>(p_ + sizeof(NodeHeader));
-  }
-
   // Leaf values, after the key array.
-  uint64_t* values() { return keys() + kLeafCapacity; }
-  const uint64_t* values() const { return keys() + kLeafCapacity; }
-
+  uint64_t* values() const { return keys() + kLeafCapacity; }
   // Inner children, after the key array.
-  page_id_t* children() {
+  page_id_t* children() const {
     return reinterpret_cast<page_id_t*>(keys() + kInnerCapacity);
-  }
-  const page_id_t* children() const {
-    return reinterpret_cast<const page_id_t*>(keys() + kInnerCapacity);
   }
 
   bool IsLeaf() const { return hdr()->is_leaf != 0; }
-  // Count clamped to capacity: optimistic readers may observe torn state
-  // and must never index out of bounds (validation rejects the result).
-  uint32_t SafeCount() const {
-    const uint32_t c = hdr()->count;
-    const uint32_t cap =
-        IsLeaf() ? static_cast<uint32_t>(kLeafCapacity)
-                 : static_cast<uint32_t>(kInnerCapacity);
-    return c > cap ? cap : c;
+  bool IsFull() const {
+    return hdr()->count >= (IsLeaf() ? kLeafCapacity : kInnerCapacity);
+  }
+  // Counts clamped to the capacity of the kind the caller reads the node
+  // as: an optimistic reader may observe a torn node (the root may even
+  // turn from leaf to inner under it) and must never index out of bounds;
+  // validation rejects what it read.
+  uint32_t LeafCount() const { return std::min(hdr()->count, kLeafCapacity); }
+  uint32_t InnerCount() const {
+    return std::min(hdr()->count, kInnerCapacity);
   }
 
-  void InitLeaf() {
-    NodeHeader h{};
-    h.is_leaf = 1;
-    h.level = 0;
-    h.count = 0;
-    h.next_leaf = kInvalidPageId;
-    std::memcpy(p_, &h, sizeof(h));
-  }
-  void InitInner(uint16_t level) {
-    NodeHeader h{};
-    h.is_leaf = 0;
-    h.level = level;
-    h.count = 0;
-    h.next_leaf = kInvalidPageId;
-    std::memcpy(p_, &h, sizeof(h));
-  }
+  void InitLeaf() const { Init(/*is_leaf=*/1, /*level=*/0); }
+  void InitInner(uint16_t level) const { Init(/*is_leaf=*/0, level); }
 
   // Routing: first child whose key range can contain `key`. Children obey
   // keys[i-1] <= k < keys[i].
   uint32_t ChildIndex(uint64_t key) const {
-    const uint32_t n = SafeCount();
     const uint64_t* k = keys();
-    return static_cast<uint32_t>(std::upper_bound(k, k + n, key) - k);
+    return static_cast<uint32_t>(std::upper_bound(k, k + InnerCount(), key) -
+                                 k);
   }
 
   // Position of `key` in a leaf, or position where it would be inserted.
   uint32_t LeafLowerBound(uint64_t key) const {
-    const uint32_t n = SafeCount();
     const uint64_t* k = keys();
-    return static_cast<uint32_t>(std::lower_bound(k, k + n, key) - k);
+    return static_cast<uint32_t>(std::lower_bound(k, k + LeafCount(), key) -
+                                 k);
+  }
+
+  // Inserts (key, value) at `pos` of a leaf with room for it.
+  void LeafInsertAt(uint32_t pos, uint64_t key, uint64_t value) const {
+    const uint32_t n = hdr()->count;
+    std::memmove(keys() + pos + 1, keys() + pos, (n - pos) * sizeof(uint64_t));
+    std::memmove(values() + pos + 1, values() + pos,
+                 (n - pos) * sizeof(uint64_t));
+    keys()[pos] = key;
+    values()[pos] = value;
+    hdr()->count = n + 1;
+  }
+
+  // Inserts separator `sep` and the child right of it into an inner node
+  // with room for them.
+  void InnerInsert(uint64_t sep, page_id_t right) const {
+    const uint32_t n = hdr()->count;
+    const uint32_t idx = ChildIndex(sep);
+    std::memmove(keys() + idx + 1, keys() + idx, (n - idx) * sizeof(uint64_t));
+    std::memmove(children() + idx + 2, children() + idx + 1,
+                 (n - idx) * sizeof(page_id_t));
+    keys()[idx] = sep;
+    children()[idx + 1] = right;
+    hdr()->count = n + 1;
+  }
+
+  // Moves the upper half of this node into `right`, the fresh page
+  // `right_pid`, and returns the separator the parent gets for it.
+  uint64_t SplitInto(NodeView right, page_id_t right_pid) const {
+    const uint32_t n = hdr()->count;
+    const uint32_t mid = n / 2;
+    if (IsLeaf()) {
+      right.InitLeaf();
+      const uint32_t move = n - mid;
+      std::memcpy(right.keys(), keys() + mid, move * sizeof(uint64_t));
+      std::memcpy(right.values(), values() + mid, move * sizeof(uint64_t));
+      right.hdr()->count = move;
+      right.hdr()->next_leaf = hdr()->next_leaf;
+      hdr()->next_leaf = right_pid;
+      hdr()->count = mid;
+      return right.keys()[0];
+    }
+    right.InitInner(hdr()->level);
+    const uint32_t move = n - mid - 1;
+    std::memcpy(right.keys(), keys() + mid + 1, move * sizeof(uint64_t));
+    std::memcpy(right.children(), children() + mid + 1,
+                (move + 1) * sizeof(page_id_t));
+    right.hdr()->count = move;
+    hdr()->count = mid;
+    return keys()[mid];
+  }
+
+  void CopyFrom(NodeView other) const {
+    std::memcpy(p_, other.p_, kPagePayloadSize);
   }
 
  private:
+  void Init(uint16_t is_leaf, uint16_t level) const {
+    const NodeHeader h{is_leaf, level, 0, kInvalidPageId};
+    std::memcpy(p_, &h, sizeof(h));
+  }
+
   std::byte* p_;
 };
+
+// The one restart loop: runs `attempt` again while it reports Busy
+// (interference from a concurrent writer, or a transiently busy buffer).
+// WouldBlock and every other status end the operation at once.
+template <typename Attempt>
+Status RestartOnBusy(Attempt&& attempt) {
+  for (int restart = 0; restart < kMaxRestarts; ++restart) {
+    if ((restart & 63) == 63) std::this_thread::yield();
+    Status st = attempt();
+    if (!st.IsBusy()) return st;
+  }
+  return Status::Busy("btree restart budget exhausted");
+}
+
+// Puts (key, value) into a write-latched leaf and releases the latch.
+// Returns nullopt, the latch still held, when the key is new and the leaf
+// is full.
+std::optional<Status> PutInLeaf(NodeView leaf, OptimisticLatch& latch,
+                                uint64_t key, uint64_t value, bool upsert) {
+  const uint32_t pos = leaf.LeafLowerBound(key);
+  if (pos < leaf.hdr()->count && leaf.keys()[pos] == key) {
+    if (!upsert) {
+      latch.WriteUnlockNoBump();
+      return Status::InvalidArgument("duplicate key");
+    }
+    leaf.values()[pos] = value;
+  } else if (leaf.IsFull()) {
+    return std::nullopt;
+  } else {
+    leaf.LeafInsertAt(pos, key, value);
+  }
+  latch.WriteUnlock();
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -126,144 +179,90 @@ class NodeView {
 // ---------------------------------------------------------------------------
 
 Result<BTree*> BTree::Create(BufferManager* bm) {
-  auto meta_r = bm->NewPage(kMetaPageType);
-  if (!meta_r.ok()) return meta_r.status();
-  PageGuard meta = meta_r.MoveValue();
-
   auto root_r = bm->NewPage(kNodePageType);
   if (!root_r.ok()) return root_r.status();
   PageGuard root = root_r.MoveValue();
   std::byte* rp = root.RawData(/*for_write=*/true);
   if (rp == nullptr) return Status::OutOfMemory("root frame");
   NodeView(rp).InitLeaf();
-
-  MetaPayload mp{root.pid(), 1, kMetaMagic};
-  SPITFIRE_RETURN_NOT_OK(meta.WriteAt(kPageHeaderSize, sizeof(mp), &mp));
-  return new BTree(bm, meta.pid());
+  return new BTree(bm, root.pid());
 }
 
-Result<BTree*> BTree::Open(BufferManager* bm, page_id_t meta_pid) {
-  auto meta_r = bm->FetchPage(meta_pid, AccessIntent::kRead);
-  if (!meta_r.ok()) return meta_r.status();
-  MetaPayload mp{};
-  SPITFIRE_RETURN_NOT_OK(
-      meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp));
-  if (mp.magic != kMetaMagic) return Status::Corruption("not a btree meta");
-  return new BTree(bm, meta_pid);
-}
-
-page_id_t BTree::LoadRoot() const {
-  for (int attempt = 0; attempt < kMetaFetchRetries; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kRead);
-    if (meta_r.ok()) {
-      MetaPayload mp{};
-      SPITFIRE_CHECK(
-          meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return mp.root;
-    }
-    MetaFetchBackoff(meta_r.status(), attempt);
+Result<BTree*> BTree::Open(BufferManager* bm, page_id_t root_pid) {
+  auto root_r = bm->FetchPage(root_pid, AccessIntent::kRead);
+  if (!root_r.ok()) return root_r.status();
+  PageHeader hdr;
+  SPITFIRE_RETURN_NOT_OK(root_r.value().ReadAt(0, sizeof(hdr), &hdr));
+  if (hdr.page_type != kNodePageType) {
+    return Status::Corruption("not a btree node");
   }
-  // Callers' restart loops treat an invalid root as a failed fetch and
-  // retry, so exhaustion degrades to Busy instead of crashing.
-  return kInvalidPageId;
-}
-
-void BTree::StoreRoot(page_id_t root, uint32_t height) {
-  for (int attempt = 0;; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kWrite);
-    if (meta_r.ok()) {
-      MetaPayload mp{root, height, kMetaMagic};
-      SPITFIRE_CHECK(
-          meta_r.value().WriteAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return;
-    }
-    // A root update cannot be dropped; keep retrying Busy forever (the
-    // meta page cannot stay in-flight indefinitely), crash on hard errors.
-    MetaFetchBackoff(meta_r.status(), attempt);
-  }
-}
-
-uint32_t BTree::height() const {
-  for (int attempt = 0; attempt < kMetaFetchRetries; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kRead);
-    if (meta_r.ok()) {
-      MetaPayload mp{};
-      SPITFIRE_CHECK(
-          meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return mp.height;
-    }
-    MetaFetchBackoff(meta_r.status(), attempt);
-  }
-  return 0;
+  return new BTree(bm, root_pid);
 }
 
 // ---------------------------------------------------------------------------
-// Lookup (optimistic)
+// The optimistic descent
+// ---------------------------------------------------------------------------
+
+Status BTree::Pin(page_id_t pid, AccessIntent intent, FetchContext* ctx,
+                  Pinned* node) const {
+  auto g_r = FetchPageVia(bm_, ctx, pid, intent);
+  if (!g_r.ok()) return g_r.status();
+  node->guard = g_r.MoveValue();
+  node->version = node->guard.descriptor()->version_latch.ReadLockOrRestart();
+  if (node->version == OptimisticLatch::kRetry) {
+    return Status::Busy("node latched");
+  }
+  node->data = node->guard.RawData();
+  return node->data == nullptr ? Status::Busy("node frame") : Status::OK();
+}
+
+Status BTree::Descend(uint64_t key, AccessIntent intent, FetchContext* ctx,
+                      Pinned* leaf) const {
+  SPITFIRE_RETURN_NOT_OK(Pin(root_pid_, intent, ctx, leaf));
+  for (;;) {
+    const NodeView node(leaf->data);
+    if (node.IsLeaf()) break;
+    const page_id_t child = node.children()[node.ChildIndex(key)];
+    const OptimisticLatch& parent = leaf->guard.descriptor()->version_latch;
+    // Validate before the fetch, so a torn read never reaches the buffer
+    // manager as a page id, and after it, so the child is still the one
+    // the parent routes to.
+    if (!parent.Validate(leaf->version)) return Status::Busy("node changed");
+    Pinned next;
+    SPITFIRE_RETURN_NOT_OK(Pin(child, intent, ctx, &next));
+    if (!parent.Validate(leaf->version)) return Status::Busy("node changed");
+    *leaf = std::move(next);
+  }
+  if (intent == AccessIntent::kWrite) {
+    if (!leaf->guard.descriptor()->version_latch.UpgradeToWriteLock(
+            leaf->version)) {
+      return Status::Busy("leaf changed");
+    }
+    leaf->guard.MarkDirty();
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Lookup
 // ---------------------------------------------------------------------------
 
 Status BTree::Lookup(uint64_t key, uint64_t* value,
                      FetchContext* ctx) const {
-  for (int restart = 0; restart < 1000000; ++restart) {
-    if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kRead);
-    if (!g_r.ok()) {
-      // A parked miss must escape the restart loop: the caller unwinds to
-      // its scheduler and re-enters Lookup once the fetch fires.
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
+  return RestartOnBusy([&]() -> Status {
+    Pinned leaf;
+    SPITFIRE_RETURN_NOT_OK(Descend(key, AccessIntent::kRead, ctx, &leaf));
+    const NodeView node(leaf.data);
+    const uint32_t pos = node.LeafLowerBound(key);
+    const bool found = pos < node.LeafCount() && node.keys()[pos] == key;
+    const uint64_t v = found ? node.values()[pos] : 0;
+    if (!leaf.guard.descriptor()->version_latch.Validate(leaf.version)) {
+      return Status::Busy("leaf changed");
     }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
-
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        const uint32_t pos = node.LeafLowerBound(key);
-        const bool found =
-            pos < node.SafeCount() && node.keys()[pos] == key;
-        uint64_t v = found ? node.values()[pos] : 0;
-        if (!guard.descriptor()->version_latch.Validate(version)) {
-          failed = true;
-          break;
-        }
-        if (!found) return Status::NotFound("key");
-        *value = v;
-        return Status::OK();
-      }
-      const uint32_t idx = node.ChildIndex(key);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kRead);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) continue;
-  }
-  return Status::Busy("btree lookup retry budget exhausted");
+    if (!found) return Status::NotFound("key");
+    *value = v;
+    return Status::OK();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -280,330 +279,122 @@ Status BTree::Upsert(uint64_t key, uint64_t value, FetchContext* ctx) {
 
 Status BTree::InsertImpl(uint64_t key, uint64_t value, bool upsert,
                          FetchContext* ctx) {
-  for (int restart = 0; restart < 1000000; ++restart) {
-    if ((restart & 63) == 63) std::this_thread::yield();
-    bool need_split = false;
-    Status st = OptimisticInsert(key, value, upsert, &need_split, ctx);
-    if (st.IsWouldBlock()) return st;
-    if (st.ok() || !st.IsBusy()) {
-      if (!need_split) return st;
+  return RestartOnBusy([&]() -> Status {
+    Pinned leaf;
+    SPITFIRE_RETURN_NOT_OK(Descend(key, AccessIntent::kWrite, ctx, &leaf));
+    OptimisticLatch& latch = leaf.guard.descriptor()->version_latch;
+    if (std::optional<Status> st =
+            PutInLeaf(NodeView(leaf.data), latch, key, value, upsert)) {
+      return *st;
     }
-    if (need_split) {
-      st = PessimisticInsert(key, value, upsert);
-      if (st.ok() || !st.IsBusy()) return st;
-    }
-  }
-  return Status::Busy("btree insert retry budget exhausted");
-}
-
-Status BTree::OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
-                               bool* need_split, FetchContext* ctx) {
-  *need_split = false;
-  page_id_t pid = LoadRoot();
-  auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kWrite);
-  if (!g_r.ok()) {
-    if (g_r.status().IsWouldBlock()) return g_r.status();
-    return Status::Busy("fetch");
-  }
-  PageGuard guard = g_r.MoveValue();
-  uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-  if (version == OptimisticLatch::kRetry) return Status::Busy("locked");
-
-  for (;;) {
-    std::byte* raw = guard.RawData();
-    if (raw == nullptr) return Status::Busy("frame");
-    NodeView node(raw);
-    if (node.IsLeaf()) {
-      // Take the leaf latch for real.
-      if (!guard.descriptor()->version_latch.UpgradeToWriteLock(version)) {
-        return Status::Busy("upgrade failed");
-      }
-      NodeView leaf(guard.RawData(/*for_write=*/true));
-      const uint32_t n = leaf.hdr()->count;
-      const uint32_t pos = leaf.LeafLowerBound(key);
-      if (pos < n && leaf.keys()[pos] == key) {
-        if (!upsert) {
-          guard.descriptor()->version_latch.WriteUnlockNoBump();
-          return Status::InvalidArgument("duplicate key");
-        }
-        leaf.values()[pos] = value;
-        guard.descriptor()->version_latch.WriteUnlock();
-        return Status::OK();
-      }
-      if (n >= kLeafCapacity) {
-        guard.descriptor()->version_latch.WriteUnlockNoBump();
-        *need_split = true;
-        return Status::Busy("leaf full");
-      }
-      std::memmove(leaf.keys() + pos + 1, leaf.keys() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      std::memmove(leaf.values() + pos + 1, leaf.values() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      leaf.keys()[pos] = key;
-      leaf.values()[pos] = value;
-      leaf.hdr()->count = n + 1;
-      guard.descriptor()->version_latch.WriteUnlock();
-      return Status::OK();
-    }
-    const uint32_t idx = node.ChildIndex(key);
-    const page_id_t child = node.children()[idx];
-    if (!guard.descriptor()->version_latch.Validate(version)) {
-      return Status::Busy("parent changed");
-    }
-    auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kWrite);
-    if (!c_r.ok()) {
-      if (c_r.status().IsWouldBlock()) return c_r.status();
-      return Status::Busy("fetch child");
-    }
-    PageGuard cguard = c_r.MoveValue();
-    const uint64_t cversion =
-        cguard.descriptor()->version_latch.ReadLockOrRestart();
-    if (cversion == OptimisticLatch::kRetry ||
-        !guard.descriptor()->version_latch.Validate(version)) {
-      return Status::Busy("child changed");
-    }
-    guard = std::move(cguard);
-    version = cversion;
-  }
+    latch.WriteUnlockNoBump();
+    leaf.guard.Release();
+    return PessimisticInsert(key, value, upsert);
+  });
 }
 
 // Write-latch coupling from the root; ancestors stay latched only while
 // the child might split into them.
 Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
-  struct Locked {
-    PageGuard guard;
-    SharedPageDescriptor* desc;
-  };
-  std::vector<Locked> path;
-  auto UnlockAll = [&path]() {
-    // Release in reverse acquisition order without bumping versions of
-    // nodes we did not modify — callers bump selectively.
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      it->desc->version_latch.WriteUnlockNoBump();
+  // The latched nodes a split from below can still reach, outermost
+  // first. Versions are not sampled: the write latches exclude writers.
+  std::vector<Pinned> path;
+  // Releases the n outermost latches of nodes left unmodified.
+  const auto unlatch = [&path](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      path[i].guard.descriptor()->version_latch.WriteUnlockNoBump();
     }
-    path.clear();
+    path.erase(path.begin(), path.begin() + static_cast<ptrdiff_t>(n));
   };
 
-  // Latch the meta page first so a root split can be installed.
-  auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kWrite);
-  if (!meta_r.ok()) return Status::Busy("meta fetch");
-  PageGuard meta_guard = meta_r.MoveValue();
-  SharedPageDescriptor* meta_desc = meta_guard.descriptor();
-  meta_desc->version_latch.WriteLock();
-  bool meta_locked = true;
-  auto UnlockMeta = [&](bool bump) {
-    if (meta_locked) {
-      if (bump) {
-        meta_desc->version_latch.WriteUnlock();
-      } else {
-        meta_desc->version_latch.WriteUnlockNoBump();
-      }
-      meta_locked = false;
-    }
-  };
-
-  MetaPayload mp{};
-  {
-    std::byte* raw = meta_guard.RawData();
-    if (raw == nullptr) {
-      UnlockMeta(false);
-      return Status::Busy("meta frame");
-    }
-    std::memcpy(&mp, raw + kPageHeaderSize, sizeof(mp));
-  }
-
-  page_id_t pid = mp.root;
-  for (;;) {
+  for (page_id_t pid = root_pid_;;) {
     auto g_r = bm_->FetchPage(pid, AccessIntent::kWrite);
     if (!g_r.ok()) {
-      UnlockAll();
-      UnlockMeta(false);
-      return Status::Busy("fetch");
+      unlatch(path.size());
+      return g_r.status();
     }
-    PageGuard guard = g_r.MoveValue();
-    guard.descriptor()->version_latch.WriteLock();
-    std::byte* raw = guard.RawData(/*for_write=*/true);
-    if (raw == nullptr) {
-      guard.descriptor()->version_latch.WriteUnlockNoBump();
-      UnlockAll();
-      UnlockMeta(false);
-      return Status::Busy("frame");
+    Pinned& n = path.emplace_back();
+    n.guard = g_r.MoveValue();
+    n.guard.descriptor()->version_latch.WriteLock();
+    n.data = n.guard.RawData(/*for_write=*/true);
+    if (n.data == nullptr) {
+      unlatch(path.size());
+      return Status::Busy("node frame");
     }
-    NodeView node(raw);
-    const bool full = node.IsLeaf() ? node.hdr()->count >= kLeafCapacity
-                                    : node.hdr()->count >= kInnerCapacity;
-    if (!full) {
-      // This node absorbs any split from below: ancestors can go.
-      for (auto it = path.rbegin(); it != path.rend(); ++it) {
-        it->desc->version_latch.WriteUnlockNoBump();
-      }
-      path.clear();
-      UnlockMeta(false);
-    }
-    path.push_back(Locked{std::move(guard), path.empty()
-                                                ? nullptr
-                                                : nullptr});  // fixed below
-    path.back().desc = path.back().guard.descriptor();
+    const NodeView node(n.data);
+    // This node absorbs any split from below: its ancestors can go.
+    if (!node.IsFull()) unlatch(path.size() - 1);
     if (node.IsLeaf()) break;
     pid = node.children()[node.ChildIndex(key)];
   }
 
-  // Insert into the leaf, splitting up the latched path as needed.
-  Locked& leaf_l = path.back();
-  NodeView leaf(leaf_l.guard.RawData(/*for_write=*/true));
-  {
-    const uint32_t n = leaf.hdr()->count;
-    const uint32_t pos = leaf.LeafLowerBound(key);
-    if (pos < n && leaf.keys()[pos] == key) {
-      Status st = Status::OK();
-      if (upsert) {
-        leaf.values()[pos] = value;
-      } else {
-        st = Status::InvalidArgument("duplicate key");
-      }
-      leaf_l.desc->version_latch.WriteUnlock();
-      path.pop_back();
-      UnlockAll();
-      UnlockMeta(false);
-      return st;
-    }
-  }
-
-  // Split loop: produce (separator, new right page) bubbling upward.
-  uint64_t sep = 0;
-  page_id_t right_pid = kInvalidPageId;
-  bool have_split = false;
-
-  {
-    NodeView cur = leaf;
-    if (cur.hdr()->count >= kLeafCapacity) {
-      auto right_r = bm_->NewPage(kNodePageType);
-      if (!right_r.ok()) {
-        UnlockAll();
-        UnlockMeta(false);
-        return right_r.status();
-      }
-      PageGuard right_guard = right_r.MoveValue();
-      NodeView right(right_guard.RawData(/*for_write=*/true));
-      right.InitLeaf();
-      const uint32_t n = cur.hdr()->count;
-      const uint32_t mid = n / 2;
-      const uint32_t move = n - mid;
-      std::memcpy(right.keys(), cur.keys() + mid, move * sizeof(uint64_t));
-      std::memcpy(right.values(), cur.values() + mid,
-                  move * sizeof(uint64_t));
-      right.hdr()->count = move;
-      right.hdr()->next_leaf = cur.hdr()->next_leaf;
-      cur.hdr()->count = mid;
-      cur.hdr()->next_leaf = right_guard.pid();
-      sep = right.keys()[0];
-      right_pid = right_guard.pid();
-      have_split = true;
-      // Insert the key into the correct half.
-      NodeView target = key >= sep ? right : cur;
-      const uint32_t tn = target.hdr()->count;
-      const uint32_t pos = target.LeafLowerBound(key);
-      std::memmove(target.keys() + pos + 1, target.keys() + pos,
-                   (tn - pos) * sizeof(uint64_t));
-      std::memmove(target.values() + pos + 1, target.values() + pos,
-                   (tn - pos) * sizeof(uint64_t));
-      target.keys()[pos] = key;
-      target.values()[pos] = value;
-      target.hdr()->count = tn + 1;
-    } else {
-      const uint32_t n = cur.hdr()->count;
-      const uint32_t pos = cur.LeafLowerBound(key);
-      std::memmove(cur.keys() + pos + 1, cur.keys() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      std::memmove(cur.values() + pos + 1, cur.values() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      cur.keys()[pos] = key;
-      cur.values()[pos] = value;
-      cur.hdr()->count = n + 1;
-    }
-  }
-  leaf_l.desc->version_latch.WriteUnlock();
-  path.pop_back();
-
-  // Propagate the separator into latched ancestors.
-  while (have_split && !path.empty()) {
-    Locked& parent_l = path.back();
-    NodeView parent(parent_l.guard.RawData(/*for_write=*/true));
-    const uint32_t n = parent.hdr()->count;
-    if (n < kInnerCapacity) {
-      const uint32_t idx = parent.ChildIndex(sep);
-      std::memmove(parent.keys() + idx + 1, parent.keys() + idx,
-                   (n - idx) * sizeof(uint64_t));
-      std::memmove(parent.children() + idx + 2, parent.children() + idx + 1,
-                   (n - idx) * sizeof(page_id_t));
-      parent.keys()[idx] = sep;
-      parent.children()[idx + 1] = right_pid;
-      parent.hdr()->count = n + 1;
-      have_split = false;
-      parent_l.desc->version_latch.WriteUnlock();
-      path.pop_back();
-      break;
-    }
-    // Split the inner node.
-    auto right_r = bm_->NewPage(kNodePageType);
-    if (!right_r.ok()) {
-      UnlockAll();
-      UnlockMeta(false);
-      return right_r.status();
-    }
-    PageGuard right_guard = right_r.MoveValue();
-    NodeView right(right_guard.RawData(/*for_write=*/true));
-    right.InitInner(parent.hdr()->level);
-    const uint32_t mid = n / 2;
-    const uint64_t up_key = parent.keys()[mid];
-    const uint32_t move = n - mid - 1;
-    std::memcpy(right.keys(), parent.keys() + mid + 1,
-                move * sizeof(uint64_t));
-    std::memcpy(right.children(), parent.children() + mid + 1,
-                (move + 1) * sizeof(page_id_t));
-    right.hdr()->count = move;
-    parent.hdr()->count = mid;
-    // Insert the pending separator into the proper half.
-    NodeView target = sep >= up_key ? right : parent;
-    const uint32_t tn = target.hdr()->count;
-    const uint32_t idx = target.ChildIndex(sep);
-    std::memmove(target.keys() + idx + 1, target.keys() + idx,
-                 (tn - idx) * sizeof(uint64_t));
-    std::memmove(target.children() + idx + 2, target.children() + idx + 1,
-                 (tn - idx) * sizeof(page_id_t));
-    target.keys()[idx] = sep;
-    target.children()[idx + 1] = right_pid;
-    target.hdr()->count = tn + 1;
-
-    sep = up_key;
-    right_pid = right_guard.pid();
-    parent_l.desc->version_latch.WriteUnlock();
+  if (std::optional<Status> st =
+          PutInLeaf(NodeView(path.back().data),
+                    path.back().guard.descriptor()->version_latch, key, value,
+                    upsert)) {
     path.pop_back();
+    unlatch(path.size());
+    return *st;
   }
 
-  if (have_split) {
-    // The root itself split: build a new root and install it in the meta
-    // page (which we still hold latched).
-    SPITFIRE_CHECK(meta_locked);
-    auto root_r = bm_->NewPage(kNodePageType);
-    if (!root_r.ok()) {
-      UnlockMeta(false);
-      return root_r.status();
+  // The leaf is full, and so is every latched ancestor but possibly the
+  // outermost. A full outermost node is the root, which splits in place
+  // into two new pages. Every new page is allocated before any node
+  // changes, so a failed allocation leaves no half-done split behind.
+  const bool root_splits = NodeView(path.front().data).IsFull();
+  SPITFIRE_DCHECK(!root_splits || path.front().guard.pid() == root_pid_);
+  std::vector<PageGuard> fresh;
+  const size_t num_fresh = root_splits ? path.size() + 1 : path.size() - 1;
+  for (size_t i = 0; i < num_fresh; ++i) {
+    auto p_r = bm_->NewPage(kNodePageType);
+    if (!p_r.ok()) {
+      unlatch(path.size());
+      return p_r.status();
     }
-    PageGuard new_root = root_r.MoveValue();
-    NodeView root(new_root.RawData(/*for_write=*/true));
-    root.InitInner(static_cast<uint16_t>(mp.height));
-    root.hdr()->count = 1;
-    root.keys()[0] = sep;
-    root.children()[0] = mp.root;
-    root.children()[1] = right_pid;
-    MetaPayload nmp{new_root.pid(), mp.height + 1, kMetaMagic};
-    std::byte* mraw = meta_guard.RawData(/*for_write=*/true);
-    std::memcpy(mraw + kPageHeaderSize, &nmp, sizeof(nmp));
-    UnlockMeta(true);
-  } else {
-    UnlockAll();
-    UnlockMeta(false);
+    fresh.push_back(p_r.MoveValue());
+  }
+  size_t used = 0;
+
+  // Split bottom-up. Each level takes one entry: the new key at the leaf,
+  // and above it the separator and right sibling of the split below.
+  uint64_t sep = key;
+  page_id_t right_pid = kInvalidPageId;
+  for (size_t i = path.size(); i-- > 0;) {
+    const NodeView node(path[i].data);
+    const auto put = [&](NodeView n) {
+      if (n.IsLeaf()) {
+        n.LeafInsertAt(n.LeafLowerBound(key), key, value);
+      } else {
+        n.InnerInsert(sep, right_pid);
+      }
+    };
+    if (!node.IsFull()) {
+      put(node);
+    } else if (i == 0) {
+      // The full outermost node is the root. Its entries move to a new
+      // left page, which splits like any node, and the root becomes the
+      // parent of both halves.
+      PageGuard& lg = fresh[used++];
+      PageGuard& rg = fresh[used++];
+      const NodeView left(lg.RawData(/*for_write=*/true));
+      const NodeView right(rg.RawData(/*for_write=*/true));
+      left.CopyFrom(node);
+      const uint64_t up = left.SplitInto(right, rg.pid());
+      put(sep >= up ? right : left);
+      node.InitInner(static_cast<uint16_t>(left.hdr()->level + 1));
+      node.hdr()->count = 1;
+      node.keys()[0] = up;
+      node.children()[0] = lg.pid();
+      node.children()[1] = rg.pid();
+    } else {
+      PageGuard& rg = fresh[used++];
+      const NodeView right(rg.RawData(/*for_write=*/true));
+      const uint64_t up = node.SplitInto(right, rg.pid());
+      put(sep >= up ? right : node);
+      sep = up;
+      right_pid = rg.pid();
+    }
+    path[i].guard.descriptor()->version_latch.WriteUnlock();
   }
   return Status::OK();
 }
@@ -613,72 +404,25 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
 // ---------------------------------------------------------------------------
 
 Status BTree::Remove(uint64_t key, FetchContext* ctx) {
-  for (int restart = 0; restart < 1000000; ++restart) {
-    if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kWrite);
-    if (!g_r.ok()) {
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
+  return RestartOnBusy([&]() -> Status {
+    Pinned leaf;
+    SPITFIRE_RETURN_NOT_OK(Descend(key, AccessIntent::kWrite, ctx, &leaf));
+    OptimisticLatch& latch = leaf.guard.descriptor()->version_latch;
+    const NodeView node(leaf.data);
+    const uint32_t n = node.hdr()->count;
+    const uint32_t pos = node.LeafLowerBound(key);
+    if (pos >= n || node.keys()[pos] != key) {
+      latch.WriteUnlockNoBump();
+      return Status::NotFound("key");
     }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
-
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        if (!guard.descriptor()->version_latch.UpgradeToWriteLock(version)) {
-          failed = true;
-          break;
-        }
-        NodeView leaf(guard.RawData(/*for_write=*/true));
-        const uint32_t n = leaf.hdr()->count;
-        const uint32_t pos = leaf.LeafLowerBound(key);
-        if (pos >= n || leaf.keys()[pos] != key) {
-          guard.descriptor()->version_latch.WriteUnlockNoBump();
-          return Status::NotFound("key");
-        }
-        std::memmove(leaf.keys() + pos, leaf.keys() + pos + 1,
-                     (n - pos - 1) * sizeof(uint64_t));
-        std::memmove(leaf.values() + pos, leaf.values() + pos + 1,
-                     (n - pos - 1) * sizeof(uint64_t));
-        leaf.hdr()->count = n - 1;
-        guard.descriptor()->version_latch.WriteUnlock();
-        return Status::OK();
-      }
-      const uint32_t idx = node.ChildIndex(key);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kWrite);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) continue;
-  }
-  return Status::Busy("btree remove retry budget exhausted");
+    std::memmove(node.keys() + pos, node.keys() + pos + 1,
+                 (n - pos - 1) * sizeof(uint64_t));
+    std::memmove(node.values() + pos, node.values() + pos + 1,
+                 (n - pos - 1) * sizeof(uint64_t));
+    node.hdr()->count = n - 1;
+    latch.WriteUnlock();
+    return Status::OK();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -688,109 +432,52 @@ Status BTree::Remove(uint64_t key, FetchContext* ctx) {
 Status BTree::Scan(uint64_t lo, uint64_t hi,
                    const std::function<bool(uint64_t, uint64_t)>& fn,
                    FetchContext* ctx) const {
-  page_id_t leaf_pid = kInvalidPageId;
-  // Descend to the leaf containing lo.
-  for (int restart = 0; restart < 1000000 && leaf_pid == kInvalidPageId;
-       ++restart) {
-    if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kRead);
-    if (!g_r.ok()) {
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
-    }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        if (!guard.descriptor()->version_latch.Validate(version)) {
-          failed = true;
-        } else {
-          leaf_pid = guard.pid();
-        }
-        break;
-      }
-      const uint32_t idx = node.ChildIndex(lo);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kRead);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) leaf_pid = kInvalidPageId;
-  }
-  if (leaf_pid == kInvalidPageId) return Status::Busy("scan descent failed");
-
-  // Walk the leaf chain, copying each leaf's relevant entries under
-  // optimistic validation before invoking the callback.
+  // Walk the leaf chain from lo's leaf, copying each leaf's entries under
+  // optimistic validation before invoking the callback. `from` is the
+  // first key not yet emitted; `pid` the next leaf, or kInvalidPageId to
+  // descend to from's leaf. A restart re-reads the same leaf, or descends
+  // again. Only the descent can meet the root, the one page whose kind
+  // changes: no leaf links to it, so every `pid` is a leaf for good, and a
+  // root that split under a descent fails the leaf's validation.
+  uint64_t from = lo;
+  page_id_t pid = kInvalidPageId;
   std::vector<std::pair<uint64_t, uint64_t>> batch;
-  while (leaf_pid != kInvalidPageId) {
-    batch.clear();
-    page_id_t next = kInvalidPageId;
-    bool ok_leaf = false;
-    for (int restart = 0; restart < 1000000; ++restart) {
-      if ((restart & 63) == 63) std::this_thread::yield();
-      auto g_r = FetchPageVia(bm_, ctx, leaf_pid, AccessIntent::kRead);
-      if (!g_r.ok()) {
+  return RestartOnBusy([&]() -> Status {
+    for (;;) {
+      Pinned leaf;
+      if (pid == kInvalidPageId) {
+        SPITFIRE_RETURN_NOT_OK(Descend(from, AccessIntent::kRead, ctx, &leaf));
+      } else {
         // Parking mid-chain is fine: the resumed Scan re-descends and
         // re-visits earlier entries; callers collect idempotently.
-        if (g_r.status().IsWouldBlock()) return g_r.status();
-        continue;
+        SPITFIRE_RETURN_NOT_OK(Pin(pid, AccessIntent::kRead, ctx, &leaf));
       }
-      PageGuard guard = g_r.MoveValue();
-      const uint64_t version =
-          guard.descriptor()->version_latch.ReadLockOrRestart();
-      if (version == OptimisticLatch::kRetry) continue;
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) continue;
-      NodeView leaf(raw);
+      const NodeView node(leaf.data);
       batch.clear();
-      const uint32_t n = leaf.SafeCount();
-      for (uint32_t i = leaf.LeafLowerBound(lo); i < n; ++i) {
-        const uint64_t k = leaf.keys()[i];
+      const uint32_t n = node.LeafCount();
+      for (uint32_t i = node.LeafLowerBound(from); i < n; ++i) {
+        const uint64_t k = node.keys()[i];
         if (k > hi) break;
-        batch.emplace_back(k, leaf.values()[i]);
+        batch.emplace_back(k, node.values()[i]);
       }
-      next = leaf.hdr()->next_leaf;
+      const page_id_t next = node.hdr()->next_leaf;
       // Stop once this leaf's key range passes hi; empty leaves (possible
       // after deletes) just continue the chain.
-      const bool exhausted = n > 0 && leaf.keys()[n - 1] > hi;
-      if (!guard.descriptor()->version_latch.Validate(version)) continue;
-      if (exhausted) next = kInvalidPageId;
-      ok_leaf = true;
-      break;
+      const bool exhausted = n > 0 && node.keys()[n - 1] > hi;
+      if (!leaf.guard.descriptor()->version_latch.Validate(leaf.version)) {
+        return Status::Busy("leaf changed");
+      }
+      for (const auto& [k, v] : batch) {
+        if (!fn(k, v)) return Status::OK();
+      }
+      if (!batch.empty()) {
+        if (batch.back().first == UINT64_MAX) return Status::OK();
+        from = batch.back().first + 1;
+      }
+      if (exhausted || next == kInvalidPageId) return Status::OK();
+      pid = next;
     }
-    if (!ok_leaf) return Status::Busy("scan leaf retry budget exhausted");
-    for (const auto& [k, v] : batch) {
-      if (!fn(k, v)) return Status::OK();
-    }
-    leaf_pid = next;
-  }
-  return Status::OK();
+  });
 }
 
 Result<uint64_t> BTree::Count() const {
@@ -800,6 +487,19 @@ Result<uint64_t> BTree::Count() const {
     return true;
   }));
   return n;
+}
+
+uint32_t BTree::height() const {
+  uint32_t level = 0;
+  const Status st = RestartOnBusy([&]() -> Status {
+    Pinned root;
+    SPITFIRE_RETURN_NOT_OK(Pin(root_pid_, AccessIntent::kRead, nullptr, &root));
+    level = NodeView(root.data).hdr()->level;
+    return root.guard.descriptor()->version_latch.Validate(root.version)
+               ? Status::OK()
+               : Status::Busy("root changed");
+  });
+  return st.ok() ? level + 1 : 0;
 }
 
 }  // namespace spitfire

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "buffer/buffer_manager.h"
 #include "common/status.h"
@@ -14,15 +13,23 @@ namespace spitfire {
 // built on top of the buffer manager (Section 5.2, "Concurrent Index").
 // Keys and values are 64-bit integers (values are typically record ids).
 //
+// The root never moves: it keeps the page id Create gives it, which is
+// the tree's only handle. A full root splits in place, as in SQLite: its
+// entries move into two new pages and the root becomes their parent, one
+// level up. The root is therefore the only page whose kind changes (leaf
+// to inner); every other page stays the kind it was created as.
+//
 // Locking protocol:
-//  - Lookups traverse optimistically: they sample each node's version
-//    latch (stored in the page's shared descriptor, so it survives page
-//    migrations between DRAM and NVM), read, then validate; any
-//    interference restarts the traversal. No latches are held.
-//  - Inserts/deletes traverse optimistically and take a write latch only
-//    on the leaf. If a structural modification (split) is needed, the
-//    operation restarts in pessimistic mode, write-latch-coupling from the
-//    root.
+//  - Every operation starts with one optimistic descent from the root:
+//    it samples each node's version latch (stored in the page's shared
+//    descriptor, so it survives page migrations between DRAM and NVM),
+//    routes, validates the parent, and moves to the child. Any
+//    interference restarts the operation from the root. No latches are
+//    held.
+//  - Lookups and scans read the leaf and validate it. Inserts and deletes
+//    upgrade the leaf's latch to a write latch. If a structural
+//    modification (split) is needed, the insert restarts in pessimistic
+//    mode, write-latch-coupling from the root.
 //  - Deletes remove keys from leaves without rebalancing (standard
 //    practice in many production trees; space is reclaimed by later
 //    inserts).
@@ -36,15 +43,14 @@ namespace spitfire {
 // tsan.supp at the repository root suppresses them.
 class BTree {
  public:
-  static constexpr uint32_t kMetaPageType = 0xB7EE0001;
   static constexpr uint32_t kNodePageType = 0xB7EE0002;
 
-  // Creates a new tree: allocates a meta page and an empty root leaf.
+  // Creates a new tree: allocates its root, an empty leaf.
   static Result<BTree*> Create(BufferManager* bm);
-  // Opens an existing tree rooted at `meta_pid`.
-  static Result<BTree*> Open(BufferManager* bm, page_id_t meta_pid);
+  // Opens an existing tree rooted at `root_pid`.
+  static Result<BTree*> Open(BufferManager* bm, page_id_t root_pid);
 
-  page_id_t meta_pid() const { return meta_pid_; }
+  page_id_t root_pid() const { return root_pid_; }
 
   // All public operations take an optional FetchContext. With one, a
   // buffer miss anywhere in the traversal parks on the context and the
@@ -52,8 +58,7 @@ class BTree {
   // re-runs the whole call once the context fires, and the restart
   // re-traverses from the root (OLC restarts are cheap; the parked page is
   // by then resident). Without a context every fetch blocks (legacy path).
-  // Exceptions that always block: meta-page accesses (root pointer — hot,
-  // pinned-through in steady state) and the pessimistic split path (it
+  // The exception that always blocks is the pessimistic split path (it
   // holds write latches across fetches, so parking would deadlock).
 
   // Inserts (key, value). Returns InvalidArgument if the key exists.
@@ -78,22 +83,34 @@ class BTree {
   uint32_t height() const;
 
  private:
-  struct NodeRef;
+  // A pinned node: its guard, its frame, and the version sampled when it
+  // was pinned.
+  struct Pinned {
+    PageGuard guard;
+    std::byte* data = nullptr;
+    uint64_t version = 0;
+  };
 
-  explicit BTree(BufferManager* bm, page_id_t meta_pid)
-      : bm_(bm), meta_pid_(meta_pid) {}
+  BTree(BufferManager* bm, page_id_t root_pid)
+      : bm_(bm), root_pid_(root_pid) {}
+
+  // Pins `pid` through `ctx` and samples its version latch.
+  Status Pin(page_id_t pid, AccessIntent intent, FetchContext* ctx,
+             Pinned* node) const;
+  // The optimistic descent from the root to the leaf whose range holds
+  // `key`. With kWrite the leaf comes back write-latched; with kRead the
+  // caller validates its sampled version after reading. Busy means
+  // interference or a transiently busy buffer (restart); any other
+  // status, WouldBlock included, comes from a fetch.
+  Status Descend(uint64_t key, AccessIntent intent, FetchContext* ctx,
+                 Pinned* leaf) const;
 
   Status InsertImpl(uint64_t key, uint64_t value, bool upsert,
                     FetchContext* ctx);
-  Status OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
-                          bool* need_split, FetchContext* ctx);
   Status PessimisticInsert(uint64_t key, uint64_t value, bool upsert);
 
-  page_id_t LoadRoot() const;
-  void StoreRoot(page_id_t root, uint32_t height);
-
-  BufferManager* bm_;
-  page_id_t meta_pid_;
+  BufferManager* const bm_;
+  const page_id_t root_pid_;
 };
 
 }  // namespace spitfire

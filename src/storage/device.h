@@ -47,24 +47,6 @@ class Device {
   // Copies `size` bytes from `src` to `offset`.
   virtual Status Write(uint64_t offset, const void* src, size_t size) = 0;
 
-  // Asynchronous submission interface. BeginRead/BeginWrite perform the
-  // data transfer eagerly (the simulation has no DMA engine) but do NOT
-  // delay the caller: they admit the request into the device's multi-queue
-  // model and report, via `*complete_at_ns`, the NowNanos() deadline at
-  // which the request completes. Callers must not observe the data as
-  // arrived (install pages, acknowledge writes) before the deadline.
-  // Devices without a queue model return NotSupported; callers fall back
-  // to the blocking Read/Write.
-  virtual bool SupportsAsyncIo() const { return false; }
-  virtual Status BeginRead(uint64_t offset, void* dst, size_t size,
-                           uint64_t* complete_at_ns) {
-    return Status::NotSupported("device has no async queue model");
-  }
-  virtual Status BeginWrite(uint64_t offset, const void* src, size_t size,
-                            uint64_t* complete_at_ns) {
-    return Status::NotSupported("device has no async queue model");
-  }
-
   // For byte-addressable devices, a pointer through which the CPU can
   // operate on device-resident data in place (the paper's data flow paths
   // 3/8 that bypass DRAM). Returns nullptr for block devices.

@@ -17,8 +17,8 @@ namespace {
 thread_local bool t_async_aware = false;
 }  // namespace
 
-IoScheduler::IoScheduler(Device* ssd, const IoSchedulerOptions& opts)
-    : ssd_(ssd), opts_(opts), async_(ssd != nullptr && ssd->SupportsAsyncIo()) {
+IoScheduler::IoScheduler(SsdDevice* ssd, const IoSchedulerOptions& opts)
+    : ssd_(ssd), opts_(opts) {
   SPITFIRE_CHECK(ssd_ != nullptr);
   if (opts_.num_workers == 0) opts_.num_workers = 1;
   if (opts_.max_coalesce_pages == 0) opts_.max_coalesce_pages = 1;
@@ -27,9 +27,7 @@ IoScheduler::IoScheduler(Device* ssd, const IoSchedulerOptions& opts)
   for (size_t i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  if (async_) {
-    completion_worker_ = std::thread([this] { CompletionWorkerLoop(); });
-  }
+  completion_worker_ = std::thread([this] { CompletionWorkerLoop(); });
 }
 
 IoScheduler::~IoScheduler() { Shutdown(); }
@@ -246,21 +244,14 @@ IoScheduler::SubmitKind IoScheduler::SubmitRead(uint64_t offset,
   l.unlock();
   stats_.async_submits.fetch_add(1, std::memory_order_relaxed);
   stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-  if (async_) {
-    uint64_t deadline = 0;
-    const Status st = ssd_->BeginRead(offset, f->buf, kPageSize, &deadline);
-    if (!st.ok()) {
-      CompleteFlight(offset, std::move(f), st);
-    } else {
-      ScheduleAt(deadline,
-                 [this, offset, f] { CompleteFlight(offset, f, Status::OK()); },
-                 /*is_write=*/false);
-    }
-  } else {
-    // Blocking device: the read happens here (charging the latency to this
-    // thread, like the synchronous path) and completes inline.
-    const Status st = ssd_->Read(offset, f->buf, kPageSize);
+  uint64_t deadline = 0;
+  const Status st = ssd_->BeginRead(offset, f->buf, kPageSize, &deadline);
+  if (!st.ok()) {
     CompleteFlight(offset, std::move(f), st);
+  } else {
+    ScheduleAt(deadline,
+               [this, offset, f] { CompleteFlight(offset, f, Status::OK()); },
+               /*is_write=*/false);
   }
   return SubmitKind::kLeader;
 }
@@ -334,21 +325,16 @@ Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
     }
     size_t j = i + 1;
     while (j < n && rec->flights[j] != nullptr) ++j;
-    Status st;
-    if (async_) {
-      // Admit the run into the device's queue model and wait out its
-      // deadline here, pumping other completions meanwhile: a second
-      // window can be in flight on another queue while this one drains.
-      // Async-aware threads sleep the wait; blocking threads spin (the
-      // synchronous CPU accounting).
-      uint64_t deadline = 0;
-      st = ssd_->BeginRead(offset + i * kPageSize, dst + i * kPageSize,
-                           (j - i) * kPageSize, &deadline);
-      if (st.ok()) WaitUntilDeadline(deadline);
-    } else {
-      st = ssd_->Read(offset + i * kPageSize, dst + i * kPageSize,
-                      (j - i) * kPageSize);
-    }
+    // Admit the run into the device's queue model and wait out its
+    // deadline here, pumping other completions meanwhile: a second window
+    // can be in flight on another queue while this one drains. Async-aware
+    // threads sleep the wait; blocking threads spin (the synchronous CPU
+    // accounting).
+    uint64_t deadline = 0;
+    const Status st =
+        ssd_->BeginRead(offset + i * kPageSize, dst + i * kPageSize,
+                        (j - i) * kPageSize, &deadline);
+    if (st.ok()) WaitUntilDeadline(deadline);
     stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
     if (!st.ok()) result = st;
     // Three passes over the run, in a strict order: validate every page,
@@ -598,10 +584,9 @@ void IoScheduler::WorkerLoop() {
       write_queue_.pop_front();
     }
     ql.unlock();
-    // ProcessBatch owns retirement: synchronously after the device write,
-    // or at the completion deadline on the async path — where this loop
-    // immediately picks up the next batch, keeping further queues full
-    // instead of spinning out one write at a time.
+    // ProcessBatch defers retirement to each run's completion deadline, so
+    // this loop immediately picks up the next batch, keeping further
+    // queues full instead of spinning out one write at a time.
     (void)ProcessBatch(&batch, scratch.data());
     ql.lock();
   }
@@ -642,28 +627,19 @@ Status IoScheduler::ProcessBatch(std::vector<QueueItem>* batch,
       stats_.writes_coalesced.fetch_add(run - 1, std::memory_order_relaxed);
     }
     stats_.write_ops.fetch_add(1, std::memory_order_relaxed);
-    if (async_) {
-      // Submit and defer retirement to the completion deadline. BeginWrite
-      // copies the bytes out eagerly, so `scratch` is reusable immediately
-      // and the staged images stay frozen (issuing) until retirement.
-      uint64_t deadline = 0;
-      const Status st = ssd_->BeginWrite((*batch)[i].offset, data,
-                                         run * kPageSize, &deadline);
-      if (!st.ok()) result = st;
-      auto items = std::make_shared<std::vector<QueueItem>>(
-          batch->begin() + static_cast<ptrdiff_t>(i),
-          batch->begin() + static_cast<ptrdiff_t>(j));
-      ScheduleAt(st.ok() ? deadline : 0,
-                 [this, items, st] { RetireWrites(*items, st); },
-                 /*is_write=*/true);
-    } else {
-      const Status st =
-          ssd_->Write((*batch)[i].offset, data, run * kPageSize);
-      if (!st.ok()) result = st;
-      std::vector<QueueItem> items(batch->begin() + static_cast<ptrdiff_t>(i),
-                                   batch->begin() + static_cast<ptrdiff_t>(j));
-      RetireWrites(items, st);
-    }
+    // Submit and defer retirement to the completion deadline. BeginWrite
+    // copies the bytes out eagerly, so `scratch` is reusable immediately
+    // and the staged images stay frozen (issuing) until retirement.
+    uint64_t deadline = 0;
+    const Status st = ssd_->BeginWrite((*batch)[i].offset, data,
+                                       run * kPageSize, &deadline);
+    if (!st.ok()) result = st;
+    auto items = std::make_shared<std::vector<QueueItem>>(
+        batch->begin() + static_cast<ptrdiff_t>(i),
+        batch->begin() + static_cast<ptrdiff_t>(j));
+    ScheduleAt(st.ok() ? deadline : 0,
+               [this, items, st] { RetireWrites(*items, st); },
+               /*is_write=*/true);
     i = j;
   }
   return result;

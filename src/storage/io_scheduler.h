@@ -14,7 +14,7 @@
 
 #include "common/constants.h"
 #include "common/status.h"
-#include "storage/device.h"
+#include "storage/ssd_device.h"
 
 namespace spitfire {
 
@@ -77,7 +77,7 @@ struct IoSchedulerStats {
 // (prefetch claims: a multiple).
 class IoScheduler {
  public:
-  explicit IoScheduler(Device* ssd, const IoSchedulerOptions& opts = {});
+  explicit IoScheduler(SsdDevice* ssd, const IoSchedulerOptions& opts = {});
   ~IoScheduler();
   SPITFIRE_DISALLOW_COPY_AND_MOVE(IoScheduler);
 
@@ -112,9 +112,6 @@ class IoScheduler {
   // calling thread as async-aware: prefetch waits it executes sleep out
   // their deadlines instead of busy-spinning. Returns whether anything ran.
   bool PumpCompletions(bool may_sleep);
-
-  // Whether the device supports deadline-based submission (SupportsAsyncIo).
-  bool async_io() const { return async_; }
 
   // Completion broadcast, for continuation waiters (e.g. a fetch that
   // joined an in-flight read). Every batch of fired read completions bumps
@@ -253,11 +250,10 @@ class IoScheduler {
   void WorkerLoop();
   Status ProcessBatch(std::vector<QueueItem>* batch, std::byte* scratch);
   // Clears the staged entries of a completed write run and releases its
-  // backpressure slots. Inline after the device write on the sync path; a
-  // deadline completion on the async path.
+  // backpressure slots; runs as the run's deadline completion.
   void RetireWrites(const std::vector<QueueItem>& items, const Status& st);
 
-  // --- Completion engine (async devices only) -----------------------------
+  // --- Completion engine -------------------------------------------------
   // Deferred completions ordered by their device-model deadline. Two heaps
   // under one lock: read-flight completions re-enter buffer-manager code
   // through their callbacks (install pages, evict victims, stage writes),
@@ -301,9 +297,8 @@ class IoScheduler {
   // than a cooperative convention.
   void CompletionWorkerLoop();
 
-  Device* ssd_;
+  SsdDevice* ssd_;
   IoSchedulerOptions opts_;
-  bool async_ = false;
   IoSchedulerStats stats_;
 
   std::mutex comp_mu_;

@@ -32,15 +32,16 @@ class SsdDevice : public Device {
   Status Write(uint64_t offset, const void* src, size_t size) override;
   Status Persist(uint64_t offset, size_t size) override;
 
-  // Async submission: the copy happens eagerly (there is no DMA engine to
-  // defer it to) but no latency is charged inline — the multi-queue model
-  // hands back the completion deadline instead. The I/O scheduler must not
-  // surface the data before that deadline.
-  bool SupportsAsyncIo() const override { return true; }
+  // Asynchronous submission, the I/O scheduler's interface. The copy
+  // happens eagerly (there is no DMA engine to defer it to) but no latency
+  // is charged inline: the request is admitted into the multi-queue model,
+  // which reports via `*complete_at_ns` the NowNanos() deadline at which it
+  // completes. Callers must not observe the data as arrived (install
+  // pages, acknowledge writes) before that deadline.
   Status BeginRead(uint64_t offset, void* dst, size_t size,
-                   uint64_t* complete_at_ns) override;
+                   uint64_t* complete_at_ns);
   Status BeginWrite(uint64_t offset, const void* src, size_t size,
-                    uint64_t* complete_at_ns) override;
+                    uint64_t* complete_at_ns);
 
   bool file_backed() const { return fd_ >= 0; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -165,7 +166,7 @@ TEST_F(BTreeTest, SurvivesBufferEvictionWithTinyPools) {
 
 TEST_F(BTreeTest, OpenExistingTree) {
   ASSERT_TRUE(tree_->Insert(77, 770).ok());
-  auto r = BTree::Open(bm_.get(), tree_->meta_pid());
+  auto r = BTree::Open(bm_.get(), tree_->root_pid());
   ASSERT_TRUE(r.ok());
   std::unique_ptr<BTree> reopened(r.value());
   uint64_t v = 0;
@@ -255,6 +256,137 @@ TEST_F(BTreeTest, MixedConcurrentUpserts) {
   auto count = tree_->Count();
   ASSERT_TRUE(count.ok());
   EXPECT_LE(count.value(), 512u);
+}
+
+// Each trial gets its own small one-shard buffer manager and a fresh
+// tree, so every trial races through the tree's first root splits. The
+// trials share one SSD: a tree never reads a page it did not write, and
+// zeroing a fresh device per trial would dominate the run under TSan.
+class BTreeRootSplitTest : public ::testing::Test {
+ protected:
+  void SetUp() override { LatencySimulator::SetScale(0.0); }
+  void TearDown() override { LatencySimulator::SetScale(1.0); }
+
+  struct Trial {
+    explicit Trial(SsdDevice* ssd) {
+      BufferManagerOptions opt;
+      opt.dram_frames = 256;
+      opt.nvm_frames = 256;
+      opt.policy = MigrationPolicy::Eager();
+      opt.ssd = ssd;
+      opt.num_shards = 1;
+      bm = std::make_unique<BufferManager>(opt);
+      auto r = BTree::Create(bm.get());
+      SPITFIRE_CHECK(r.ok());
+      tree.reset(r.value());
+    }
+    std::unique_ptr<BufferManager> bm;
+    std::unique_ptr<BTree> tree;
+  };
+
+  SsdDevice ssd_{16ull * 1024 * 1024};
+};
+
+// Interleaved concurrent inserts split every leaf, the root included, under
+// contention. A descent that enters the root while it splits must not
+// insert into a node no lookup searches: such a key stays in the leaf chain
+// (Count sees it), but Lookup returns NotFound.
+TEST_F(BTreeRootSplitTest, ConcurrentInsertsStayReachable) {
+  constexpr int kTrials = 100;
+  constexpr uint64_t kThreads = 8;
+  constexpr uint64_t kPerThread = 800;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Trial tr(&ssd_);
+    const page_id_t root = tr.tree->root_pid();
+    ASSERT_EQ(tr.bm->next_page_id(), root + 1);  // Create allocates one page
+    std::atomic<uint64_t> started{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> ths;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      ths.emplace_back([&, t] {
+        // Spin, not yield, at the gate: a yielding thread lets its core go
+        // idle, and then a trial this short runs its threads one by one.
+        started.fetch_add(1);
+        while (started.load() < kThreads) {
+        }
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          const uint64_t k = i * kThreads + t;
+          if (!tr.tree->Insert(k, k * 3).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : ths) th.join();
+    EXPECT_EQ(failures.load(), 0) << "trial " << trial;
+    int lost = 0;
+    for (uint64_t k = 0; k < kThreads * kPerThread; ++k) {
+      uint64_t v = 0;
+      if (!tr.tree->Lookup(k, &v).ok() || v != k * 3) ++lost;
+    }
+    EXPECT_EQ(lost, 0) << "trial " << trial;
+    auto count = tr.tree->Count();
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.value(), kThreads * kPerThread) << "trial " << trial;
+    if (HasFailure()) break;
+  }
+}
+
+// Scans racing the first root split: a leaf root that a scan re-fetches
+// may have turned into an inner node. Every scan must still return keys in
+// strictly increasing order and every key present before it started.
+TEST_F(BTreeRootSplitTest, ScansSurviveRootSplit) {
+  constexpr int kTrials = 200;
+  constexpr uint64_t kEven = 500;  // fits one leaf: the root stays a leaf
+  constexpr uint64_t kOdd = 1200;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Trial tr(&ssd_);
+    for (uint64_t k = 0; k < kEven; ++k) {
+      ASSERT_TRUE(tr.tree->Insert(2 * k, k).ok());
+    }
+    std::atomic<int> started{0};
+    std::atomic<bool> done{false};
+    std::atomic<int> writer_errors{0};
+    std::atomic<int> bad_scans{0};
+    auto gate = [&started] {
+      started.fetch_add(1);
+      while (started.load() < 3) {
+      }
+    };
+    std::thread writer([&] {
+      gate();
+      for (uint64_t k = 0; k < kOdd; ++k) {
+        if (!tr.tree->Insert(2 * k + 1, k).ok()) writer_errors.fetch_add(1);
+      }
+      done.store(true);
+    });
+    std::vector<std::thread> scanners;
+    for (int s = 0; s < 2; ++s) {
+      scanners.emplace_back([&] {
+        gate();
+        do {
+          std::vector<uint64_t> keys;
+          const Status st = tr.tree->Scan(0, UINT64_MAX, [&](uint64_t k,
+                                                             uint64_t) {
+            keys.push_back(k);
+            return true;
+          });
+          uint64_t evens = 0;
+          for (uint64_t k : keys) evens += (k % 2 == 0 && k < 2 * kEven);
+          const bool increasing =
+              std::adjacent_find(keys.begin(), keys.end(),
+                                 std::greater_equal<uint64_t>()) ==
+              keys.end();
+          if (!st.ok() || !increasing || evens != kEven) {
+            bad_scans.fetch_add(1);
+          }
+        } while (!done.load());
+      });
+    }
+    writer.join();
+    for (auto& th : scanners) th.join();
+    EXPECT_EQ(writer_errors.load(), 0) << "trial " << trial;
+    EXPECT_EQ(bad_scans.load(), 0) << "trial " << trial;
+    if (HasFailure()) break;
+  }
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ TEST_F(BufferInternalsTest, RecoveryRefusesPersistedPagePastTheSsd) {
   NvmDevice nvm(
       BufferPool::RequiredCapacity(16, /*persistent_frame_table=*/true));
   SsdDevice large(64 * kPageSize);
-  const auto options = [&nvm](Device* ssd) {
+  const auto options = [&nvm](SsdDevice* ssd) {
     BufferManagerOptions opt;
     opt.nvm_frames = 16;
     opt.num_shards = 1;

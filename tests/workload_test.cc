@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "storage/perf_model.h"
 #include "workload/driver.h"
 #include "workload/tpcc.h"
@@ -194,13 +196,28 @@ TEST_F(TpccTest, MultiThreadedMixKeepsMoneyConsistent) {
   DriverResult res = WorkloadDriver::Run(
       2, 0.5, [&](Xoshiro256& rng) { return tpcc_->RunTransaction(rng); });
   EXPECT_GT(res.committed, 10u);
-  // District YTDs must sum to at least the warehouse base (payments add).
+  // Every key in a heap is reachable through its index, which points at
+  // the key's newest committed version.
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+  // PAYMENT adds its amount to the warehouse and to one district in one
+  // transaction, so W.ytd stays the sum of its districts' YTDs; both start
+  // at 300,000.
   auto txn = db_->Begin();
   TpccWorkload::WarehouseTuple wt{};
   ASSERT_TRUE(db_->GetTable(TpccWorkload::kWarehouse)
                   ->Read(txn.get(), TpccWorkload::WarehouseKey(1), &wt)
                   .ok());
   EXPECT_GE(wt.ytd, 300000.0);
+  double district_ytd = 0;
+  for (uint32_t d = 1; d <= tpcc_->config().districts_per_warehouse; ++d) {
+    TpccWorkload::DistrictTuple dt{};
+    ASSERT_TRUE(db_->GetTable(TpccWorkload::kDistrict)
+                    ->Read(txn.get(), TpccWorkload::DistrictKey(1, d), &dt)
+                    .ok());
+    district_ytd += dt.ytd;
+  }
+  EXPECT_NEAR(wt.ytd, district_ytd, 1e-6);
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
 }
 
