@@ -1,10 +1,14 @@
 // Microbenchmarks of the substrates (google-benchmark): concurrent bitmap
-// / CLOCK, latches, B+Tree, NVM log buffer, and raw buffer manager fetch
-// paths. These are not paper figures; they guard against performance
-// regressions in the building blocks.
+// / CLOCK, latches, B+Tree, NVM log buffer, page checksum, and raw buffer
+// manager fetch paths. These are not paper figures; they guard against
+// performance regressions in the building blocks.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <vector>
+
 #include "buffer/buffer_manager.h"
+#include "buffer/page.h"
 #include "container/concurrent_bitmap.h"
 #include "container/mpmc_queue.h"
 #include "index/btree.h"
@@ -105,6 +109,27 @@ void BM_NvmLogAppend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 128);
 }
 BENCHMARK(BM_NvmLogAppend)->Threads(1)->Threads(2);
+
+// The checksum every page image written to SSD is stamped with
+// (BufferShard::WriteToSsd) and recovery verifies.
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<std::byte> frame(kPageSize);
+  Xoshiro256 rng(state.range(0));
+  for (size_t i = 0; i < kPageSize; i += sizeof(uint64_t)) {
+    const uint64_t w = rng.Next();
+    std::memcpy(frame.data() + i, &w, sizeof(w));
+  }
+  uint64_t n = 0;
+  for (auto _ : state) {
+    // A new payload word per iteration: no two sums share an input.
+    std::memcpy(frame.data() + kPageHeaderSize, &n, sizeof(n));
+    ++n;
+    benchmark::DoNotOptimize(ComputePageChecksum(frame.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+BENCHMARK(BM_PageChecksum)->Arg(1);
 
 void BM_BufferFetchDramHit(benchmark::State& state) {
   LatencySimulator::SetScale(0.0);

@@ -238,7 +238,14 @@ Status Database::Commit(Transaction* txn) {
     commit.txn_id = txn->id();
     commit.prev_lsn = txn->last_lsn;
     Result<lsn_t> lsn = lm_->Append(commit);
-    SPITFIRE_RETURN_NOT_OK(lsn.status());
+    if (!lsn.ok()) {
+      // A failed append staged nothing (a commit group persists with one
+      // atomic staging append), so the transaction did not commit: roll it
+      // back and release its slot instead of leaking its write locks and
+      // pinning the GC watermark.
+      (void)Abort(txn);
+      return lsn.status();
+    }
     // Without persistent staging, the commit is only durable on SSD.
     if (commit_forces_drain_) {
       SPITFIRE_RETURN_NOT_OK(lm_->Drain());

@@ -72,7 +72,7 @@ Result<rid_t> Table::AllocateSlot() {
   if (!free_list_.empty() &&
       free_list_.front().freed_at < tm_->MinActiveTs()) {
     const rid_t rid = free_list_.front().rid;
-    free_list_.erase(free_list_.begin());
+    free_list_.pop_front();
     return rid;
   }
   if (pages_.empty() || bump_slot_ >= slots_per_page_) {

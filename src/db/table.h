@@ -1,6 +1,7 @@
 #ifndef SPITFIRE_DB_TABLE_H_
 #define SPITFIRE_DB_TABLE_H_
 
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -164,7 +165,7 @@ class Table {
     rid_t rid;
     timestamp_t freed_at;
   };
-  std::vector<DeferredFree> free_list_;
+  std::deque<DeferredFree> free_list_;  // FIFO: oldest free first
 };
 
 }  // namespace spitfire

@@ -210,6 +210,9 @@ Status LogManager::Drain() {
   if (base > file_bytes_) {
     return Status::Corruption("staged log bytes past durable file end");
   }
+  if (kLogDataOffset + base + bytes.size() > opts_.log_ssd->capacity()) {
+    return Status::IoError("log device full");
+  }
   SPITFIRE_RETURN_NOT_OK(
       opts_.log_ssd->Write(kLogDataOffset + base, bytes.data(), bytes.size()));
   SPITFIRE_RETURN_NOT_OK(

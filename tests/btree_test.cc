@@ -18,7 +18,7 @@ class BTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     LatencySimulator::SetScale(0.0);
-    ssd_ = std::make_unique<SsdDevice>(512ull * 1024 * 1024);
+    ssd_ = std::make_unique<SsdDevice>(16ull * 1024 * 1024);
     BufferManagerOptions opt;
     opt.dram_frames = 256;
     opt.nvm_frames = 256;
@@ -143,7 +143,7 @@ TEST_F(BTreeTest, ScanAcrossDeletedKeys) {
 
 TEST_F(BTreeTest, SurvivesBufferEvictionWithTinyPools) {
   // A tree larger than the buffer: nodes constantly migrate across tiers.
-  SsdDevice ssd(512ull * 1024 * 1024);
+  SsdDevice ssd(16ull * 1024 * 1024);
   BufferManagerOptions opt;
   opt.dram_frames = 8;
   opt.nvm_frames = 8;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "buffer/page.h"
+#include "common/checksum.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -170,6 +174,113 @@ TEST(TimerTest, MeasuresElapsed) {
   Timer t;
   SpinWaitNanos(1000000);  // 1 ms
   EXPECT_GE(t.ElapsedNanos(), 900000u);
+}
+
+// A stamped 16 KB page image: a valid header and random payload bytes.
+std::vector<std::byte> StampedPage(uint64_t seed, lsn_t lsn) {
+  std::vector<std::byte> frame(kPageSize);
+  Xoshiro256 rng(seed);
+  for (size_t i = 0; i < kPageSize; i += sizeof(uint64_t)) {
+    const uint64_t w = rng.Next();
+    std::memcpy(frame.data() + i, &w, sizeof(w));
+  }
+  PageHeader hdr;
+  hdr.page_id = 7;
+  hdr.page_lsn = lsn;
+  std::memcpy(frame.data(), &hdr, sizeof(hdr));
+  StampPageChecksum(frame.data());
+  return frame;
+}
+
+TEST(ChecksumTest, EveryOneBitFlipFailsPageVerify) {
+  std::vector<std::byte> frame = StampedPage(1, 10);
+  ASSERT_TRUE(VerifyPageChecksum(frame.data()));
+  for (size_t off = 0; off < kPageSize; ++off) {
+    const auto bit = static_cast<std::byte>(1u << (off % 8));
+    frame[off] ^= bit;
+    EXPECT_FALSE(VerifyPageChecksum(frame.data())) << "offset " << off;
+    frame[off] ^= bit;
+  }
+  EXPECT_TRUE(VerifyPageChecksum(frame.data()));
+}
+
+TEST(ChecksumTest, TornPageFailsVerifyAtEverySectorBoundary) {
+  // A write torn at a 512 B sector or 4 KB block boundary leaves the new
+  // image's prefix in front of the old image's suffix. The new image is
+  // the old one with a later LSN and one changed word in every sector.
+  const std::vector<std::byte> old_img = StampedPage(2, 10);
+  std::vector<std::byte> new_img = old_img;
+  PageHeader hdr;
+  std::memcpy(&hdr, new_img.data(), sizeof(hdr));
+  hdr.page_lsn = 11;
+  std::memcpy(new_img.data(), &hdr, sizeof(hdr));
+  for (size_t sector = 512; sector < kPageSize; sector += 512) {
+    new_img[sector + 100] ^= std::byte{0x5a};
+  }
+  StampPageChecksum(new_img.data());
+  for (size_t cut = 512; cut < kPageSize; cut += 512) {
+    std::vector<std::byte> torn = old_img;
+    std::memcpy(torn.data(), new_img.data(), cut);
+    EXPECT_FALSE(VerifyPageChecksum(torn.data())) << "torn at " << cut;
+  }
+}
+
+TEST(ChecksumTest, SwappingTwoWordsChangesTheSum) {
+  std::vector<uint64_t> words(kPageSize / sizeof(uint64_t));
+  Xoshiro256 rng(4);
+  for (uint64_t& w : words) w = rng.Next();
+  const size_t n = words.size() * sizeof(uint64_t);
+  const uint64_t base = Checksum64(words.data(), n);
+  // Pairs in one lane (distance 4), in neighbouring lanes, and far apart.
+  const std::pair<size_t, size_t> pairs[] = {
+      {0, 1}, {0, 4}, {5, 9}, {3, 6}, {100, 1000}, {0, words.size() - 1}};
+  for (const auto& [i, j] : pairs) {
+    ASSERT_NE(words[i], words[j]);
+    std::swap(words[i], words[j]);
+    EXPECT_NE(Checksum64(words.data(), n), base) << i << " <-> " << j;
+    std::swap(words[i], words[j]);
+  }
+}
+
+TEST(ChecksumTest, ShortInputsDifferingInOneByteDiffer) {
+  unsigned char buf[32];
+  Xoshiro256 rng(5);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t len = 1; len < 32; ++len) {
+    const uint64_t base = Checksum64(buf, len);
+    for (size_t pos = 0; pos < len; ++pos) {
+      const unsigned char orig = buf[pos];
+      for (unsigned v = 0; v < 256; ++v) {
+        if (v == orig) continue;
+        buf[pos] = static_cast<unsigned char>(v);
+        ASSERT_NE(Checksum64(buf, len), base)
+            << "len " << len << " pos " << pos << " value " << v;
+      }
+      buf[pos] = orig;
+    }
+    // The zero padding of a partial block cannot alias a longer input.
+    unsigned char padded[32] = {};
+    std::memcpy(padded, buf, len);
+    EXPECT_NE(Checksum64(padded, len + 1), Checksum64(padded, len))
+        << "len " << len;
+  }
+}
+
+TEST(ChecksumTest, ZeroMeansUnstamped) {
+  std::vector<std::byte> frame = StampedPage(6, 12);
+  const uint64_t zero = 0;
+  std::memcpy(frame.data() + offsetof(PageHeader, checksum), &zero,
+              sizeof(zero));
+  EXPECT_TRUE(VerifyPageChecksum(frame.data()));
+  frame[kPageSize - 1] ^= std::byte{0xff};
+  EXPECT_TRUE(VerifyPageChecksum(frame.data()));
+  // A stamp is never 0, so a stamped image is never mistaken for one.
+  StampPageChecksum(frame.data());
+  uint64_t stored = 0;
+  std::memcpy(&stored, frame.data() + offsetof(PageHeader, checksum),
+              sizeof(stored));
+  EXPECT_NE(stored, 0u);
+  EXPECT_NE(Checksum64(nullptr, 0), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -430,6 +431,72 @@ TEST_F(DatabaseTest, CheckpointReducesRecoveryLog) {
     ASSERT_TRUE(t->Read(txn.get(), k, &out).ok());
   }
   ASSERT_TRUE(db->Commit(txn.get()).ok());
+}
+
+TEST_F(DatabaseTest, CommitThatCannotBeLoggedRollsBack) {
+  // A log device that fills after a few hundred small transactions.
+  DatabaseOptions opts = SmallOptions();
+  opts.log_ssd_capacity = 256 * 1024;
+  opts.log_staging_size = 64 * 1024;
+  auto db = Database::Create(opts).MoveValue();
+  constexpr uint64_t kKeys = 16;
+  using Tuple = std::array<std::byte, 100>;
+  const auto tuple_of = [](uint64_t v) {
+    Tuple t{};
+    std::memcpy(t.data(), &v, sizeof(v));
+    return t;
+  };
+  const auto value_of = [](const Tuple& t) {
+    uint64_t v = 0;
+    std::memcpy(&v, t.data(), sizeof(v));
+    return v;
+  };
+  Table* t = db->CreateTable(1, sizeof(Tuple)).value();
+  {
+    auto txn = db->Begin();
+    const Tuple zero = tuple_of(0);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(t->Insert(txn.get(), k, zero.data()).ok());
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  std::array<uint64_t, kKeys> acked{};  // last acknowledged value per key
+  Status failed;
+  uint64_t key = 0;
+  for (uint64_t i = 1; i <= 10000 && failed.ok(); ++i) {
+    key = i % kKeys;
+    auto txn = db->Begin();
+    const Tuple row = tuple_of(i);
+    ASSERT_TRUE(t->Update(txn.get(), key, row.data()).ok()) << "txn " << i;
+    failed = db->Commit(txn.get());
+    if (failed.ok()) acked[key] = i;
+  }
+  ASSERT_FALSE(failed.ok()) << "the log device never filled";
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+
+  // The failed commit was rolled back and its slot released.
+  EXPECT_EQ(db->txn_manager()->active_count(), 0u);
+  std::string why;
+  EXPECT_TRUE(db->CheckIntegrity(&why).ok()) << why;
+  auto reader = db->Begin();
+  Tuple out{};
+  ASSERT_TRUE(t->Read(reader.get(), key, out.data()).ok());
+  EXPECT_EQ(value_of(out), acked[key]);
+  ASSERT_TRUE(db->Commit(reader.get()).ok());
+
+  // The key is not left write-locked: a new update of it is refused by the
+  // full log (its record is larger than the commit record that did not
+  // fit), not by a write-write conflict.
+  auto txn = db->Begin();
+  const Tuple row = tuple_of(~uint64_t{0});
+  Status st = t->Update(txn.get(), key, row.data());
+  if (st.ok()) {
+    st = db->Commit(txn.get());
+  } else {
+    (void)db->Abort(txn.get());
+  }
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_EQ(db->txn_manager()->active_count(), 0u);
 }
 
 }  // namespace
