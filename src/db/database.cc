@@ -468,22 +468,48 @@ Status Database::RunRecovery() {
       max_ts = std::max(max_ts, r.txn_id);
       if (r.type == LogRecordType::kCommit) committed.insert(r.txn_id);
     }
+    const auto is_redo = [&committed](const LogRecord& r) {
+      return (r.type == LogRecordType::kInsert ||
+              r.type == LogRecordType::kUpdate ||
+              r.type == LogRecordType::kDelete) &&
+             committed.count(r.txn_id) != 0;
+    };
+    // An update record holds only the bytes it changed, so its redo needs
+    // the version it was written over. A key's records are in timestamp
+    // order, and the heap holds each key's last version at or below the
+    // horizon — unless GC freed it after the checkpoint in favour of a
+    // newer version whose page never became durable. Such a key is
+    // replayed from its first record: the log is never truncated.
+    using TableKey = std::pair<uint32_t, uint64_t>;
+    std::map<TableKey, timestamp_t> settled;  // last write at/below horizon
+    std::set<TableKey> redone_above;
     for (const LogRecord& r : recs) {
-      if (committed.count(r.txn_id) == 0) continue;
-      if (r.type != LogRecordType::kInsert &&
-          r.type != LogRecordType::kUpdate &&
-          r.type != LogRecordType::kDelete) {
-        continue;
-      }
+      if (!is_redo(r)) continue;
       if (r.txn_id <= redo_horizon) {
+        settled[{r.table_id, r.key}] = r.txn_id;
+      } else {
+        redone_above.insert({r.table_id, r.key});
+      }
+    }
+    std::set<TableKey> replay_whole;
+    for (const TableKey& k : redone_above) {
+      auto it = settled.find(k);
+      Table* t = GetTable(k.first);
+      if (it == settled.end() || t == nullptr) continue;
+      SPITFIRE_ASSIGN_OR_RETURN(const timestamp_t head_ts,
+                                t->RecoveryHeadTs(k.second));
+      if (head_ts < it->second) replay_whole.insert(k);
+    }
+    for (const LogRecord& r : recs) {
+      if (!is_redo(r)) continue;
+      if (r.txn_id <= redo_horizon &&
+          replay_whole.count({r.table_id, r.key}) == 0) {
         ++recovery_stats_.redo_skipped;
         continue;
       }
       Table* t = GetTable(r.table_id);
       if (t == nullptr) continue;
-      const void* after =
-          r.type == LogRecordType::kDelete ? nullptr : r.after.data();
-      SPITFIRE_RETURN_NOT_OK(t->RecoveryApply(r.key, after, /*ts=*/r.txn_id));
+      SPITFIRE_RETURN_NOT_OK(t->RecoveryApply(r));
       ++recovery_stats_.redo_applied;
     }
   }

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "common/timer.h"
 
@@ -15,6 +17,24 @@ namespace {
 // for the duration of every access, so the bytes cannot move underneath.
 inline std::atomic_ref<uint64_t> AtomicField(uint64_t& f) {
   return std::atomic_ref<uint64_t>(f);
+}
+
+// The byte range [lo, hi) outside which `a` and `b` agree (lo == hi when
+// they are equal), found a word at a time from both ends.
+std::pair<size_t, size_t> ChangedRange(const std::byte* a, const std::byte* b,
+                                       size_t n) {
+  const auto word = [](const std::byte* p) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  };
+  size_t lo = 0;
+  while (lo + 8 <= n && word(a + lo) == word(b + lo)) lo += 8;
+  while (lo < n && a[lo] == b[lo]) ++lo;
+  size_t hi = n;
+  while (hi - lo >= 8 && word(a + hi - 8) == word(b + hi - 8)) hi -= 8;
+  while (hi > lo && a[hi - 1] == b[hi - 1]) --hi;
+  return {lo, hi};
 }
 }  // namespace
 
@@ -94,7 +114,7 @@ void Table::DeferFree(rid_t rid) {
 // ---------------------------------------------------------------------------
 
 Status Table::LogWrite(Transaction* txn, LogRecordType type, uint64_t key,
-                       const void* before, const void* after) {
+                       const std::byte* before, const std::byte* after) {
   if (lm_ == nullptr) return Status::OK();
   LogRecord rec;
   rec.type = type;
@@ -102,13 +122,19 @@ Status Table::LogWrite(Transaction* txn, LogRecordType type, uint64_t key,
   rec.prev_lsn = txn->last_lsn;
   rec.table_id = opts_.table_id;
   rec.key = key;
-  if (before != nullptr) {
-    const auto* b = static_cast<const std::byte*>(before);
-    rec.before.assign(b, b + opts_.tuple_size);
+  // An insert logs the whole new tuple and a delete the whole tuple it
+  // hides; an update only the bytes it changes.
+  size_t lo = 0;
+  size_t hi = opts_.tuple_size;
+  if (type == LogRecordType::kUpdate) {
+    std::tie(lo, hi) = ChangedRange(before, after, opts_.tuple_size);
   }
-  if (after != nullptr) {
-    const auto* a = static_cast<const std::byte*>(after);
-    rec.after.assign(a, a + opts_.tuple_size);
+  rec.offset = static_cast<uint32_t>(lo);
+  if (type != LogRecordType::kInsert) {
+    rec.before.assign(before + lo, before + hi);
+  }
+  if (type != LogRecordType::kDelete) {
+    rec.after.assign(after + lo, after + hi);
   }
   Result<lsn_t> lsn = lm_->Append(rec);
   SPITFIRE_RETURN_NOT_OK(lsn.status());
@@ -153,12 +179,13 @@ Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
     // in which case the insert proceeds as a successor version.
     return WriteInternal(txn, key, tuple, /*allow_tombstone_head=*/true);
   }
-  SPITFIRE_RETURN_NOT_OK(
-      LogWrite(txn, LogRecordType::kInsert, key, nullptr, tuple));
+  // Join the write set before the append, so an Abort after a failed
+  // append rolls the published version back.
   txn->write_set.push_back(Transaction::WriteOp{
       Transaction::WriteOp::Kind::kInsert, opts_.table_id, key, rid,
       kInvalidRid});
-  return Status::OK();
+  return LogWrite(txn, LogRecordType::kInsert, key, nullptr,
+                  static_cast<const std::byte*>(tuple));
 }
 
 Status Table::Read(Transaction* txn, uint64_t key, void* out) {
@@ -249,11 +276,14 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
   const uint64_t begin =
       AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire);
 
+  const LogRecordType type =
+      tuple != nullptr ? LogRecordType::kUpdate : LogRecordType::kDelete;
+  const auto* after = static_cast<const std::byte*>(tuple);
   if (writer == txn->id() && begin == kMaxTimestamp) {
     // Second write by the same transaction: mutate its own uncommitted
-    // version in place.
-    std::vector<std::byte> before(opts_.tuple_size);
-    std::memcpy(before.data(), ref.payload, opts_.tuple_size);
+    // version in place (already in the write set), logging it first while
+    // the payload still holds the before-image.
+    SPITFIRE_RETURN_NOT_OK(LogWrite(txn, type, key, ref.payload, after));
     if (tuple != nullptr) {
       std::memcpy(ref.payload, tuple, opts_.tuple_size);
       ref.hdr->flags &= ~kFlagTombstone;
@@ -261,10 +291,7 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
       ref.hdr->flags |= kFlagTombstone;
     }
     ref.guard.MarkDirty();
-    return LogWrite(txn,
-                    tuple != nullptr ? LogRecordType::kUpdate
-                                     : LogRecordType::kDelete,
-                    key, before.data(), tuple);
+    return Status::OK();
   }
   if (writer != 0) {
     return Status::Aborted("write-write conflict");
@@ -309,8 +336,6 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     return rid_r.status();
   }
   const rid_t new_rid = rid_r.value();
-  std::vector<std::byte> before(opts_.tuple_size);
-  std::memcpy(before.data(), ref.payload, opts_.tuple_size);
   {
     auto nref_r = PinSlot(new_rid, AccessIntent::kWrite);
     if (!nref_r.ok()) {
@@ -340,15 +365,14 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     DeferFree(new_rid);
     return ist;
   }
-  SPITFIRE_RETURN_NOT_OK(LogWrite(
-      txn,
-      tuple != nullptr ? LogRecordType::kUpdate : LogRecordType::kDelete, key,
-      before.data(), tuple));
+  // Join the write set before the append, so an Abort after a failed
+  // append rolls the published version back. The write lock keeps the old
+  // head's payload stable: it is the before-image.
   txn->write_set.push_back(Transaction::WriteOp{
       tuple != nullptr ? Transaction::WriteOp::Kind::kUpdate
                        : Transaction::WriteOp::Kind::kDelete,
       opts_.table_id, key, new_rid, head});
-  return Status::OK();
+  return LogWrite(txn, type, key, ref.payload, after);
 }
 
 Status Table::Scan(Transaction* txn, uint64_t lo, uint64_t hi,
@@ -643,14 +667,50 @@ Status Table::ValidateHeap(std::string* why) {
   return Status::OK();
 }
 
-Status Table::RecoveryApply(uint64_t key, const void* tuple, timestamp_t ts) {
+Result<timestamp_t> Table::RecoveryHeadTs(uint64_t key) {
   uint64_t head = 0;
   const Status st = index_->Lookup(key, &head);
+  if (st.IsNotFound()) return timestamp_t{0};
+  SPITFIRE_RETURN_NOT_OK(st);
+  SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(head, AccessIntent::kRead));
+  return timestamp_t{ref.hdr->begin_ts};
+}
+
+Status Table::RecoveryApply(const LogRecord& rec) {
+  const timestamp_t ts = rec.txn_id;
+  const bool tombstone = rec.type == LogRecordType::kDelete;
+  const size_t n = opts_.tuple_size;
+  if (!tombstone && rec.offset + rec.after.size() > n) {
+    return Status::Corruption("log record range exceeds the tuple");
+  }
+  std::vector<std::byte> payload(n);  // a new tombstone's payload is zeroed
+  uint64_t head = 0;
+  const Status st = index_->Lookup(rec.key, &head);
   if (st.ok()) {
-    SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(head, AccessIntent::kRead));
-    if (ref.hdr->begin_ts >= ts) return Status::OK();  // already applied
+    SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(head, AccessIntent::kWrite));
+    if (ref.hdr->begin_ts > ts) return Status::OK();  // already superseded
+    if (ref.hdr->begin_ts == ts) {
+      // The record's own transaction installed this version: patch it in
+      // place, as the live path did. Re-applying is idempotent.
+      if (tombstone) {
+        ref.hdr->flags |= kFlagTombstone;
+      } else {
+        std::copy(rec.after.begin(), rec.after.end(),
+                  ref.payload + rec.offset);
+        ref.hdr->flags &= ~kFlagTombstone;
+      }
+      ref.guard.MarkDirty();
+      return Status::OK();
+    }
+    if (!tombstone) std::memcpy(payload.data(), ref.payload, n);
   } else if (!st.IsNotFound()) {
     return st;
+  } else if (rec.type == LogRecordType::kUpdate && rec.after.size() < n) {
+    return Status::Corruption("update of a key with no base version");
+  }
+  if (!tombstone) {
+    std::copy(rec.after.begin(), rec.after.end(),
+              payload.begin() + rec.offset);
   }
   SPITFIRE_ASSIGN_OR_RETURN(const rid_t rid, AllocateSlot());
   {
@@ -660,17 +720,13 @@ Status Table::RecoveryApply(uint64_t key, const void* tuple, timestamp_t ts) {
     h.begin_ts = ts;
     h.read_ts = ts;
     h.prev = st.ok() ? head : kInvalidRid;
-    h.key = key;
-    h.flags = kFlagAllocated | (tuple == nullptr ? kFlagTombstone : 0);
+    h.key = rec.key;
+    h.flags = kFlagAllocated | (tombstone ? kFlagTombstone : 0);
     std::memcpy(ref.hdr, &h, sizeof(h));
-    if (tuple != nullptr) {
-      std::memcpy(ref.payload, tuple, opts_.tuple_size);
-    } else {
-      std::memset(ref.payload, 0, opts_.tuple_size);
-    }
+    std::memcpy(ref.payload, payload.data(), n);
     ref.guard.MarkDirty();
   }
-  return index_->Upsert(key, rid);
+  return index_->Upsert(rec.key, rid);
 }
 
 }  // namespace spitfire

@@ -100,10 +100,17 @@ class Table {
   // the slot free list. Reports the largest committed begin_ts seen so the
   // timestamp dispenser can be advanced past it.
   Status RebuildFromHeap(timestamp_t* max_ts = nullptr);
-  // Applies a logged write during redo if the heap does not already have a
-  // version at least as new as `ts` (idempotent logical redo). A null
-  // tuple re-applies a delete (tombstone).
-  Status RecoveryApply(uint64_t key, const void* tuple, timestamp_t ts);
+  // Redoes one committed INSERT, UPDATE or DELETE record (its timestamp is
+  // its transaction id) against the key's newest version. A newer version
+  // means the record is already reflected: skip it. A version of the
+  // record's own transaction is patched in place, as the live path did;
+  // re-applying is idempotent. Otherwise a new version is built from the
+  // newest version's bytes plus the record's range (a tombstone's payload
+  // is zeroed). An update that changes only part of the tuple needs that
+  // base version; without one it is Corruption.
+  Status RecoveryApply(const LogRecord& rec);
+  // begin_ts of the key's newest version, 0 if the key has none.
+  Result<timestamp_t> RecoveryHeadTs(uint64_t key);
   // Verifies heap/index invariants on a QUIESCENT table (no active
   // transactions): every allocated version is committed and unlocked,
   // version chains are well-formed (same key, newest-first, acyclic, no
@@ -147,8 +154,10 @@ class Table {
   // watermark, deferring slot reuse until in-flight readers finish.
   void TruncateChain(rid_t head);
 
+  // Appends the record of one write. `before` is the version it replaces
+  // (null for an insert), `after` the new tuple (null for a delete).
   Status LogWrite(Transaction* txn, LogRecordType type, uint64_t key,
-                  const void* before, const void* after);
+                  const std::byte* before, const std::byte* after);
 
   Options opts_;
   BufferManager* bm_;

@@ -18,8 +18,9 @@ namespace spitfire {
 // free): Begin claims a slot with one CAS and Finish releases it with one
 // store, so transaction start/finish is lock-free and stops being a
 // global serial point under the sharded buffer manager. MinActiveTs()
-// scans the array without locking; see Begin() for why the scan can never
-// overtake a transaction that is mid-Begin.
+// scans the array without locking, and only below a high-water mark one
+// past the highest slot ever claimed; see Begin() for why the scan can
+// never overtake a transaction that is mid-Begin.
 class TransactionManager {
  public:
   // Upper bound on concurrently active transactions. 4096 slots of 8
@@ -58,6 +59,12 @@ class TransactionManager {
 
  private:
   std::atomic<timestamp_t> next_ts_{1};
+
+  // One past the highest slot ever claimed; never lowers. Each thread
+  // reuses the slot it last held, so the mark stays near the peak number
+  // of concurrently open transactions and the scan reads a few lines, not
+  // all kMaxActiveTxns slots.
+  std::atomic<uint32_t> high_water_{0};
 
   // One cacheline per slot would burn 256 KB; timestamps are claimed
   // rarely (once per txn) relative to MinActiveTs scans, and the scan

@@ -63,10 +63,12 @@ class LogManager {
   Result<std::vector<LogRecord>> ReadAll();
 
   // Durable redo horizon: every committed version with begin_ts <= the
-  // horizon is durable in the heap (flushed by a complete checkpoint), so
-  // recovery may skip re-applying records with txn_id <= horizon. Stored
-  // in the log file header; advanced by Database::Checkpoint after a
-  // clean full flush and reset to 0 when recovery quarantines a page.
+  // horizon was durable in the heap (flushed by a complete checkpoint), so
+  // recovery may skip re-applying records with txn_id <= horizon — except
+  // for a key whose version GC has freed since (Database::RunRecovery
+  // replays such a key whole). Stored in the log file header; advanced by
+  // Database::Checkpoint after a clean full flush and reset to 0 when
+  // recovery quarantines a page.
   Status SetDurableHorizon(timestamp_t ts);
   timestamp_t durable_horizon() const { return horizon_ts_; }
 

@@ -14,9 +14,9 @@ struct RecordPrefix {
   lsn_t prev_lsn;
   uint32_t table_id;
   uint32_t before_len;
-  page_id_t page_id;
-  uint64_t key;
+  uint32_t offset;
   uint32_t after_len;
+  uint64_t key;
   uint32_t total_len;  // prefix + payloads; enables forward scans
 };
 constexpr uint32_t kRecordMagic = 0x57414C52;  // "WALR"
@@ -33,7 +33,7 @@ void LogRecord::SerializeTo(std::byte* dst) const {
   p.txn_id = txn_id;
   p.prev_lsn = prev_lsn;
   p.table_id = table_id;
-  p.page_id = page_id;
+  p.offset = offset;
   p.key = key;
   p.before_len = static_cast<uint32_t>(before.size());
   p.after_len = static_cast<uint32_t>(after.size());
@@ -75,7 +75,7 @@ Result<LogRecord> LogRecord::Deserialize(const std::byte* src, size_t len,
   r.txn_id = p.txn_id;
   r.prev_lsn = p.prev_lsn;
   r.table_id = p.table_id;
-  r.page_id = p.page_id;
+  r.offset = p.offset;
   r.key = p.key;
   const std::byte* cur = src + sizeof(p);
   r.before.assign(cur, cur + p.before_len);
@@ -90,11 +90,12 @@ std::string LogRecord::ToString() const {
                          "INSERT",  "UPDATE", "CHECKPOINT", "DELETE"};
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "%s txn=%llu key=%llu table=%u before=%zuB after=%zuB",
+                "%s txn=%llu key=%llu table=%u offset=%u before=%zuB "
+                "after=%zuB",
                 names[static_cast<int>(type)],
                 static_cast<unsigned long long>(txn_id),
-                static_cast<unsigned long long>(key), table_id, before.size(),
-                after.size());
+                static_cast<unsigned long long>(key), table_id, offset,
+                before.size(), after.size());
   return buf;
 }
 

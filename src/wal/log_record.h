@@ -12,7 +12,7 @@
 namespace spitfire {
 
 // Log record types. UPDATE carries before and after images (Section 5.2:
-// "(4) before and after images").
+// "(4) before and after images") of the bytes it changed.
 enum class LogRecordType : uint8_t {
   kInvalid = 0,
   kBegin = 1,
@@ -25,16 +25,19 @@ enum class LogRecordType : uint8_t {
 };
 
 // A logical write-ahead log record:
-//   (1) transaction id and page id, (2) record type, (3) LSN of the
-//   previous record of the same transaction, (4) before/after images.
+//   (1) transaction id, (2) record type, (3) LSN of the previous record of
+//   the same transaction, (4) before/after images.
 // The key identifies the tuple within its table, so recovery can replay
-// operations logically after the index is rebuilt.
+// operations logically after the index is rebuilt. The images cover the
+// tuple bytes [offset, offset + size): an INSERT's after-image and a
+// DELETE's before-image are the whole tuple, an UPDATE's images the one
+// byte range it changed (possibly empty).
 struct LogRecord {
   LogRecordType type = LogRecordType::kInvalid;
   txn_id_t txn_id = kInvalidTxnId;
   lsn_t prev_lsn = kInvalidLsn;
   uint32_t table_id = 0;
-  page_id_t page_id = kInvalidPageId;
+  uint32_t offset = 0;
   uint64_t key = 0;
   std::vector<std::byte> before;
   std::vector<std::byte> after;

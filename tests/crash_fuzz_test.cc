@@ -228,13 +228,29 @@ void RunYcsbWorkload(Database* db, Table* t, std::mt19937_64& rng,
           w.plan.push_back({k, next_val++});
         }
       }
+      // About one plan in three writes its first key a second time:
+      // update after update or insert, delete after either, re-insert
+      // after delete.
+      if (rng() % 3 == 0) {
+        const bool present = w.plan.front().val.has_value();
+        if (present && rng() % 8 == 0) {
+          w.plan.push_back({keys.front(), std::nullopt});
+        } else {
+          w.plan.push_back({keys.front(), next_val++});
+        }
+      }
       continue;
     }
 
     if (w.next_op < w.plan.size()) {
       const YcsbWrite& op = w.plan[w.next_op];
-      const bool present = ledger->committed.count(op.key) != 0 &&
-                           ledger->committed[op.key].has_value();
+      // Whether the key holds a row as this transaction sees it: after its
+      // own earlier write of the key, else as committed.
+      bool present = ledger->committed.count(op.key) != 0 &&
+                     ledger->committed[op.key].has_value();
+      for (size_t i = 0; i < w.next_op; ++i) {
+        if (w.plan[i].key == op.key) present = w.plan[i].val.has_value();
+      }
       Status st;
       if (!op.val.has_value()) {
         st = t->Delete(w.txn.get(), op.key);
@@ -268,7 +284,18 @@ void RunYcsbWorkload(Database* db, Table* t, std::mt19937_64& rng,
       // Commit attempted but errored: the commit record may or may not be
       // durable. Either full effect or none is acceptable; the worker's
       // in-doubt transaction is its last (nothing overwrites it later).
-      ledger->indeterminate[step % kYcsbWorkers] = w.plan;
+      // Only its last write of each key is a possible outcome.
+      std::vector<YcsbWrite>& doubt =
+          ledger->indeterminate[step % kYcsbWorkers];
+      doubt.clear();
+      for (auto it = w.plan.rbegin(); it != w.plan.rend(); ++it) {
+        const auto same_key = [&](const YcsbWrite& o) {
+          return o.key == it->key;
+        };
+        if (std::none_of(doubt.begin(), doubt.end(), same_key)) {
+          doubt.push_back(*it);
+        }
+      }
       w.stopped = true;
     }
     w.txn.reset();

@@ -2,8 +2,11 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstring>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "db/database.h"
 #include "storage/perf_model.h"
@@ -497,6 +500,63 @@ TEST_F(DatabaseTest, CommitThatCannotBeLoggedRollsBack) {
   }
   EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
   EXPECT_EQ(db->txn_manager()->active_count(), 0u);
+
+  // The refused update's version joined the write set before its append
+  // failed, so the abort rolled it back: nothing uncommitted survives and
+  // the key still reads its last acknowledged value.
+  EXPECT_TRUE(db->CheckIntegrity(&why).ok()) << why;
+  auto later = db->Begin();
+  ASSERT_TRUE(t->Read(later.get(), key, out.data()).ok());
+  EXPECT_EQ(value_of(out), acked[key]);
+  ASSERT_TRUE(db->Commit(later.get()).ok());
+}
+
+TEST_F(DatabaseTest, UpdateLogsOnlyTheBytesItChanges) {
+  auto db = Database::Create(SmallOptions()).MoveValue();
+  Table* t = db->CreateTable(1, sizeof(Row)).value();
+  Row row = MakeRow(5);
+  row.b = 0x0101010101010101ull;
+  const auto write = [&](const std::function<Status(Transaction*)>& op) {
+    auto txn = db->Begin();
+    ASSERT_TRUE(op(txn.get()).ok());
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  };
+  write([&](Transaction* txn) { return t->Insert(txn, 5, &row); });
+  Row changed = row;
+  changed.b = 0x0202020202020202ull;
+  write([&](Transaction* txn) { return t->Update(txn, 5, &changed); });
+  write([&](Transaction* txn) { return t->Update(txn, 5, &changed); });
+  write([&](Transaction* txn) { return t->Delete(txn, 5); });
+
+  auto recs = db->log_manager()->ReadAll();
+  ASSERT_TRUE(recs.ok()) << recs.status().ToString();
+  std::vector<LogRecord> writes;
+  for (LogRecord& r : recs.value()) {
+    if (r.table_id == 1 && r.key == 5) writes.push_back(std::move(r));
+  }
+  ASSERT_EQ(writes.size(), 4u);
+  // The insert logs the whole tuple.
+  EXPECT_EQ(writes[0].type, LogRecordType::kInsert);
+  EXPECT_EQ(writes[0].offset, 0u);
+  EXPECT_TRUE(writes[0].before.empty());
+  EXPECT_EQ(writes[0].after.size(), sizeof(Row));
+  // The update logs the eight bytes of `b`, before and after.
+  EXPECT_EQ(writes[1].type, LogRecordType::kUpdate);
+  EXPECT_EQ(writes[1].offset, offsetof(Row, b));
+  ASSERT_EQ(writes[1].before.size(), sizeof(uint64_t));
+  ASSERT_EQ(writes[1].after.size(), sizeof(uint64_t));
+  EXPECT_EQ(std::memcmp(writes[1].before.data(), &row.b, 8), 0);
+  EXPECT_EQ(std::memcmp(writes[1].after.data(), &changed.b, 8), 0);
+  // An update that changes nothing is still logged, with empty images.
+  EXPECT_EQ(writes[2].type, LogRecordType::kUpdate);
+  EXPECT_TRUE(writes[2].before.empty());
+  EXPECT_TRUE(writes[2].after.empty());
+  // The delete logs the whole tuple it hides.
+  EXPECT_EQ(writes[3].type, LogRecordType::kDelete);
+  EXPECT_EQ(writes[3].offset, 0u);
+  ASSERT_EQ(writes[3].before.size(), sizeof(Row));
+  EXPECT_EQ(std::memcmp(writes[3].before.data(), &changed, sizeof(Row)), 0);
+  EXPECT_TRUE(writes[3].after.empty());
 }
 
 }  // namespace

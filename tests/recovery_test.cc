@@ -3,6 +3,8 @@
 // crash point, workload-driven crash consistency, and restart counters.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "db/database.h"
 #include "storage/perf_model.h"
 #include "workload/ycsb.h"
@@ -318,6 +320,116 @@ TEST_F(RecoveryTest, TimestampsAdvancePastRecoveredState) {
   Cell c{};
   ASSERT_TRUE(db->GetTable(1)->Read(txn.get(), 1, &c).ok());
   ASSERT_TRUE(db->Commit(txn.get()).ok());
+}
+
+// A transaction that writes one key several times logs a record per
+// write, and an update record holds only the bytes it changed. Redo must
+// replay every record — whether it rebuilds the versions from the log
+// alone or finds them already in the heap.
+TEST_F(RecoveryTest, LaterWritesOfATransactionSurviveRedo) {
+  for (const bool flush_before_crash : {false, true}) {
+    SCOPED_TRACE(flush_before_crash ? "heap flushed" : "heap lost");
+    auto db = Database::Create(opts_).MoveValue();
+    Table* t = db->CreateTable(1, sizeof(Cell)).value();
+    {
+      auto txn = db->Begin();
+      const Cell one{1, 0};
+      const Cell three{30, 0};
+      ASSERT_TRUE(t->Insert(txn.get(), 1, &one).ok());
+      ASSERT_TRUE(t->Insert(txn.get(), 3, &three).ok());
+      ASSERT_TRUE(db->Commit(txn.get()).ok());
+    }
+    {
+      auto txn = db->Begin();
+      const Cell u1{2, 1};
+      const Cell u2{3, 2};
+      ASSERT_TRUE(t->Update(txn.get(), 1, &u1).ok());  // update -> update
+      ASSERT_TRUE(t->Update(txn.get(), 1, &u2).ok());
+      const Cell i1{20, 1};
+      const Cell i2{21, 2};
+      ASSERT_TRUE(t->Insert(txn.get(), 2, &i1).ok());  // insert -> update
+      ASSERT_TRUE(t->Update(txn.get(), 2, &i2).ok());
+      const Cell again{31, 5};
+      ASSERT_TRUE(t->Delete(txn.get(), 3).ok());  // delete -> re-insert
+      ASSERT_TRUE(t->Insert(txn.get(), 3, &again).ok());
+      ASSERT_TRUE(db->Commit(txn.get()).ok());
+    }
+    if (flush_before_crash) {
+      // The heap gets the versions but the redo horizon stays put, so
+      // redo re-applies every record over versions that already hold it.
+      ASSERT_TRUE(db->buffer_manager()->FlushAll(/*include_nvm=*/true).ok());
+    }
+    DatabaseEnv env = Database::Crash(std::move(db));
+    auto db_r = Database::Recover(opts_, std::move(env));
+    ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
+    db = db_r.MoveValue();
+    t = db->GetTable(1);
+    auto txn = db->Begin();
+    Cell c{};
+    ASSERT_TRUE(t->Read(txn.get(), 1, &c).ok());
+    EXPECT_EQ(c.v, 3u);
+    EXPECT_EQ(c.gen, 2u);
+    ASSERT_TRUE(t->Read(txn.get(), 2, &c).ok());
+    EXPECT_EQ(c.v, 21u);
+    EXPECT_EQ(c.gen, 2u);
+    ASSERT_TRUE(t->Read(txn.get(), 3, &c).ok());
+    EXPECT_EQ(c.v, 31u);
+    EXPECT_EQ(c.gen, 5u);
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+    std::string why;
+    EXPECT_TRUE(db->CheckIntegrity(&why).ok()) << why;
+  }
+}
+
+// Redo skips records at or below the checkpoint horizon because the heap
+// holds their versions. But GC frees a key's checkpointed version as soon
+// as a newer one commits; if the freeing reaches the SSD and the newer
+// version does not, the key's update record has no base in the heap.
+// Recovery replays such a key from its first record.
+TEST_F(RecoveryTest, KeyWhoseCheckpointedVersionWasCollectedIsReplayed) {
+  DatabaseOptions opts = opts_;
+  opts.nvm_frames = 0;  // a page is durable only once written to the SSD
+  auto db = Database::Create(opts).MoveValue();
+  Table* t = db->CreateTable(1, sizeof(Cell)).value();
+  // Two full heap pages, so key 0's next version lands on a third page.
+  const uint64_t keys = 2 * t->slots_per_page();
+  {
+    auto txn = db->Begin();
+    for (uint64_t k = 0; k < keys; ++k) {
+      const Cell c{k, 0};
+      ASSERT_TRUE(t->Insert(txn.get(), k, &c).ok());
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  uint64_t first = 0;
+  ASSERT_TRUE(t->index()->Lookup(0, &first).ok());
+  {
+    auto txn = db->Begin();
+    const Cell c{0, 1};
+    ASSERT_TRUE(t->Update(txn.get(), 0, &c).ok());
+    ASSERT_TRUE(db->Commit(txn.get()).ok());  // frees the first version
+  }
+  uint64_t second = 0;
+  ASSERT_TRUE(t->index()->Lookup(0, &second).ok());
+  ASSERT_NE(RidPage(first), RidPage(second));
+  ASSERT_TRUE(db->buffer_manager()->FlushPage(RidPage(first)).ok());
+
+  DatabaseEnv env = Database::Crash(std::move(db));
+  auto db_r = Database::Recover(opts, std::move(env));
+  ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
+  db = db_r.MoveValue();
+  t = db->GetTable(1);
+  auto txn = db->Begin();
+  for (uint64_t k = 0; k < keys; ++k) {
+    Cell c{};
+    ASSERT_TRUE(t->Read(txn.get(), k, &c).ok()) << k;
+    EXPECT_EQ(c.v, k);
+    EXPECT_EQ(c.gen, k == 0 ? 1u : 0u) << k;
+  }
+  ASSERT_TRUE(db->Commit(txn.get()).ok());
+  std::string why;
+  EXPECT_TRUE(db->CheckIntegrity(&why).ok()) << why;
 }
 
 }  // namespace

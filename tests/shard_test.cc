@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -329,6 +332,55 @@ TEST_F(ShardTest, MvtoSlotRegistryConcurrentBeginFinish) {
             static_cast<timestamp_t>(kThreads) * kTxnsPerThread);
   // With nothing active the watermark is the dispenser frontier.
   EXPECT_EQ(tm.MinActiveTs(), tm.LastAssignedTs() + 1);
+}
+
+// Other threads' open transactions bound the watermark too, not only the
+// caller's. Each worker keeps a ring of open transactions (so its slots
+// climb past the ones other workers hold) and publishes its oldest open
+// timestamp; a published value that is unchanged across a MinActiveTs
+// call belongs to a transaction that was open for all of it.
+TEST_F(ShardTest, MvtoWatermarkBoundsOtherThreadsOpenTransactions) {
+  TransactionManager tm;
+  constexpr int kThreads = 4;
+  constexpr size_t kRing = 16;
+  constexpr int kTxnsPerThread = 20'000;
+  std::array<std::atomic<timestamp_t>, kThreads> oldest{};
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      std::deque<std::unique_ptr<Transaction>> ring;
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        if (ring.size() == kRing) {
+          oldest[w].store(ring[1]->ts());  // unpublish before finishing
+          tm.Finish(ring.front().get());
+          ring.pop_front();
+        }
+        ring.push_back(tm.Begin());
+        if (ring.size() == 1) oldest[w].store(ring.front()->ts());
+      }
+      oldest[w].store(0);
+      for (auto& txn : ring) tm.Finish(txn.get());
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t checks = 0;
+  uint64_t violations = 0;
+  while (running.load() > 0) {
+    std::array<timestamp_t, kThreads> before;
+    for (int w = 0; w < kThreads; ++w) before[w] = oldest[w].load();
+    const timestamp_t min = tm.MinActiveTs();
+    for (int w = 0; w < kThreads; ++w) {
+      if (before[w] != 0 && oldest[w].load() == before[w] && min > before[w]) {
+        ++violations;
+      }
+    }
+    ++checks;
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(violations, 0u) << "of " << checks << " checks";
+  EXPECT_EQ(tm.active_count(), 0u);
 }
 
 TEST_F(ShardTest, MvtoFinishIsIdempotentAndSlotsRecycle) {

@@ -22,6 +22,7 @@ class WalTest : public ::testing::Test {
     r.txn_id = txn;
     r.table_id = 3;
     r.key = key;
+    r.offset = 40;
     r.before.assign(16, std::byte{static_cast<unsigned char>(fill)});
     r.after.assign(16, std::byte{static_cast<unsigned char>(fill + 1)});
     return r;
@@ -39,6 +40,7 @@ TEST_F(WalTest, RecordRoundTrip) {
   EXPECT_EQ(consumed, buf.size());
   EXPECT_EQ(d.value().txn_id, 7u);
   EXPECT_EQ(d.value().key, 99u);
+  EXPECT_EQ(d.value().offset, 40u);
   EXPECT_EQ(d.value().before, r.before);
   EXPECT_EQ(d.value().after, r.after);
 }
