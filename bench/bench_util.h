@@ -193,7 +193,6 @@ struct HierarchySpec {
   ReplacerKind dram_replacer = ReplacerKind::kClock;
   ReplacerKind nvm_replacer = ReplacerKind::kClock;
   uint32_t replacer_sample_rate = 8;
-  bool background_writer = false;
   // Memory mode (Figure 5): the "DRAM" buffer is NVM fronted by a
   // direct-mapped DRAM cache of dram_cache_mb.
   bool memory_mode = false;
@@ -219,7 +218,6 @@ inline Hierarchy MakeHierarchy(const HierarchySpec& spec) {
   opt.dram_replacer = spec.dram_replacer;
   opt.nvm_replacer = spec.nvm_replacer;
   opt.replacer_sample_rate = spec.replacer_sample_rate;
-  opt.enable_background_writer = spec.background_writer;
   opt.num_shards = spec.num_shards;
   opt.ssd = h.ssd.get();
   if (spec.memory_mode) {

@@ -41,8 +41,8 @@ size_t SliceBase(size_t total, size_t i, size_t n) {
   return i * (total / n) + std::min(i, total % n);
 }
 
-// Splits an explicitly configured capacity (admission queue, mini hosts,
-// writer watermark) across shards without rounding any shard to zero;
+// Splits an explicitly configured capacity (admission queue, mini hosts)
+// across shards without rounding any shard to zero;
 // zero stays zero so each shard applies its own "default from my frame
 // count" rule.
 size_t SplitExplicit(size_t total, size_t i, size_t n) {
@@ -91,8 +91,6 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
     so.admission_queue_capacity =
         SplitExplicit(options_.admission_queue_capacity, i, n);
     so.mini_host_frames = SplitExplicit(options_.mini_host_frames, i, n);
-    so.bg_writer_low_watermark =
-        SplitExplicit(options_.bg_writer_low_watermark, i, n);
 
     BufferShardContext ctx;
     ctx.shard_index = static_cast<uint32_t>(i);
@@ -114,10 +112,10 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
 }
 
 BufferManager::~BufferManager() {
-  // Quiesce every shard first (stop writers, flip shutting_down_ so
-  // completions fired during the drain fail their tickets), then shut the
-  // shared scheduler down once; shards are destroyed after the workers
-  // that could touch their pools have been joined.
+  // Quiesce every shard first (flip shutting_down_ so completions fired
+  // during the drain fail their tickets), then shut the shared scheduler
+  // down once; shards are destroyed after the workers that could touch
+  // their pools have been joined.
   for (auto& s : shards_) s->PrepareShutdown();
   io_->Shutdown();
 }

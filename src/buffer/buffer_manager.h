@@ -36,11 +36,11 @@ class BufferStatsAggregate {
 
 // The Spitfire three-tier buffer manager: N self-contained BufferShards
 // routed by page-id hash (ShardOfPage), LeanStore-style. Each shard owns
-// its page table, its DRAM/NVM pools (frames, free list, replacer), its
-// miss-admission counter, and its background writer, so the only state
-// every core still shares is genuinely global: the SSD I/O scheduler
-// (device queues are a physical resource), the page-id allocator, and —
-// outside this class — the WAL and MVTO timestamps.
+// its page table, its DRAM/NVM pools (frames, free list, replacer), and
+// its miss-admission counter, so the only state every core still shares
+// is genuinely global: the SSD I/O scheduler (device queues are a
+// physical resource), the page-id allocator, and — outside this class —
+// the WAL and MVTO timestamps.
 //
 // The facade carves each tier device into per-shard frame-region slices
 // whose on-device layout (data region, NVM persistent frame table) is
@@ -117,10 +117,6 @@ class BufferManager {
   // Merged per-shard counters; Snapshot() sums across shards.
   BufferStatsAggregate& stats() { return stats_; }
 
-  // Shard 0's writer (each shard runs its own); diagnostic accessor.
-  BackgroundWriter* background_writer() {
-    return shards_[0]->background_writer();
-  }
   IoScheduler* io_scheduler() { return io_.get(); }
 
   // Engine-wide miss admission: sums of the per-shard in-flight counters

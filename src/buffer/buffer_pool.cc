@@ -51,7 +51,6 @@ BufferPool::BufferPool(const BufferPoolConfig& config)
     in_free_list_[f].store(true, std::memory_order_relaxed);
     SPITFIRE_CHECK(free_list_.TryPush(static_cast<frame_id_t>(f)));
   }
-  free_count_.store(num_frames_, std::memory_order_relaxed);
 }
 
 void BufferPool::SetOwner(frame_id_t f, SharedPageDescriptor* desc,

@@ -65,7 +65,6 @@ class BufferPool {
     if (!free_list_.TryPop(f)) return false;
     const bool was_free = in_free_list_[*f].exchange(false);
     SPITFIRE_CHECK(was_free);
-    free_count_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
   void FreeFrame(frame_id_t f) {
@@ -77,13 +76,6 @@ class BufferPool {
     while (!free_list_.TryPush(f)) {
       __builtin_ia32_pause();
     }
-    free_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Approximate number of free frames; the background writer compares it
-  // against its low watermark.
-  size_t FreeCount() const {
-    return free_count_.load(std::memory_order_relaxed);
   }
 
   // Registers/clears the descriptor owning a frame. For NVM pools this
@@ -152,7 +144,6 @@ class BufferPool {
   uint64_t frames_base_ = 0;
 
   MpmcQueue<frame_id_t> free_list_;
-  std::atomic<size_t> free_count_{0};
   std::unique_ptr<Replacer> replacer_;
   // Non-null iff replacer_ is a ClockReplacer (set once at construction);
   // enables the devirtualized fast path above.

@@ -38,12 +38,14 @@ constexpr uint64_t kBackoffSpinCapNanos = 8'192;
 
 Status PageGuard::ReadAt(size_t offset, size_t size, void* dst) {
   SPITFIRE_DCHECK(valid());
-  return bm_->GuardRead(desc_, tier_, offset, size, dst);
+  return bm_->GuardAccess</*kWrite=*/false>(desc_, tier_, offset, size,
+                                            static_cast<std::byte*>(dst));
 }
 
 Status PageGuard::WriteAt(size_t offset, size_t size, const void* src) {
   SPITFIRE_DCHECK(valid());
-  return bm_->GuardWrite(desc_, tier_, offset, size, src);
+  return bm_->GuardAccess</*kWrite=*/true>(
+      desc_, tier_, offset, size, static_cast<const std::byte*>(src));
 }
 
 std::byte* PageGuard::RawData(bool for_write) {
@@ -154,31 +156,15 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
         8, 2 * device_slots / std::max<uint32_t>(1, num_shards_));
     miss_admission_cap_ = std::min(frame_cap, qd_cap);
   }
-
-  if (options_.enable_background_writer) {
-    size_t wm = options_.bg_writer_low_watermark;
-    if (wm == 0) {
-      size_t smallest = SIZE_MAX;
-      if (dram_pool_ != nullptr) smallest = dram_pool_->num_frames();
-      if (nvm_pool_ != nullptr) {
-        smallest = std::min(smallest, nvm_pool_->num_frames());
-      }
-      wm = std::max<size_t>(1, smallest / 8);
-    }
-    bg_writer_ = std::make_unique<BackgroundWriter>(
-        this, wm, options_.bg_writer_interval_us);
-  }
 }
 
 void BufferShard::PrepareShutdown() {
-  // Stop the writer before the pools it sweeps are torn down. The flag
-  // makes completions fired during the subsequent I/O-scheduler drain fail
-  // their tickets with Busy instead of installing pages and handing out
-  // guards that would outlive the descriptors they pin. The scheduler
-  // itself is shared across shards and shut down by the owning
+  // The flag makes completions fired during the subsequent I/O-scheduler
+  // drain fail their tickets with Busy instead of installing pages and
+  // handing out guards that would outlive the descriptors they pin. The
+  // scheduler itself is shared across shards and shut down by the owning
   // BufferManager after every shard has run this.
   shutting_down_.store(true, std::memory_order_release);
-  if (bg_writer_ != nullptr) bg_writer_->Stop();
 }
 
 BufferShard::~BufferShard() { PrepareShutdown(); }
@@ -527,7 +513,7 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
         // re-dispatch below is served from the scheduler's staged image.
         st = Status::Busy("page written during miss read");
       } else {
-        Result<PageGuard> r = InstallPinned(d, AccessIntent::kRead, data);
+        Result<PageGuard> r = InstallPinned(d, data);
         if (r.ok()) {
           first = r.MoveValue();
           tier = first.tier();
@@ -623,107 +609,46 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
   if (d == nullptr) return Status::OutOfMemory("SSD device full");
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
-  if (dram_pool_ != nullptr) {
-    const frame_id_t f = AcquireDramFrame();
-    if (f != kInvalidFrameId) {
-      PageView(dram_pool_->FramePtr(f)).Format(pid, page_type);
-      dram_pool_->SetOwner(f, d, pid);
-      d->dram.frame.store(f, std::memory_order_relaxed);
-      d->dram.dirty.store(true, std::memory_order_relaxed);
-      d->dram.Publish(DramMode::kFull, /*initial_pins=*/1);
-      dram_pool_->ReplacerRecordInstall(f);
-      return PageGuard(this, d, Tier::kDram);
-    }
-  }
-  if (nvm_pool_ != nullptr) {
-    const frame_id_t f = AcquireNvmFrame();
-    if (f != kInvalidFrameId) {
-      PageView(nvm_pool_->FramePtr(f)).Format(pid, page_type);
+  for (const Tier tier : {Tier::kDram, Tier::kNvm}) {
+    if (pool(tier) == nullptr) continue;
+    const frame_id_t f = AcquireFrame(tier);
+    if (f == kInvalidFrameId) continue;
+    PageView(pool(tier)->FramePtr(f)).Format(pid, page_type);
+    if (tier == Tier::kNvm) {
       nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
                           /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-      nvm_pool_->ReplacerRecordInstall(f);
-      return PageGuard(this, d, Tier::kNvm);
     }
+    PublishFrame(tier, d, f, DramMode::kFull, /*dirty=*/true, /*pins=*/1);
+    return PageGuard(this, d, tier);
   }
   return Status::OutOfMemory("no frame available for new page");
 }
 
 Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
-                                               AccessIntent intent,
-                                               const std::byte* src) {
-  (void)intent;  // the landing tier depends only on Nr today
-  const MigrationPolicy pol = policy();
-  const bool have_dram = dram_pool_ != nullptr;
-  const bool have_nvm = nvm_pool_ != nullptr;
-
+                                             const std::byte* src) {
   // Where does the page land? Bypassing NVM on the read path happens with
   // probability 1 - Nr (Section 3.3); without a DRAM tier everything goes
-  // to NVM and vice versa.
-  bool to_nvm;
-  if (!have_dram) {
-    to_nvm = true;
-  } else if (!have_nvm) {
-    to_nvm = false;
-  } else {
-    to_nvm = pol.InstallSsdToNvmOnRead();
-  }
-
-  if (to_nvm) {
-    const frame_id_t f = AcquireNvmFrame();
-    if (f == kInvalidFrameId) {
-      if (!have_dram) return Status::Busy("NVM pool exhausted; retry");
-      to_nvm = false;  // fall back to DRAM
-    } else {
-      std::memcpy(nvm_pool_->FramePtr(f), src, kPageSize);
-      nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
-                          /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, d->pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(false, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-      nvm_pool_->ReplacerRecordInstall(f);
-      stats_.Add(BufferCounter::kSsdFetches);
-      stats_.Add(BufferCounter::kNvmInstalls);
-      return PageGuard(this, d, Tier::kNvm);
-    }
-  }
-
-  frame_id_t f = AcquireDramFrame();
-  if (f == kInvalidFrameId) {
-    // Transient exhaustion (every frame pinned or latched). If NVM has
-    // room, land the page there instead; otherwise let the caller retry.
-    if (have_nvm) {
-      const frame_id_t nf = AcquireNvmFrame();
-      if (nf != kInvalidFrameId) {
-        std::memcpy(nvm_pool_->FramePtr(nf), src, kPageSize);
-        nvm_->OnDirectWrite(nvm_pool_->FrameOffset(nf), kPageSize,
-                            /*sequential=*/true);
-        nvm_pool_->SetOwner(nf, d, d->pid);
-        d->nvm.frame.store(nf, std::memory_order_relaxed);
-        d->nvm.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-        nvm_pool_->ReplacerRecordInstall(nf);
-        stats_.Add(BufferCounter::kSsdFetches);
-        stats_.Add(BufferCounter::kNvmInstalls);
-        return PageGuard(this, d, Tier::kNvm);
-      }
-    }
-    return Status::Busy("DRAM pool exhausted; retry");
-  }
-  std::memcpy(dram_pool_->FramePtr(f), src, kPageSize);
-  dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
+  // to NVM and vice versa. If the chosen tier has no frame (transient
+  // exhaustion: every frame pinned or latched), the page lands on the
+  // other tier; if neither has one, the caller retries.
+  const bool to_nvm =
+      dram_pool_ == nullptr ||
+      (nvm_pool_ != nullptr && policy().InstallSsdToNvmOnRead());
+  const Tier first = to_nvm ? Tier::kNvm : Tier::kDram;
+  for (const Tier tier : {first, to_nvm ? Tier::kDram : Tier::kNvm}) {
+    BufferPool* p = pool(tier);
+    if (p == nullptr) continue;
+    const frame_id_t f = AcquireFrame(tier);
+    if (f == kInvalidFrameId) continue;
+    std::memcpy(p->FramePtr(f), src, kPageSize);
+    p->device()->OnDirectWrite(p->FrameOffset(f), kPageSize,
                                /*sequential=*/true);
-  dram_pool_->SetOwner(f, d, d->pid);
-  d->dram.frame.store(f, std::memory_order_relaxed);
-  d->dram.dirty.store(false, std::memory_order_relaxed);
-  d->dram.Publish(DramMode::kFull, /*initial_pins=*/1);
-  dram_pool_->ReplacerRecordInstall(f);
-  stats_.Add(BufferCounter::kSsdFetches);
-  return PageGuard(this, d, Tier::kDram);
+    PublishFrame(tier, d, f, DramMode::kFull, /*dirty=*/false, /*pins=*/1);
+    stats_.Add(BufferCounter::kSsdFetches);
+    if (tier == Tier::kNvm) stats_.Add(BufferCounter::kNvmInstalls);
+    return PageGuard(this, d, tier);
+  }
+  return Status::Busy("buffer pools exhausted; retry");
 }
 
 // ---------------------------------------------------------------------------
@@ -887,7 +812,7 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
   if (shutting_down_.load(std::memory_order_acquire)) return;
   SharedPageDescriptor* d = table_.GetOrCreate(pid);
   // Never contend with foreground work: TryLock only on the target, and at
-  // most one (try-lock-based) eviction round per pool when no frame is
+  // most one one-round (try-lock-based) eviction sweep when no frame is
   // free — without it read-ahead would go dead the moment the pool warms
   // up, which is exactly when a scan needs it.
   if (!d->dram_latch.TryLock()) return;
@@ -899,40 +824,17 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
     if (d->DramResident() || d->NvmResident()) return;
     if (io_->WriteSeq(SsdOffset(pid)) != seq) return;
 
-    const MigrationPolicy pol = policy();
-    const bool have_dram = dram_pool_ != nullptr;
-    const bool have_nvm = nvm_pool_ != nullptr;
-    const bool to_nvm = have_nvm && (!have_dram || pol.InstallSsdToNvmOnRead());
-    if (to_nvm) {
-      frame_id_t f;
-      if (!nvm_pool_->TryAllocateFrame(&f)) {
-        (void)EvictOneNvmFrame();
-        if (!nvm_pool_->TryAllocateFrame(&f)) return;
-      }
-      std::memcpy(nvm_pool_->FramePtr(f), src, kPageSize);
-      nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
-                          /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(false, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/0);
-      nvm_pool_->ReplacerRecordInstall(f);
-    } else {
-      if (dram_pool_ == nullptr) return;
-      frame_id_t f;
-      if (!dram_pool_->TryAllocateFrame(&f)) {
-        (void)EvictOneDramFrame();
-        if (!dram_pool_->TryAllocateFrame(&f)) return;
-      }
-      std::memcpy(dram_pool_->FramePtr(f), src, kPageSize);
-      dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
-                                   /*sequential=*/true);
-      dram_pool_->SetOwner(f, d, pid);
-      d->dram.frame.store(f, std::memory_order_relaxed);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-      d->dram.Publish(DramMode::kFull, /*initial_pins=*/0);
-      dram_pool_->ReplacerRecordInstall(f);
-    }
+    const bool to_nvm =
+        dram_pool_ == nullptr ||
+        (nvm_pool_ != nullptr && policy().InstallSsdToNvmOnRead());
+    const Tier tier = to_nvm ? Tier::kNvm : Tier::kDram;
+    BufferPool* p = pool(tier);
+    const frame_id_t f = AcquireFrame(tier, /*sweeps=*/1, /*rounds=*/1);
+    if (f == kInvalidFrameId) return;
+    std::memcpy(p->FramePtr(f), src, kPageSize);
+    p->device()->OnDirectWrite(p->FrameOffset(f), kPageSize,
+                               /*sequential=*/true);
+    PublishFrame(tier, d, f, DramMode::kFull, /*dirty=*/false, /*pins=*/0);
     stats_.Add(BufferCounter::kReadAheadInstalls);
   }();
   d->nvm_latch.Unlock();
@@ -986,19 +888,17 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
     }
   }
 
-  const frame_id_t f = AcquireDramFrame();
+  const frame_id_t f = AcquireFrame(Tier::kDram);
   if (f == kInvalidFrameId) {
     d->nvm.Publish(DramMode::kFull, 0);
     return Status::Busy("no DRAM frame");
   }
 
+  DramMode mode = DramMode::kFull;
   if (options_.enable_fine_grained_loading) {
     // No bytes move yet: units are loaded on demand from the NVM copy.
     d->cl.Reset(options_.load_granularity);
-    dram_pool_->SetOwner(f, d, d->pid);
-    d->dram.frame.store(f, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
-    d->dram.Publish(DramMode::kCacheLineGrained, 0);
+    mode = DramMode::kCacheLineGrained;
   } else {
     const Status st = nvm_->Read(nvm_off, dram_pool_->FramePtr(f), kPageSize);
     if (!st.ok()) {
@@ -1008,13 +908,9 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
     }
     dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
                                  /*sequential=*/true);
-    dram_pool_->SetOwner(f, d, d->pid);
-    d->dram.frame.store(f, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
-    d->dram.Publish(DramMode::kFull, 0);
   }
+  PublishFrame(Tier::kDram, d, f, mode, /*dirty=*/false, /*pins=*/0);
   d->nvm.Publish(DramMode::kFull, 0);
-  dram_pool_->ReplacerRecordInstall(f);
   stats_.Add(BufferCounter::kPromotions);
   return Status::OK();
 }
@@ -1023,38 +919,31 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
 // Frame acquisition & eviction
 // ---------------------------------------------------------------------------
 
-frame_id_t BufferShard::AcquireDramFrame() {
-  for (int attempt = 0; attempt < 64; ++attempt) {
+frame_id_t BufferShard::AcquireFrame(Tier tier, int sweeps, int rounds) {
+  BufferPool* p = pool(tier);
+  for (int sweep = 0;; ++sweep) {
     frame_id_t f;
-    if (dram_pool_->TryAllocateFrame(&f)) return f;
-    if (attempt == 0 && bg_writer_ != nullptr) bg_writer_->Nudge();
-    dram_pool_->ReplacerPickVictim(
-        [this](frame_id_t v) { return TryEvictDramFrame(v); });
+    if (p->TryAllocateFrame(&f)) return f;
+    if (sweep == sweeps) return kInvalidFrameId;
+    p->ReplacerPickVictim(
+        [this, tier](frame_id_t v) {
+          return tier == Tier::kDram ? TryEvictDramFrame(v)
+                                     : TryEvictNvmFrame(v);
+        },
+        rounds);
   }
-  return kInvalidFrameId;
 }
 
-frame_id_t BufferShard::AcquireNvmFrame() {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    frame_id_t f;
-    if (nvm_pool_->TryAllocateFrame(&f)) return f;
-    if (attempt == 0 && bg_writer_ != nullptr) bg_writer_->Nudge();
-    nvm_pool_->ReplacerPickVictim(
-        [this](frame_id_t v) { return TryEvictNvmFrame(v); });
-  }
-  return kInvalidFrameId;
-}
-
-frame_id_t BufferShard::EvictOneDramFrame() {
-  return dram_pool_->ReplacerPickVictim(
-      [this](frame_id_t v) { return TryEvictDramFrame(v); },
-      /*max_rounds=*/1);
-}
-
-frame_id_t BufferShard::EvictOneNvmFrame() {
-  return nvm_pool_->ReplacerPickVictim(
-      [this](frame_id_t v) { return TryEvictNvmFrame(v); },
-      /*max_rounds=*/1);
+void BufferShard::PublishFrame(Tier tier, SharedPageDescriptor* d,
+                               frame_id_t f, DramMode mode, bool dirty,
+                               uint32_t pins) {
+  BufferPool* p = pool(tier);
+  TierState& state = tier == Tier::kDram ? d->dram : d->nvm;
+  p->SetOwner(f, d, d->pid);
+  state.frame.store(f, std::memory_order_relaxed);
+  state.dirty.store(dirty, std::memory_order_relaxed);
+  state.Publish(mode, pins);
+  p->ReplacerRecordInstall(f);
 }
 
 bool BufferShard::DecideNvmAdmission(page_id_t pid) {
@@ -1180,15 +1069,12 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     if (admission_queue_ != nullptr && nvm_locked && !nvm_retired &&
         mode == DramMode::kFull && !d->NvmResident() &&
         admission_queue_->ShouldAdmit(d->pid)) {
-      const frame_id_t nf = AcquireNvmFrame();
+      const frame_id_t nf = AcquireFrame(Tier::kNvm);
       if (nf != kInvalidFrameId) {
         (void)nvm_->Write(nvm_pool_->FrameOffset(nf),
                           dram_pool_->FramePtr(f), kPageSize);
-        nvm_pool_->SetOwner(nf, d, d->pid);
-        d->nvm.frame.store(nf, std::memory_order_relaxed);
-        d->nvm.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, 0);
-        nvm_pool_->ReplacerRecordInstall(nf);
+        PublishFrame(Tier::kNvm, d, nf, DramMode::kFull, /*dirty=*/false,
+                     /*pins=*/0);
         stats_.Add(BufferCounter::kDemotionsToNvm);
       }
     }
@@ -1232,14 +1118,11 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     stats_.Add(BufferCounter::kDemotionsToNvm);
     wrote = true;
   } else if (nvm_pool_ != nullptr && DecideNvmAdmission(d->pid)) {
-    const frame_id_t newf = AcquireNvmFrame();
+    const frame_id_t newf = AcquireFrame(Tier::kNvm);
     if (newf != kInvalidFrameId) {
       (void)nvm_->Write(nvm_pool_->FrameOffset(newf), dram_ptr, kPageSize);
-      nvm_pool_->SetOwner(newf, d, d->pid);
-      d->nvm.frame.store(newf, std::memory_order_relaxed);
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, 0);
-      nvm_pool_->ReplacerRecordInstall(newf);
+      PublishFrame(Tier::kNvm, d, newf, DramMode::kFull, /*dirty=*/true,
+                   /*pins=*/0);
       stats_.Add(BufferCounter::kDemotionsToNvm);
       wrote = true;
     }
@@ -1387,7 +1270,7 @@ Status BufferShard::PromoteMiniToFull(SharedPageDescriptor* d) {
   // them.
   const uint32_t mini_id = d->mini_id.load(std::memory_order_relaxed);
   MiniPageView mp(MiniPtr(mini_id));
-  const frame_id_t f = AcquireDramFrame();
+  const frame_id_t f = AcquireFrame(Tier::kDram);
   if (f == kInvalidFrameId) return Status::OutOfMemory("no frame for overflow");
 
   const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
@@ -1427,7 +1310,7 @@ void BufferShard::EnsureUnitsResident(SharedPageDescriptor* d, size_t offset,
                                         size_t size) {
   const uint32_t usize = d->cl.unit_size;
   const size_t first = offset / usize;
-  const size_t last = (offset + (size ? size : 1) - 1) / usize;
+  const size_t last = (offset + size - 1) / usize;
   const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
   SPITFIRE_DCHECK(nf != kInvalidFrameId);
   const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
@@ -1442,178 +1325,119 @@ void BufferShard::EnsureUnitsResident(SharedPageDescriptor* d, size_t offset,
   }
 }
 
-Status BufferShard::GuardRead(SharedPageDescriptor* d, Tier tier,
-                                size_t offset, size_t size, void* dst) {
-  if (offset + size > kPageSize) {
-    return Status::InvalidArgument("page access out of range");
-  }
-  if (tier == Tier::kNvm) {
-    const frame_id_t f = d->nvm.frame.load(std::memory_order_acquire);
-    SPITFIRE_DCHECK(f != kInvalidFrameId);
-    std::memcpy(dst, nvm_pool_->FramePtr(f) + offset, size);
-    nvm_->OnDirectRead(nvm_pool_->FrameOffset(f) + offset, size);
-    return Status::OK();
-  }
+namespace {
 
-  // Fast path for fully materialized DRAM pages.
-  if (d->dram.Mode() == DramMode::kFull) {
-    const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-    std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-    dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-    return Status::OK();
+// Moves `n` bytes between page memory and the caller's buffer in the
+// direction of the access.
+template <bool kWrite, typename Buf>
+void CopyPageBytes(std::byte* page, Buf buf, size_t n) {
+  if constexpr (kWrite) {
+    std::memcpy(page, buf, n);
+  } else {
+    std::memcpy(buf, page, n);
   }
-
-  SpinLatchGuard g(d->dram_latch);
-  const DramMode mode = d->dram.Mode();
-  switch (mode) {
-    case DramMode::kFull: {
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-      dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-      return Status::OK();
-    }
-    case DramMode::kCacheLineGrained: {
-      EnsureUnitsResident(d, offset, size);
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-      dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-      return Status::OK();
-    }
-    case DramMode::kMini: {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const uint32_t usize = mp.meta()->unit_size;
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      size_t pos = offset;
-      const size_t end = offset + size;
-      auto* out = static_cast<std::byte*>(dst);
-      while (pos < end) {
-        const uint16_t unit = static_cast<uint16_t>(pos / usize);
-        int slot = mp.FindSlot(unit);
-        if (slot < 0) {
-          slot = mp.Insert(unit);
-          if (slot < 0) {
-            // Overflow: transparently promote to a full page and finish
-            // the read there.
-            SPITFIRE_RETURN_NOT_OK(PromoteMiniToFull(d));
-            const frame_id_t f =
-                d->dram.frame.load(std::memory_order_relaxed);
-            std::memcpy(out, dram_pool_->FramePtr(f) + pos, end - pos);
-            dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + pos,
-                                        end - pos);
-            return Status::OK();
-          }
-          (void)nvm_->ReadFineGrained(
-              nvm_off + static_cast<uint64_t>(unit) * usize, mp.UnitPtr(slot),
-              usize);
-          stats_.Add(BufferCounter::kFineGrainedLoads);
-        }
-        const size_t unit_begin = static_cast<size_t>(unit) * usize;
-        const size_t in_off = pos - unit_begin;
-        const size_t n = std::min(end - pos, usize - in_off);
-        std::memcpy(out, mp.UnitPtr(slot) + in_off, n);
-        out += n;
-        pos += n;
-      }
-      return Status::OK();
-    }
-    case DramMode::kNone:
-      break;
-  }
-  SPITFIRE_CHECK(false && "GuardRead on non-resident page");
-  return Status::Corruption("unreachable");
 }
 
-Status BufferShard::GuardWrite(SharedPageDescriptor* d, Tier tier,
-                                 size_t offset, size_t size, const void* src) {
+// Charges the tier device for a direct CPU access of `n` bytes.
+template <bool kWrite>
+void ChargeDirect(Device* device, uint64_t offset, size_t n) {
+  if constexpr (kWrite) {
+    device->OnDirectWrite(offset, n);
+  } else {
+    device->OnDirectRead(offset, n);
+  }
+}
+
+}  // namespace
+
+template <bool kWrite>
+Status BufferShard::GuardAccess(SharedPageDescriptor* d, Tier tier,
+                                size_t offset, size_t size,
+                                GuardBuf<kWrite> buf) {
   if (offset + size > kPageSize) {
     return Status::InvalidArgument("page access out of range");
   }
+  // An empty range loads no unit, marks nothing dirty, and charges no
+  // device (unit arithmetic on [offset, offset - 1] would wrap).
+  if (size == 0) return Status::OK();
   if (tier == Tier::kNvm) {
     const frame_id_t f = d->nvm.frame.load(std::memory_order_acquire);
     SPITFIRE_DCHECK(f != kInvalidFrameId);
-    std::memcpy(nvm_pool_->FramePtr(f) + offset, src, size);
-    nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f) + offset, size);
-    d->nvm.dirty.store(true, std::memory_order_release);
+    CopyPageBytes<kWrite>(nvm_pool_->FramePtr(f) + offset, buf, size);
+    ChargeDirect<kWrite>(nvm_, nvm_pool_->FrameOffset(f) + offset, size);
+    if constexpr (kWrite) d->nvm.dirty.store(true, std::memory_order_release);
     return Status::OK();
   }
 
-  if (d->dram.Mode() == DramMode::kFull) {
+  // The one full-frame copy, of [pos, offset + size): the latch-free fast
+  // path, a copy that became kFull after that check, a cache-line-grained
+  // copy, and what a mini page's overflow leaves of the range.
+  const auto full_frame_access = [&](size_t pos) {
     const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-    std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-    dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
-    d->dram.dirty.store(true, std::memory_order_release);
+    const size_t n = offset + size - pos;
+    CopyPageBytes<kWrite>(dram_pool_->FramePtr(f) + pos, buf + (pos - offset),
+                          n);
+    ChargeDirect<kWrite>(dram_backing_, dram_pool_->FrameOffset(f) + pos, n);
+    if constexpr (kWrite) d->dram.dirty.store(true, std::memory_order_release);
     return Status::OK();
-  }
+  };
+  if (d->dram.Mode() == DramMode::kFull) return full_frame_access(offset);
 
+  // Cache-line-grained and mini copies change shape under the dram latch.
+  // A copy may also have become kFull since the check above (another
+  // holder's mini-page overflow or RawData).
   SpinLatchGuard g(d->dram_latch);
   const DramMode mode = d->dram.Mode();
-  switch (mode) {
-    case DramMode::kFull: {
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-      dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
-      d->dram.dirty.store(true, std::memory_order_release);
-      return Status::OK();
-    }
-    case DramMode::kCacheLineGrained: {
-      // Writes that do not cover whole units require the surrounding bytes
-      // to be resident first.
-      EnsureUnitsResident(d, offset, size);
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-      dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
+  SPITFIRE_CHECK(mode != DramMode::kNone &&
+                 "guard access on a non-resident page");
+  size_t pos = offset;
+  const size_t end = offset + size;
+  if (mode == DramMode::kCacheLineGrained) {
+    // A write that does not cover whole units needs the surrounding bytes
+    // resident first.
+    EnsureUnitsResident(d, offset, size);
+    if constexpr (kWrite) {
       const uint32_t usize = d->cl.unit_size;
-      for (size_t u = offset / usize; u <= (offset + size - 1) / usize; ++u) {
+      for (size_t u = offset / usize; u <= (end - 1) / usize; ++u) {
         d->cl.dirty.Set(u);
       }
-      d->dram.dirty.store(true, std::memory_order_release);
-      return Status::OK();
     }
-    case DramMode::kMini: {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const uint32_t usize = mp.meta()->unit_size;
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      size_t pos = offset;
-      const size_t end = offset + size;
-      const auto* in = static_cast<const std::byte*>(src);
-      while (pos < end) {
-        const uint16_t unit = static_cast<uint16_t>(pos / usize);
-        int slot = mp.FindSlot(unit);
+  } else if (mode == DramMode::kMini) {
+    MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
+    const uint32_t usize = mp.meta()->unit_size;
+    const uint64_t nvm_off =
+        nvm_pool_->FrameOffset(d->nvm.frame.load(std::memory_order_relaxed));
+    while (pos < end) {
+      const uint16_t unit = static_cast<uint16_t>(pos / usize);
+      int slot = mp.FindSlot(unit);
+      if (slot < 0) {
+        slot = mp.Insert(unit);
         if (slot < 0) {
-          slot = mp.Insert(unit);
-          if (slot < 0) {
-            SPITFIRE_RETURN_NOT_OK(PromoteMiniToFull(d));
-            const frame_id_t f =
-                d->dram.frame.load(std::memory_order_relaxed);
-            std::memcpy(dram_pool_->FramePtr(f) + pos, in, end - pos);
-            dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + pos,
-                                         end - pos);
-            d->dram.dirty.store(true, std::memory_order_release);
-            return Status::OK();
-          }
-          (void)nvm_->ReadFineGrained(
-              nvm_off + static_cast<uint64_t>(unit) * usize, mp.UnitPtr(slot),
-              usize);
-          stats_.Add(BufferCounter::kFineGrainedLoads);
+          // Overflow: transparently promote to a full page and finish the
+          // access there.
+          SPITFIRE_RETURN_NOT_OK(PromoteMiniToFull(d));
+          break;
         }
-        const size_t unit_begin = static_cast<size_t>(unit) * usize;
-        const size_t in_off = pos - unit_begin;
-        const size_t n = std::min(end - pos, usize - in_off);
-        std::memcpy(mp.UnitPtr(slot) + in_off, in, n);
-        mp.MarkDirty(static_cast<size_t>(slot));
-        in += n;
-        pos += n;
+        (void)nvm_->ReadFineGrained(
+            nvm_off + static_cast<uint64_t>(unit) * usize, mp.UnitPtr(slot),
+            usize);
+        stats_.Add(BufferCounter::kFineGrainedLoads);
       }
-      d->dram.dirty.store(true, std::memory_order_release);
+      const size_t in_off = pos - static_cast<size_t>(unit) * usize;
+      const size_t n = std::min(end - pos, usize - in_off);
+      CopyPageBytes<kWrite>(mp.UnitPtr(slot) + in_off, buf + (pos - offset),
+                            n);
+      if constexpr (kWrite) mp.MarkDirty(static_cast<size_t>(slot));
+      pos += n;
+    }
+    if (pos == end) {
+      if constexpr (kWrite) {
+        d->dram.dirty.store(true, std::memory_order_release);
+      }
       return Status::OK();
     }
-    case DramMode::kNone:
-      break;
   }
-  SPITFIRE_CHECK(false && "GuardWrite on non-resident page");
-  return Status::Corruption("unreachable");
+  return full_frame_access(pos);
 }
 
 std::byte* BufferShard::GuardRawData(SharedPageDescriptor* d, Tier tier,

@@ -2,9 +2,9 @@
 #define SPITFIRE_BUFFER_BUFFER_SHARD_H_
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "buffer/background_writer.h"
 #include "buffer/buffer_pool.h"
 #include "buffer/migration_policy.h"
 #include "buffer/page.h"
@@ -63,13 +63,6 @@ struct BufferManagerOptions {
   ReplacerKind dram_replacer = ReplacerKind::kClock;
   ReplacerKind nvm_replacer = ReplacerKind::kClock;
 
-  // Background writeback: a dedicated thread keeps each pool's free list
-  // above a low watermark by proactively evicting (and writing back dirty)
-  // CLOCK victims, so foreground misses rarely pay an inline SSD write.
-  bool enable_background_writer = false;
-  size_t bg_writer_low_watermark = 0;  // frames; 0 → smallest pool / 8
-  uint64_t bg_writer_interval_us = 200;
-
   // All SSD-tier traffic goes through an IoScheduler (single-flight miss
   // dedup, write coalescing, read-ahead).
   IoSchedulerOptions io_scheduler;
@@ -86,10 +79,9 @@ struct BufferManagerOptions {
   // Number of independent buffer-manager shards pages are hash-routed
   // over (LeanStore-style partitioning). Each shard owns its page table
   // (the blocks routed to it), its DRAM/NVM pools (frames, free list,
-  // replacer), its miss-admission counter, and its background writer; the
-  // I/O scheduler, WAL, and MVTO timestamps stay global. 1 reproduces the
-  // unsharded engine bit-for-bit (same device layout, same policy
-  // decisions).
+  // replacer), and its miss-admission counter; the I/O scheduler, WAL, and
+  // MVTO timestamps stay global. 1 reproduces the unsharded engine
+  // bit-for-bit (same device layout, same policy decisions).
   // 0 → min(8, hardware_concurrency), clamped so every present tier keeps
   // at least 64 frames per shard. Explicit values are honored as given.
   size_t num_shards = 0;
@@ -241,10 +233,10 @@ enum class FetchSubmit : uint8_t {
 // (Section 3). CLOCK replacement reclaims space in both buffers.
 //
 // The shard owns its page table, DRAM/NVM pools (frames, free list,
-// replacer), miss-admission counter, and background writer; it borrows
-// the shared SSD scheduler, tier devices, and page-id allocator from the
-// BufferManager facade via BufferShardContext. With num_shards == 1 this
-// IS the pre-sharding engine, unchanged.
+// replacer), and miss-admission counter; it borrows the shared SSD
+// scheduler, tier devices, and page-id allocator from the BufferManager
+// facade via BufferShardContext. With num_shards == 1 this IS the
+// pre-sharding engine, unchanged.
 class BufferShard {
  public:
   BufferShard(const BufferManagerOptions& options,
@@ -252,9 +244,9 @@ class BufferShard {
   ~BufferShard();
   SPITFIRE_DISALLOW_COPY_AND_MOVE(BufferShard);
 
-  // Stops the background writer and marks the shard shutting down, so
-  // completions fired during the (facade-driven) I/O drain fail their
-  // tickets instead of installing. Idempotent; also run by the destructor.
+  // Marks the shard shutting down, so completions fired during the
+  // (facade-driven) I/O drain fail their tickets instead of installing.
+  // Idempotent; also run by the destructor.
   void PrepareShutdown();
 
   uint32_t shard_index() const { return shard_index_; }
@@ -332,7 +324,6 @@ class BufferShard {
   }
 
   BufferStats& stats() { return stats_; }
-  BackgroundWriter* background_writer() { return bg_writer_.get(); }
   IoScheduler* io_scheduler() { return io_; }
 
   // Misses currently between submission and completion, and the admission
@@ -382,7 +373,6 @@ class BufferShard {
 
  private:
   friend class PageGuard;
-  friend class BackgroundWriter;
 
   // --- mini page hosting ---
   struct MiniRegion {
@@ -428,10 +418,11 @@ class BufferShard {
   static void FinishTicket(FetchTicket* t, Status st);
 
   // Installs the page image in `src` (already read from SSD) into NVM
-  // (path 1, probability Nr) or directly into DRAM (path 8) and returns a
-  // pinned guard. Caller holds both descriptor latches and has verified
-  // the page is not resident on any tier.
-  Result<PageGuard> InstallPinned(SharedPageDescriptor* d, AccessIntent intent,
+  // (path 1, probability Nr) or directly into DRAM (path 8), falling back
+  // to the other tier when the first has no frame, and returns a pinned
+  // guard. Caller holds both descriptor latches and has verified the page
+  // is not resident on any tier.
+  Result<PageGuard> InstallPinned(SharedPageDescriptor* d,
                                   const std::byte* src);
 
   // Sequential-miss detection: after a miss on `pid`, schedule a prefetch
@@ -451,17 +442,30 @@ class BufferShard {
   // the page on any contention or residency change, and during shutdown.
   void InstallPrefetched(page_id_t pid, const std::byte* src, uint64_t seq);
 
-  // Frame acquisition with eviction. Return kInvalidFrameId on failure.
-  frame_id_t AcquireDramFrame();
-  frame_id_t AcquireNvmFrame();
+  BufferPool* pool(Tier tier) {
+    return tier == Tier::kDram ? dram_pool_.get() : nvm_pool_.get();
+  }
+
+  // Pops a free frame from `tier`'s pool, evicting replacer victims while
+  // the free list is empty: at most `sweeps` victim searches of `rounds`
+  // replacer rounds each. Returns kInvalidFrameId when the budget runs
+  // out. Foreground installs use the default budget; read-ahead passes one
+  // one-round sweep, so it never waits on eviction.
+  frame_id_t AcquireFrame(Tier tier, int sweeps = 64, int rounds = 3);
   bool TryEvictDramFrame(frame_id_t f);
   bool TryEvictNvmFrame(frame_id_t f);
 
-  // One CLOCK sweep evicting a single frame; used by the background
-  // writer to replenish the free lists. Returns kInvalidFrameId if no
-  // frame was evictable this sweep.
-  frame_id_t EvictOneDramFrame();
-  frame_id_t EvictOneNvmFrame();
+  // The one way a filled pool frame becomes a resident copy (every path
+  // that fills one ends here except recovery and the mini → full mode
+  // switch; mini-page slots are not pool frames). The caller holds
+  // `tier`'s latch on `d`, has filled frame `f` (acquired from `tier`'s
+  // pool) and has checked that the tier holds no copy of `d`. In order:
+  // registers the owner, stores frame and dirty bit (relaxed), publishes
+  // the state word in `mode` with `pins` pins granted to the caller
+  // (release: a pinner that sees the copy sees the bytes), and records
+  // the install with the replacer.
+  void PublishFrame(Tier tier, SharedPageDescriptor* d, frame_id_t f,
+                    DramMode mode, bool dirty, uint32_t pins);
 
   // Mini pages.
   uint32_t AcquireMiniSlot();
@@ -496,16 +500,21 @@ class BufferShard {
   Status FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
                          size_t* skipped, bool* wrote);
 
-  // Loads the units covering [offset, offset+size) of a cache-line-grained
-  // page from its NVM copy. Caller holds the dram latch.
+  // Loads the units covering the non-empty range [offset, offset+size) of
+  // a cache-line-grained page from its NVM copy. Caller holds the dram
+  // latch.
   void EnsureUnitsResident(SharedPageDescriptor* d, size_t offset,
                            size_t size);
 
-  // Data plane used by PageGuard.
-  Status GuardRead(SharedPageDescriptor* d, Tier tier, size_t offset,
-                   size_t size, void* dst);
-  Status GuardWrite(SharedPageDescriptor* d, Tier tier, size_t offset,
-                    size_t size, const void* src);
+  // Data plane behind PageGuard::ReadAt (kWrite = false: page → `buf`) and
+  // WriteAt (kWrite = true: `buf` → page, marking what it changed dirty),
+  // for every representation of the guard's copy. An empty range touches
+  // nothing.
+  template <bool kWrite>
+  using GuardBuf = std::conditional_t<kWrite, const std::byte*, std::byte*>;
+  template <bool kWrite>
+  Status GuardAccess(SharedPageDescriptor* d, Tier tier, size_t offset,
+                     size_t size, GuardBuf<kWrite> buf);
   std::byte* GuardRawData(SharedPageDescriptor* d, Tier tier, bool for_write);
 
   BufferManagerOptions options_;
@@ -531,7 +540,6 @@ class BufferShard {
   // Global page-id allocator, owned by the facade (shared by all shards).
   std::atomic<page_id_t>* next_page_id_ = nullptr;
   BufferStats stats_;
-  std::unique_ptr<BackgroundWriter> bg_writer_;
   // Shared SSD scheduler, owned by the facade.
   IoScheduler* io_ = nullptr;
 

@@ -45,7 +45,7 @@ class TryEvictRef {
 // Abstract page-replacement policy over a pool's frames. Implementations
 // must be safe under full concurrency: RecordAccess/RecordInstall run on
 // the latch-free hit/install paths from many threads, PickVictim runs from
-// foreground evictors and the background writer simultaneously.
+// many foreground evictors and read-ahead installs simultaneously.
 //
 // Protocol:
 //  - RecordInstall(f): a page was installed into frame f (first touch).
@@ -58,7 +58,7 @@ class TryEvictRef {
 //    to give up and offer it to try_evict, which performs the actual
 //    latched eviction and may refuse (pinned / racing). Returns the evicted
 //    frame or kInvalidFrameId after a bounded search (max_rounds scales the
-//    step budget; the background writer passes 1 for a cheap probe).
+//    step budget; the read-ahead install passes 1 for a cheap probe).
 class Replacer {
  public:
   virtual ~Replacer() = default;

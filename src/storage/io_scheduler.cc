@@ -9,6 +9,10 @@
 namespace spitfire {
 
 namespace {
+// Backpressure bound on staged-but-unwritten pages (16 KB each): WritePage
+// waits while this many are queued.
+constexpr size_t kMaxPendingWrites = 128;
+
 // Threads that pump completions with may_sleep=true (the async workload
 // ring, the completion worker) are async-aware: device waits they execute
 // sleep out their deadlines, yielding the core to useful work. Blocking
@@ -22,7 +26,6 @@ IoScheduler::IoScheduler(SsdDevice* ssd, const IoSchedulerOptions& opts)
   SPITFIRE_CHECK(ssd_ != nullptr);
   if (opts_.num_workers == 0) opts_.num_workers = 1;
   if (opts_.max_coalesce_pages == 0) opts_.max_coalesce_pages = 1;
-  if (opts_.max_pending_writes == 0) opts_.max_pending_writes = 1;
   workers_.reserve(opts_.num_workers);
   for (size_t i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -423,11 +426,11 @@ Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
     // completion (install -> evict -> write), in which case nobody else is
     // guaranteed to retire the writes it is waiting on.
     std::unique_lock<std::mutex> ql(q_mu_);
-    while (!(pending_writes_ < opts_.max_pending_writes || stop_)) {
+    while (!(pending_writes_ < kMaxPendingWrites || stop_)) {
       ql.unlock();
       PumpDueWrites();
       ql.lock();
-      if (pending_writes_ < opts_.max_pending_writes || stop_) break;
+      if (pending_writes_ < kMaxPendingWrites || stop_) break;
       q_cv_.wait_for(ql, std::chrono::microseconds(200));
     }
     if (stop_) return Status::IoError("io scheduler stopped");

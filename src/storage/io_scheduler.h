@@ -32,8 +32,6 @@ struct IoSchedulerOptions {
   // writes to arrive before issuing, so eviction bursts coalesce. Drain()
   // requests cut the window short.
   uint64_t coalesce_window_us = 50;
-  // Backpressure bound on staged-but-unwritten pages (16 KB each).
-  size_t max_pending_writes = 128;
   // Pages prefetched ahead of a detected sequential miss run; 0 disables
   // read-ahead. (The trigger lives in the buffer manager; this is the
   // window size it requests.) 32 pages = 512 KB: on the simulated device

@@ -319,6 +319,57 @@ INSTANTIATE_TEST_SUITE_P(DramCopies, CheckpointSweepTest,
                            return info.param ? "MiniPage" : "CacheLineGrained";
                          });
 
+// An empty ReadAt/WriteAt touches nothing: no unit is loaded or marked
+// dirty, at offset 0, at a unit boundary, or at the page end. An empty
+// write at offset 0 on a cache-line-grained copy used to mark units
+// 0 .. SIZE_MAX / unit_size dirty, writing far past the dirty bitmap. The
+// parameter selects mini pages.
+class EmptyAccessTest : public HymemIntegrationTest,
+                        public ::testing::WithParamInterface<bool> {};
+
+TEST_P(EmptyAccessTest, EmptyRangesTouchNoUnit) {
+  const bool mini = GetParam();
+  SeedPages(4);
+  auto bm = Make(/*fine_grained=*/true, mini);
+  bm->SetNextPageId(4);
+  // First fetch installs on NVM (Nr=1); the second promotes into a DRAM
+  // copy with no unit resident.
+  for (int round = 0; round < 2; ++round) {
+    for (page_id_t pid = 0; pid < 4; ++pid) {
+      ASSERT_TRUE(bm->FetchPage(pid, AccessIntent::kRead).ok());
+    }
+  }
+  auto r = bm->FetchPage(0, AccessIntent::kWrite);
+  ASSERT_TRUE(r.ok());
+  PageGuard g = r.MoveValue();
+  ASSERT_EQ(g.tier(), Tier::kDram);
+  SharedPageDescriptor* d = g.descriptor();
+  ASSERT_EQ(d->dram.Mode(),
+            mini ? DramMode::kMini : DramMode::kCacheLineGrained);
+
+  const uint64_t loads_before = bm->stats().Snapshot().fine_grained_loads;
+  uint64_t v = 0x1234;
+  for (const size_t off : {size_t{0}, size_t{256}, kPageSize}) {
+    EXPECT_TRUE(g.ReadAt(off, 0, &v).ok()) << off;
+    EXPECT_TRUE(g.WriteAt(off, 0, &v).ok()) << off;
+  }
+  EXPECT_EQ(bm->stats().Snapshot().fine_grained_loads, loads_before);
+  EXPECT_FALSE(d->dram.dirty.load());
+  if (!mini) {
+    EXPECT_FALSE(d->cl.dirty.Any());
+  }
+
+  // The copy still serves the seeded bytes.
+  ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, 0u * 100000 + kPageHeaderSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(DramCopies, EmptyAccessTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "MiniPage" : "CacheLineGrained";
+                         });
+
 // Loading granularity sweep (the Figure 11 knob): all granularities must
 // preserve data; smaller granularities issue more unit loads.
 class GranularityTest : public HymemIntegrationTest,

@@ -263,7 +263,7 @@ TEST_F(CounterTableTest, AbortingParkedTxnReleasesTicketWithoutLeak) {
   auto PinnedFrames = [&]() -> uint32_t {
     return bm->DebugDramCensus().pinned;
   };
-  // Quiesce, then baseline. The background writer may hold a transient
+  // Quiesce, then baseline. Background threads may hold a transient
   // pin at any instant, so waiting-for-stable beats a one-shot census.
   auto WaitPinned = [&](uint32_t want) {
     for (int i = 0; i < 10000 && PinnedFrames() != want; ++i) {
