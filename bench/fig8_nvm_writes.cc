@@ -4,7 +4,10 @@
 // Expected shape: on YCSB-RO the eager policy (N = 1) writes dramatically
 // more to NVM than N = 0.1 (the paper reports ~92x) because every SSD
 // fetch is installed into NVM; on write-heavy mixes the ratio shrinks
-// (~1.3–1.6x) since dirty evictions dominate.
+// (~1.3–1.6x) since dirty evictions dominate. Here a dirty DRAM page
+// evicted onto its NVM copy writes back only its changed 256 B units, so
+// dirty evictions weigh less and the write-heavy ratio stays larger
+// (~5–7x; EXPERIMENTS.md, "Write back only the bytes that changed").
 #include <cstdio>
 
 #include "bench_util.h"

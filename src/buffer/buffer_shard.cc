@@ -1,6 +1,7 @@
 #include "buffer/buffer_shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -30,6 +31,20 @@ constexpr uint64_t kBackoffMaxNanos = 512'000;
 // Below this a backoff spins (sleeping costs more than it yields);
 // above it the thread sleeps so evictors and completions get the core.
 constexpr uint64_t kBackoffSpinCapNanos = 8'192;
+
+// Whether two page images agree on every 256 B unit outside `mask`: what
+// a partial write-back of a full DRAM copy onto its NVM copy relies on.
+[[maybe_unused]] bool AgreeOutsideUnits(const std::byte* a, const std::byte* b,
+                                        uint64_t mask) {
+  constexpr size_t kUnit = TierState::kDirtyUnitSize;
+  for (size_t u = 0; u < 64; ++u) {
+    if ((mask >> u & 1) == 0 &&
+        std::memcmp(a + u * kUnit, b + u * kUnit, kUnit) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -53,13 +68,12 @@ std::byte* PageGuard::RawData(bool for_write) {
   return bm_->GuardRawData(desc_, tier_, for_write);
 }
 
-void PageGuard::MarkDirty() {
-  SPITFIRE_DCHECK(valid());
-  if (tier_ == Tier::kDram) {
-    desc_->dram.dirty.store(true, std::memory_order_release);
-  } else {
-    desc_->nvm.dirty.store(true, std::memory_order_release);
-  }
+void PageGuard::MarkDirty() { MarkDirty(0, kPageSize); }
+
+void PageGuard::MarkDirty(size_t offset, size_t size) {
+  SPITFIRE_DCHECK(valid() && offset + size <= kPageSize);
+  TierState& state = tier_ == Tier::kDram ? desc_->dram : desc_->nvm;
+  state.MarkDirty(TierState::UnitsOf(offset, size));
 }
 
 void PageGuard::Release() {
@@ -869,6 +883,11 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
   }
 
   const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
+  // A promotion is an access of the NVM copy. Under the eager policy it is
+  // the only one (every NVM hit promotes), so without this the NVM clock
+  // would see installs alone and, once the tier is full, evict in install
+  // order, hot pages as readily as cold ones.
+  nvm_pool_->ReplacerRecordAccess(nf);
 
   // HyMem-style admissions: mini page first, then cache-line-grained.
   if (options_.enable_mini_pages && mini_.capacity > 0) {
@@ -878,7 +897,7 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
       mp.Format(d->pid, options_.load_granularity);
       d->mini_id.store(m, std::memory_order_relaxed);
       mini_.owners[m].store(d, std::memory_order_release);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
+      d->dram.dirty.store(0, std::memory_order_relaxed);
       d->dram.Publish(DramMode::kMini, 0);
       d->nvm.Publish(DramMode::kFull, 0);
       mini_.replacer->RecordInstall(m);
@@ -941,7 +960,8 @@ void BufferShard::PublishFrame(Tier tier, SharedPageDescriptor* d,
   TierState& state = tier == Tier::kDram ? d->dram : d->nvm;
   p->SetOwner(f, d, d->pid);
   state.frame.store(f, std::memory_order_relaxed);
-  state.dirty.store(dirty, std::memory_order_relaxed);
+  state.dirty.store(dirty ? TierState::kAllUnits : 0,
+                    std::memory_order_relaxed);
   state.Publish(mode, pins);
   p->ReplacerRecordInstall(f);
 }
@@ -967,6 +987,25 @@ void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d,
       any = true;
     }
     mp.meta()->dirty_mask = 0;
+  } else if (mode == DramMode::kFull) {
+    // The two copies differ only inside the DRAM copy's dirty units
+    // (DESIGN.md, "Dirty units and write-back"): write each run of them.
+    constexpr size_t kUnit = TierState::kDirtyUnitSize;
+    const std::byte* dram_ptr =
+        dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
+    uint64_t mask = d->dram.dirty.load(std::memory_order_relaxed);
+    SPITFIRE_DCHECK(AgreeOutsideUnits(dram_ptr, nvm_pool_->FramePtr(nf), mask));
+    for (size_t u = 0; mask != 0;) {
+      const int skip = std::countr_zero(mask);
+      u += skip;
+      mask >>= skip;
+      const int run = std::countr_one(mask);
+      (void)nvm_->Write(nvm_off + u * kUnit, dram_ptr + u * kUnit,
+                        run * kUnit);
+      u += run;
+      mask = run == 64 ? 0 : mask >> run;
+      any = true;
+    }
   } else {
     SPITFIRE_DCHECK(mode == DramMode::kCacheLineGrained);
     std::byte* dram_ptr =
@@ -979,8 +1018,8 @@ void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d,
     }
     d->cl.dirty.Reset();
   }
-  if (any) d->nvm.dirty.store(true, std::memory_order_relaxed);
-  d->dram.dirty.store(false, std::memory_order_relaxed);
+  if (any) d->nvm.dirty.store(TierState::kAllUnits, std::memory_order_relaxed);
+  d->dram.dirty.store(0, std::memory_order_relaxed);
 }
 
 // Eviction protocol: retire the state word FIRST (fails if any pin exists
@@ -1014,7 +1053,7 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
   // Dirty hint, read before the retires to pick the retire order. The hint
   // can miss a writer that set dirty but has not yet unpinned; the
   // authoritative re-read after the DRAM retire catches that case.
-  const bool dirty_hint = d->dram.dirty.load(std::memory_order_relaxed) ||
+  const bool dirty_hint = d->dram.Dirty() ||
                           (mode == DramMode::kCacheLineGrained &&
                            d->cl.dirty.Any());
 
@@ -1051,7 +1090,7 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
 
   // Authoritative dirty read: the successful retire synchronized with every
   // unpin, so any writer's dirty store is visible now.
-  const bool dirty = d->dram.dirty.load(std::memory_order_relaxed) ||
+  const bool dirty = d->dram.Dirty() ||
                      (mode == DramMode::kCacheLineGrained &&
                       d->cl.dirty.Any());
   if (dirty && !dirty_hint) {
@@ -1087,32 +1126,16 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     return true;
   }
 
-  if (mode == DramMode::kCacheLineGrained) {
-    // Dirty units flow back into the NVM copy (always present for CLG and
-    // already retired above, since CLG dirt is latch-protected and thus
-    // always visible in the hint).
-    SPITFIRE_DCHECK(nvm_retired);
-    WriteBackUnitsToNvm(d, mode);
-    d->nvm.Publish(DramMode::kFull, 0);
-    d->dram.frame.store(kInvalidFrameId, std::memory_order_relaxed);
-    dram_pool_->FreeFrame(f);
-    d->nvm_latch.Unlock();
-    d->dram_latch.Unlock();
-    stats_.Add(BufferCounter::kDramEvictions);
-    stats_.Add(BufferCounter::kDemotionsToNvm);
-    return true;
-  }
-
-  // Full dirty page: update the NVM copy in place, admit into NVM
-  // (probability Nw / HyMem admission queue), or bypass NVM down to SSD
-  // (Section 3.4).
+  // Dirty page: write its dirty units into the NVM copy, admit the whole
+  // page into NVM (probability Nw / HyMem admission queue), or bypass NVM
+  // down to SSD (Section 3.4). A cache-line-grained copy always has its
+  // NVM copy, retired above: its dirt is latch-protected and thus always
+  // visible in the hint.
+  SPITFIRE_DCHECK(mode == DramMode::kFull || nvm_retired);
   std::byte* dram_ptr = dram_pool_->FramePtr(f);
   bool wrote = false;
   if (nvm_retired) {
-    const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-    SPITFIRE_DCHECK(nf != kInvalidFrameId);
-    (void)nvm_->Write(nvm_pool_->FrameOffset(nf), dram_ptr, kPageSize);
-    d->nvm.dirty.store(true, std::memory_order_relaxed);
+    WriteBackUnitsToNvm(d, mode);
     d->nvm.Publish(DramMode::kFull, 0);
     nvm_retired = false;
     stats_.Add(BufferCounter::kDemotionsToNvm);
@@ -1141,7 +1164,7 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     stats_.Add(BufferCounter::kDemotionsToSsd);
   }
   d->dram.frame.store(kInvalidFrameId, std::memory_order_relaxed);
-  d->dram.dirty.store(false, std::memory_order_relaxed);
+  d->dram.dirty.store(0, std::memory_order_relaxed);
   dram_pool_->FreeFrame(f);
   if (nvm_locked) d->nvm_latch.Unlock();
   d->dram_latch.Unlock();
@@ -1171,7 +1194,7 @@ bool BufferShard::TryEvictNvmFrame(frame_id_t f) {
     d->nvm_latch.Unlock();
     return false;
   }
-  if (d->nvm.dirty.load(std::memory_order_relaxed)) {
+  if (d->nvm.Dirty()) {
     if (!d->ssd_latch.TryLock()) {
       d->nvm.Publish(DramMode::kFull, 0);
       d->nvm_latch.Unlock();
@@ -1187,7 +1210,7 @@ bool BufferShard::TryEvictNvmFrame(frame_id_t f) {
       d->nvm_latch.Unlock();
       return false;
     }
-    d->nvm.dirty.store(false, std::memory_order_relaxed);
+    d->nvm.dirty.store(0, std::memory_order_relaxed);
   }
   d->nvm.frame.store(kInvalidFrameId, std::memory_order_relaxed);
   nvm_pool_->FreeFrame(f);
@@ -1293,7 +1316,9 @@ Status BufferShard::PromoteMiniToFull(SharedPageDescriptor* d) {
   }
   dram_pool_->SetOwner(f, d, d->pid);
   d->dram.frame.store(f, std::memory_order_relaxed);
-  if (any_dirty) d->dram.dirty.store(true, std::memory_order_relaxed);
+  // The full copy may differ from the NVM copy in any overlaid unit.
+  d->dram.dirty.store(any_dirty ? TierState::kAllUnits : 0,
+                      std::memory_order_relaxed);
   d->dram.SwitchMode(DramMode::kFull);
   dram_pool_->ReplacerRecordInstall(f);
   mini_.owners[mini_id].store(nullptr, std::memory_order_release);
@@ -1365,7 +1390,7 @@ Status BufferShard::GuardAccess(SharedPageDescriptor* d, Tier tier,
     SPITFIRE_DCHECK(f != kInvalidFrameId);
     CopyPageBytes<kWrite>(nvm_pool_->FramePtr(f) + offset, buf, size);
     ChargeDirect<kWrite>(nvm_, nvm_pool_->FrameOffset(f) + offset, size);
-    if constexpr (kWrite) d->nvm.dirty.store(true, std::memory_order_release);
+    if constexpr (kWrite) d->nvm.MarkDirty(TierState::UnitsOf(offset, size));
     return Status::OK();
   }
 
@@ -1378,7 +1403,7 @@ Status BufferShard::GuardAccess(SharedPageDescriptor* d, Tier tier,
     CopyPageBytes<kWrite>(dram_pool_->FramePtr(f) + pos, buf + (pos - offset),
                           n);
     ChargeDirect<kWrite>(dram_backing_, dram_pool_->FrameOffset(f) + pos, n);
-    if constexpr (kWrite) d->dram.dirty.store(true, std::memory_order_release);
+    if constexpr (kWrite) d->dram.MarkDirty(TierState::UnitsOf(pos, n));
     return Status::OK();
   };
   if (d->dram.Mode() == DramMode::kFull) return full_frame_access(offset);
@@ -1431,9 +1456,7 @@ Status BufferShard::GuardAccess(SharedPageDescriptor* d, Tier tier,
       pos += n;
     }
     if (pos == end) {
-      if constexpr (kWrite) {
-        d->dram.dirty.store(true, std::memory_order_release);
-      }
+      if constexpr (kWrite) d->dram.MarkDirty(TierState::UnitsOf(offset, size));
       return Status::OK();
     }
   }
@@ -1445,12 +1468,12 @@ std::byte* BufferShard::GuardRawData(SharedPageDescriptor* d, Tier tier,
   if (tier == Tier::kNvm) {
     const frame_id_t f = d->nvm.frame.load(std::memory_order_acquire);
     SPITFIRE_DCHECK(f != kInvalidFrameId);
-    if (for_write) d->nvm.dirty.store(true, std::memory_order_release);
+    if (for_write) d->nvm.MarkDirty(TierState::kAllUnits);
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(f), 256);
     return nvm_pool_->FramePtr(f);
   }
   if (d->dram.Mode() == DramMode::kFull) {
-    if (for_write) d->dram.dirty.store(true, std::memory_order_release);
+    if (for_write) d->dram.MarkDirty(TierState::kAllUnits);
     return dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
   }
   // Materialize cache-line-grained / mini representations into a full
@@ -1462,12 +1485,13 @@ std::byte* BufferShard::GuardRawData(SharedPageDescriptor* d, Tier tier,
     mode = DramMode::kFull;
   } else if (mode == DramMode::kCacheLineGrained) {
     EnsureUnitsResident(d, 0, kPageSize);
-    if (d->cl.dirty.Any()) d->dram.dirty.store(true, std::memory_order_relaxed);
+    // Dirty loading units make the whole full copy suspect.
+    if (d->cl.dirty.Any()) d->dram.MarkDirty(TierState::kAllUnits);
     d->dram.SwitchMode(DramMode::kFull);
     mode = DramMode::kFull;
   }
   if (mode != DramMode::kFull) return nullptr;
-  if (for_write) d->dram.dirty.store(true, std::memory_order_release);
+  if (for_write) d->dram.MarkDirty(TierState::kAllUnits);
   return dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
 }
 
@@ -1527,7 +1551,7 @@ Status BufferShard::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
   } else if (dmode == DramMode::kCacheLineGrained) {
     dram_dirty = d->cl.dirty.Any();
   } else if (dmode == DramMode::kFull) {
-    dram_dirty = d->dram.dirty.load(std::memory_order_relaxed);
+    dram_dirty = d->dram.Dirty();
   }
   if (dram_dirty) {
     // Dirty DRAM state makes any NVM copy stale, so the NVM word must be
@@ -1545,24 +1569,21 @@ Status BufferShard::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
       if (skipped != nullptr) ++*skipped;
       return Status::OK();
     }
+    // A cache-line-grained or mini copy is written into its NVM copy. A
+    // full one goes to SSD, and then its dirty units refresh the NVM copy
+    // (if any), so later direct NVM reads never observe stale bytes and
+    // the NVM copy is as clean as the SSD image.
+    SPITFIRE_DCHECK(dmode == DramMode::kFull || nvm_resident);
     Status st = Status::OK();
-    if (dmode != DramMode::kFull) {
-      WriteBackUnitsToNvm(d, dmode);
-    } else {
-      // After the SSD write the NVM copy (if any) is overwritten with the
-      // freshest data so later direct NVM reads never observe stale bytes.
-      std::byte* ptr =
-          dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
-      st = WriteToSsd(d->pid, ptr);
-      if (st.ok()) {
-        *wrote = true;
-        if (nvm_resident) {
-          const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-          (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
-          d->nvm.dirty.store(false, std::memory_order_relaxed);
-        }
-        d->dram.dirty.store(false, std::memory_order_relaxed);
-      }
+    if (dmode == DramMode::kFull) {
+      st = WriteToSsd(d->pid, dram_pool_->FramePtr(d->dram.frame.load(
+                                  std::memory_order_relaxed)));
+      if (st.ok()) *wrote = true;
+    }
+    if (st.ok() && nvm_resident) WriteBackUnitsToNvm(d, dmode);
+    if (st.ok() && dmode == DramMode::kFull) {
+      d->dram.dirty.store(0, std::memory_order_relaxed);
+      if (nvm_resident) d->nvm.dirty.store(0, std::memory_order_relaxed);
     }
     if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
     d->dram.Publish(dmode, 0);
@@ -1571,8 +1592,7 @@ Status BufferShard::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
 
   // Dirty NVM copies are persistent already; only a full flush moves them
   // down (background checkpoints leave them in place, Section 5.2).
-  if (include_nvm && d->NvmResident() &&
-      d->nvm.dirty.load(std::memory_order_relaxed)) {
+  if (include_nvm && d->NvmResident() && d->nvm.Dirty()) {
     if (!d->nvm.TryRetire()) {
       if (skipped != nullptr) ++*skipped;
       return Status::OK();  // actively referenced
@@ -1584,7 +1604,7 @@ Status BufferShard::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
     const Status st = WriteToSsd(d->pid, ptr);
     if (st.ok()) {
       *wrote = true;
-      d->nvm.dirty.store(false, std::memory_order_relaxed);
+      d->nvm.dirty.store(0, std::memory_order_relaxed);
     }
     d->nvm.Publish(DramMode::kFull, 0);
     SPITFIRE_RETURN_NOT_OK(st);
@@ -1654,7 +1674,7 @@ Status BufferShard::RecoverNvmResidentPages() {
     d->nvm.frame.store(frame, std::memory_order_relaxed);
     // NVM copies may be newer than their SSD counterparts; treat them as
     // dirty so they flow down before being dropped.
-    d->nvm.dirty.store(true, std::memory_order_relaxed);
+    d->nvm.dirty.store(TierState::kAllUnits, std::memory_order_relaxed);
     d->nvm.Publish(DramMode::kFull, 0);
     nvm_pool_->SetOwner(frame, d, pid);
     page_id_t expect = next_page_id_->load(std::memory_order_relaxed);

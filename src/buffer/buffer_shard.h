@@ -137,6 +137,13 @@ struct BufferShardContext {
 // RawData() exposes the full 16 KB frame and is only valid for guards
 // whose page is fully materialized (it loads all units of a cache-line-
 // grained page on first use; unsupported for mini pages).
+//
+// Dirty tracking: WriteAt marks exactly the bytes it writes. A caller
+// that writes through RawData() says which bytes it changed with
+// MarkDirty(offset, size) while it still holds the guard; RawData(true)
+// and MarkDirty() mark the whole page. Bytes changed but not marked may
+// never reach NVM: a DRAM copy evicted onto its NVM copy writes back only
+// its marked 256 B units.
 class PageGuard {
  public:
   PageGuard() = default;
@@ -166,11 +173,13 @@ class PageGuard {
   // Writes `size` bytes at page offset `offset` and marks the page dirty.
   Status WriteAt(size_t offset, size_t size, const void* src);
 
-  // Full-frame pointer (see class comment). `for_write` marks the page
-  // dirty. Returns nullptr for mini-page guards.
+  // Full-frame pointer (see class comment). `for_write` marks the whole
+  // page dirty. Returns nullptr for mini-page guards.
   std::byte* RawData(bool for_write = false);
 
+  // Marks the whole page, or the bytes [offset, offset + size), dirty.
   void MarkDirty();
+  void MarkDirty(size_t offset, size_t size);
 
   // Releases the pin early.
   void Release();
@@ -460,7 +469,8 @@ class BufferShard {
   // switch; mini-page slots are not pool frames). The caller holds
   // `tier`'s latch on `d`, has filled frame `f` (acquired from `tier`'s
   // pool) and has checked that the tier holds no copy of `d`. In order:
-  // registers the owner, stores frame and dirty bit (relaxed), publishes
+  // registers the owner, stores frame and dirty mask (every unit when
+  // `dirty`, none otherwise; relaxed), publishes
   // the state word in `mode` with `pins` pins granted to the caller
   // (release: a pinner that sees the copy sees the bytes), and records
   // the install with the replacer.
@@ -475,8 +485,10 @@ class BufferShard {
   // descriptor's dram latch; mode is kMini on entry, kFull on success.
   Status PromoteMiniToFull(SharedPageDescriptor* d);
 
-  // Writes the dirty units of a cache-line-grained or mini (`mode`) DRAM
-  // copy back into the page's NVM frame, marks the NVM copy dirty and the
+  // Writes the dirty units of a `mode` DRAM copy back into the page's
+  // existing NVM frame — one device write per run of a full copy's dirty
+  // 256 B units, one per dirty loading unit of a cache-line-grained or mini
+  // copy — then marks the NVM copy dirty (if anything was written) and the
   // DRAM copy clean. Caller holds both latches and has retired both copies.
   void WriteBackUnitsToNvm(SharedPageDescriptor* d, DramMode mode);
 

@@ -59,11 +59,24 @@ enum class DramMode : uint8_t {
 // All remaining per-tier fields (`frame`, `dirty`) are written on the slow
 // path before the word publishes the copy, and read by fast-path holders
 // only while they hold a pin.
+//
+// `dirty` is a mask of the kDirtyUnitSize units written since the copy was
+// last clean; the copy is dirty iff it is nonzero. Guard holders set bits
+// while pinned (MarkDirty); it is cleared only by a thread that has retired
+// the copy, or is about to publish it, so a holder never loses a bit. On a
+// full DRAM copy that coexists with an NVM copy the mask is exact enough
+// to write back only its units (DESIGN.md, "Dirty units and write-back");
+// NVM copies only test it against zero.
 struct TierState {
   static constexpr uint64_t kPinsMask = 0xFFFFull;
   static constexpr int kModeShift = 16;
   static constexpr uint64_t kModeMask = 0x3ull << kModeShift;
   static constexpr int kEpochShift = 18;
+
+  // Optane's 256 B media block: one bit per unit of a 16 KB page.
+  static constexpr size_t kDirtyUnitSize = kPageSize / 64;
+  static_assert(kDirtyUnitSize == 256, "one dirty bit per 256 B media block");
+  static constexpr uint64_t kAllUnits = ~uint64_t{0};
 
   static DramMode ModeOf(uint64_t w) {
     return static_cast<DramMode>((w >> kModeShift) & 0x3);
@@ -75,10 +88,28 @@ struct TierState {
     return (epoch << kEpochShift) |
            (static_cast<uint64_t>(m) << kModeShift) | pins;
   }
+  // The units covering [offset, offset + size) of a page; 0 when empty.
+  static uint64_t UnitsOf(size_t offset, size_t size) {
+    if (size == 0) return 0;
+    const size_t first = offset / kDirtyUnitSize;
+    const size_t last = (offset + size - 1) / kDirtyUnitSize;
+    SPITFIRE_DCHECK(last < 64);
+    const uint64_t upto = last >= 63 ? kAllUnits : (uint64_t{2} << last) - 1;
+    return upto & (kAllUnits << first);
+  }
 
   std::atomic<uint64_t> word{0};
   std::atomic<frame_id_t> frame{kInvalidFrameId};
-  std::atomic<bool> dirty{false};
+  std::atomic<uint64_t> dirty{0};
+
+  // Adds `units` to the dirty mask. A copy that already has them is only
+  // loaded, so rereading a hot dirty page does not write its descriptor.
+  void MarkDirty(uint64_t units) {
+    if ((dirty.load(std::memory_order_relaxed) & units) != units) {
+      dirty.fetch_or(units, std::memory_order_release);
+    }
+  }
+  bool Dirty() const { return dirty.load(std::memory_order_relaxed) != 0; }
 
   // Latch-free pin. Returns the mode pinned, or kNone if the copy is not
   // resident (the caller must take the slow path).

@@ -77,9 +77,10 @@ Result<Table::SlotRef> Table::PinSlot(rid_t rid, AccessIntent intent,
       last = Status::Busy("frame not materializable");
       continue;
     }
-    std::byte* slot = raw + SlotOffset(RidSlot(rid));
+    const size_t offset = SlotOffset(RidSlot(rid));
+    std::byte* slot = raw + offset;
     SlotRef ref{std::move(guard), reinterpret_cast<VersionHeader*>(slot),
-                slot + sizeof(VersionHeader)};
+                slot + sizeof(VersionHeader), offset, slot_size()};
     return ref;
   }
   return last;
@@ -167,7 +168,7 @@ Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
     h.flags = kFlagAllocated;
     std::memcpy(ref.hdr, &h, sizeof(h));
     std::memcpy(ref.payload, tuple, opts_.tuple_size);
-    ref.guard.MarkDirty();
+    ref.MarkDirty();
   }
   const Status st = index_->Insert(key, rid, ctx);
   if (!st.ok()) {
@@ -230,7 +231,10 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
             break;
           }
         }
-        if (bumped) ref.guard.MarkDirty();
+        if (bumped) {
+          ref.guard.MarkDirty(ref.offset + offsetof(VersionHeader, read_ts),
+                              sizeof(ref.hdr->read_ts));
+        }
       }
       if (ref.hdr->flags & kFlagTombstone) {
         // The key was deleted as of this snapshot. (read_ts was still
@@ -290,7 +294,7 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     } else {
       ref.hdr->flags |= kFlagTombstone;
     }
-    ref.guard.MarkDirty();
+    ref.MarkDirty();
     return Status::OK();
   }
   if (writer != 0) {
@@ -327,7 +331,7 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
       return Status::Aborted("head moved");
     }
   }
-  ref.guard.MarkDirty();
+  ref.MarkDirty();
 
   // Install the uncommitted successor version.
   auto rid_r = AllocateSlot();
@@ -357,7 +361,7 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     } else {
       std::memset(nref.payload, 0, opts_.tuple_size);
     }
-    nref.guard.MarkDirty();
+    nref.MarkDirty();
   }
   const Status ist = index_->Upsert(key, new_rid);
   if (!ist.ok()) {
@@ -412,13 +416,13 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op) {
   SlotRef ref = ref_r.MoveValue();
   AtomicField(ref.hdr->read_ts).store(txn->ts(), std::memory_order_relaxed);
   AtomicField(ref.hdr->begin_ts).store(txn->ts(), std::memory_order_release);
-  ref.guard.MarkDirty();
+  ref.MarkDirty();
   if (op.kind != Transaction::WriteOp::Kind::kInsert) {
     auto old_r = PinSlot(op.old_rid, AccessIntent::kWrite);
     if (old_r.ok()) {
       SlotRef old = old_r.MoveValue();
       AtomicField(old.hdr->writer).store(0, std::memory_order_release);
-      old.guard.MarkDirty();
+      old.MarkDirty();
     }
     TruncateChain(op.new_rid);
   }
@@ -438,7 +442,7 @@ void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {
       SlotRef ref = ref_r.MoveValue();
       ref.hdr->flags = 0;
       AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
-      ref.guard.MarkDirty();
+      ref.MarkDirty();
     }
     DeferFree(op.new_rid);
     return;
@@ -449,13 +453,13 @@ void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {
   if (ref_r.ok()) {
     SlotRef ref = ref_r.MoveValue();
     ref.hdr->flags = 0;
-    ref.guard.MarkDirty();
+    ref.MarkDirty();
   }
   auto old_r = PinSlot(op.old_rid, AccessIntent::kWrite);
   if (old_r.ok()) {
     SlotRef old = old_r.MoveValue();
     AtomicField(old.hdr->writer).store(0, std::memory_order_release);
-    old.guard.MarkDirty();
+    old.MarkDirty();
   }
   DeferFree(op.new_rid);
 }
@@ -487,7 +491,7 @@ void Table::TruncateChain(rid_t head) {
   rid_t garbage = sref.hdr->prev;
   if (garbage == kInvalidRid) return;
   sref.hdr->prev = kInvalidRid;
-  sref.guard.MarkDirty();
+  sref.MarkDirty();
   // A well-formed garbage list is at most as long as the version chain.
   // Bound the walk defensively: a cycle (chain corruption) must degrade
   // into a bounded slot leak, not an unbounded free-list explosion.
@@ -502,7 +506,7 @@ void Table::TruncateChain(rid_t head) {
     SlotRef gref = gref_r.MoveValue();
     const rid_t next = gref.hdr->prev;
     gref.hdr->flags = 0;
-    gref.guard.MarkDirty();
+    gref.MarkDirty();
     DeferFree(garbage);
     garbage = next;
   }
@@ -544,12 +548,12 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
         // Uncommitted at crash time: scrub.
         h->flags = 0;
         h->writer = 0;
-        ref.guard.MarkDirty();
+        ref.MarkDirty();
         holes.push_back(rid);
         continue;
       }
       h->writer = 0;  // stale lock from a crashed transaction
-      ref.guard.MarkDirty();
+      ref.MarkDirty();
       if (max_ts != nullptr && h->begin_ts > *max_ts) *max_ts = h->begin_ts;
       live[rid] = {h->key, h->begin_ts};
       auto it = heads.find(h->key);
@@ -572,7 +576,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
     if (it == live.end() || it->second.first != kv.first ||
         it->second.second > kv.second) {
       ref.hdr->prev = kInvalidRid;
-      ref.guard.MarkDirty();
+      ref.MarkDirty();
     }
   }
 
@@ -592,7 +596,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
     SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(rid, AccessIntent::kWrite));
     ref.hdr->flags = 0;
     ref.hdr->writer = 0;
-    ref.guard.MarkDirty();
+    ref.MarkDirty();
     holes.push_back(rid);
   }
 
@@ -699,7 +703,7 @@ Status Table::RecoveryApply(const LogRecord& rec) {
                   ref.payload + rec.offset);
         ref.hdr->flags &= ~kFlagTombstone;
       }
-      ref.guard.MarkDirty();
+      ref.MarkDirty();
       return Status::OK();
     }
     if (!tombstone) std::memcpy(payload.data(), ref.payload, n);
@@ -724,7 +728,7 @@ Status Table::RecoveryApply(const LogRecord& rec) {
     h.flags = kFlagAllocated | (tombstone ? kFlagTombstone : 0);
     std::memcpy(ref.hdr, &h, sizeof(h));
     std::memcpy(ref.payload, payload.data(), n);
-    ref.guard.MarkDirty();
+    ref.MarkDirty();
   }
   return index_->Upsert(rec.key, rid);
 }

@@ -125,10 +125,17 @@ class Table {
   }
 
  private:
+  // A pinned version slot: the guard, typed pointers into the slot, and
+  // where the slot lies in its page.
   struct SlotRef {
     PageGuard guard;
     VersionHeader* hdr;
     std::byte* payload;
+    size_t offset;
+    size_t size;
+
+    // Marks the slot's bytes dirty; call it while still holding the pin.
+    void MarkDirty() { guard.MarkDirty(offset, size); }
   };
 
   size_t slot_size() const {

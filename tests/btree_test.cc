@@ -104,6 +104,64 @@ TEST_F(BTreeTest, ManyKeysRandomOrder) {
   }
 }
 
+// Entries of a full leaf: the page payload after the 16-byte node header,
+// in 16-byte key/value pairs.
+constexpr uint64_t kLeafEntries = (kPagePayloadSize - 16) / 16;
+
+// No later key lands in a leaf that ascending inserts have moved past, so
+// a split in the middle would leave every such leaf half full for good.
+// They split next to the new key instead.
+TEST_F(BTreeTest, AscendingInsertsLeaveFullLeavesBehind) {
+  constexpr uint64_t kN = 60'000;
+  for (uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(tree_->Insert(k, k * 3).ok()) << k;
+  }
+  // The tree is the pool's only user. Every leaf but the last keeps all
+  // but one entry, plus one inner root; middle splits took 118 pages.
+  EXPECT_LE(bm_->next_page_id(), kN / (kLeafEntries - 1) + 2);
+  for (uint64_t k = 0; k < kN; k += 7) {
+    uint64_t v = 0;
+    ASSERT_TRUE(tree_->Lookup(k, &v).ok()) << k;
+    ASSERT_EQ(v, k * 3);
+  }
+  auto count = tree_->Count();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), kN);
+}
+
+// The same holds for ascending runs appended side by side, as TPC-C
+// appends orders and order lines at the end of each district's key range:
+// a run's insert point sits inside a leaf, before the next run's keys.
+TEST_F(BTreeTest, InterleavedAscendingRunsLeaveFullLeavesBehind) {
+  constexpr uint64_t kRuns = 40;
+  constexpr uint64_t kPerRun = 4'000;
+  std::vector<uint64_t> done(kRuns, 0);
+  std::vector<uint64_t> inserted;
+  Xoshiro256 rng(17);
+  while (inserted.size() < kRuns * kPerRun) {
+    const uint64_t run = rng.NextUint64(kRuns);
+    if (done[run] == kPerRun) continue;
+    const uint64_t i = done[run]++;
+    // Ten keys in every sixteen, like the lines of consecutive orders:
+    // steps of 1 within an order and of 7 across.
+    const uint64_t key = (run << 32) | (i / 10 * 16 + i % 10);
+    ASSERT_TRUE(tree_->Insert(key, key + 1).ok()) << key;
+    inserted.push_back(key);
+  }
+  const double full_leaves =
+      static_cast<double>(inserted.size()) / static_cast<double>(kLeafEntries);
+  // Full leaves take 157 pages; middle splits took 291.
+  EXPECT_LT(static_cast<double>(bm_->next_page_id()), 1.4 * full_leaves);
+  for (size_t i = 0; i < inserted.size(); i += 13) {
+    uint64_t v = 0;
+    ASSERT_TRUE(tree_->Lookup(inserted[i], &v).ok()) << inserted[i];
+    ASSERT_EQ(v, inserted[i] + 1);
+  }
+  auto count = tree_->Count();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), inserted.size());
+}
+
 TEST_F(BTreeTest, ScanReturnsSortedRange) {
   for (uint64_t k = 0; k < 5000; ++k) {
     ASSERT_TRUE(tree_->Insert(k * 3, k).ok());

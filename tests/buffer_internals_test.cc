@@ -1,11 +1,14 @@
 // Unit tests for the buffer manager's internal building blocks: page
 // layout, buffer pool + persistent frame table, the page table and the
-// page-id bounds it enforces, CLOCK replacement, and the migration-policy
-// decision distribution.
+// page-id bounds it enforces, CLOCK replacement, the migration-policy
+// decision distribution, and the granularity of DRAM → NVM write-backs.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "buffer/buffer_manager.h"
 #include "buffer/buffer_pool.h"
@@ -251,6 +254,50 @@ TEST_F(BufferInternalsTest, ClockAccessProtectsHotFrames) {
   EXPECT_EQ(total, 64);
 }
 
+// Under the eager policy every NVM hit is a promotion, so promotions are
+// the NVM tier's only accesses. The NVM clock must see them: otherwise,
+// once the tier is full, it evicts by install order and sends the oldest
+// pages, hot or not, to SSD.
+TEST_F(BufferInternalsTest, PromotionsAreNvmAccesses) {
+  // Of the three pages a first eviction leaves on the full NVM tier, the
+  // one not promoted again must be the next victim, whatever its frame.
+  for (size_t cold = 0; cold < 3; ++cold) {
+    SCOPED_TRACE(cold);
+    SsdDevice ssd(64 * kPageSize);
+    BufferManagerOptions opt;
+    opt.dram_frames = 1;
+    opt.nvm_frames = 4;
+    opt.policy = MigrationPolicy::Eager();
+    opt.num_shards = 1;
+    opt.ssd = &ssd;
+    BufferManager bm(opt);
+    // Each new page takes the DRAM frame and pushes the one before it
+    // into NVM. Page 5 pushes page 4 into the full tier: the clock's
+    // sweep clears every reference bit and evicts one of pages 0-3.
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(bm.NewPage().ok());
+    std::vector<page_id_t> old;
+    for (page_id_t p = 0; p < 4; ++p) {
+      if (bm.IsNvmResident(p)) old.push_back(p);
+    }
+    ASSERT_EQ(old.size(), 3u);
+    // A clean page 5 leaves DRAM without an NVM admission.
+    ASSERT_TRUE(bm.FlushPage(5).ok());
+    for (size_t i = 0; i < old.size(); ++i) {
+      if (i != cold) {
+        ASSERT_TRUE(bm.FetchPage(old[i], AccessIntent::kRead).ok());
+      }
+    }
+    // Page 6 takes the DRAM frame from a clean copy; page 7 pushes page 6
+    // into the full tier, which evicts one page.
+    ASSERT_TRUE(bm.NewPage().ok());
+    ASSERT_TRUE(bm.NewPage().ok());
+    ASSERT_TRUE(bm.IsNvmResident(6));
+    for (size_t i = 0; i < old.size(); ++i) {
+      EXPECT_EQ(bm.IsNvmResident(old[i]), i != cold) << "page " << old[i];
+    }
+  }
+}
+
 TEST_F(BufferInternalsTest, PolicyDecisionFrequencies) {
   MigrationPolicy p{0.25, 0.5, 0.0, 1.0};
   int dr = 0, dw = 0, nr = 0, nw = 0;
@@ -303,6 +350,192 @@ TEST_F(BufferInternalsTest, ConcurrentPoolAllocFree) {
   frame_id_t f;
   while (pool.TryAllocateFrame(&f)) ++count;
   EXPECT_EQ(count, 64);
+}
+
+TEST_F(BufferInternalsTest, DirtyUnitsOfAByteRange) {
+  EXPECT_EQ(TierState::UnitsOf(0, 0), 0u);
+  EXPECT_EQ(TierState::UnitsOf(kPageSize, 0), 0u);
+  EXPECT_EQ(TierState::UnitsOf(1000, 8), uint64_t{1} << 3);
+  EXPECT_EQ(TierState::UnitsOf(1020, 8), uint64_t{3} << 3);
+  EXPECT_EQ(TierState::UnitsOf(256, 256), uint64_t{1} << 1);
+  EXPECT_EQ(TierState::UnitsOf(kPageSize - 1, 1), uint64_t{1} << 63);
+  EXPECT_EQ(TierState::UnitsOf(0, kPageSize), TierState::kAllUnits);
+}
+
+// A full DRAM copy evicted or flushed onto its NVM copy writes back only
+// the 256 B units written since it was last clean, one device write per
+// run of them. Three tiers under the eager policy with one DRAM frame:
+// every fetch of an NVM page moves it up into that frame, so fetching a
+// second page evicts the first one's DRAM copy.
+class WriteBackGranularityTest : public BufferInternalsTest {
+ protected:
+  struct Traffic {
+    uint64_t media_bytes = 0;
+    uint64_t writes = 0;
+  };
+
+  void SetUp() override {
+    BufferInternalsTest::SetUp();
+    BufferManagerOptions opt;
+    opt.dram_frames = 1;
+    opt.nvm_frames = 8;
+    opt.policy = MigrationPolicy::Eager();
+    opt.num_shards = 1;
+    opt.ssd = &ssd_;
+    bm_ = std::make_unique<BufferManager>(opt);
+    // Each new page takes the DRAM frame and pushes the one before it
+    // down into NVM, whole (an admission), so pages 0 and 1 end on NVM.
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(bm_->NewPage().ok());
+    ASSERT_TRUE(bm_->IsNvmResident(0) && bm_->IsNvmResident(1));
+  }
+
+  // Moves page 0 up from NVM into DRAM; its NVM copy stays. The model of
+  // the page starts as that NVM copy's bytes.
+  PageGuard FetchPage0() {
+    auto r = bm_->FetchPage(0, AccessIntent::kWrite);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    PageGuard g = r.MoveValue();
+    EXPECT_EQ(g.tier(), Tier::kDram);
+    EXPECT_TRUE(bm_->IsNvmResident(0));
+    want_.assign(NvmCopy(), NvmCopy() + kPageSize);
+    return g;
+  }
+
+  // Bytes [offset, offset + size) of page 0 to write next.
+  std::vector<std::byte> Fill(size_t offset, size_t size) {
+    std::vector<std::byte> buf(size);
+    for (size_t i = 0; i < size; ++i) {
+      buf[i] = static_cast<std::byte>(0xA5 ^ (offset + i));
+    }
+    std::memcpy(want_.data() + offset, buf.data(), size);
+    return buf;
+  }
+
+  void WriteAt(PageGuard& g, size_t offset, size_t size) {
+    const std::vector<std::byte> buf = Fill(offset, size);
+    ASSERT_TRUE(g.WriteAt(offset, size, buf.data()).ok());
+  }
+
+  // Writes through the raw frame without marking anything.
+  void RawWrite(PageGuard& g, size_t offset, size_t size) {
+    const std::vector<std::byte> buf = Fill(offset, size);
+    std::memcpy(g.RawData() + offset, buf.data(), size);
+  }
+
+  // NVM traffic of `step`.
+  template <typename Step>
+  Traffic NvmTraffic(Step&& step) {
+    const DeviceStats& s = bm_->nvm_device()->stats();
+    const uint64_t bytes = s.media_bytes_written.load();
+    const uint64_t writes = s.num_writes.load();
+    step();
+    return {s.media_bytes_written.load() - bytes, s.num_writes.load() - writes};
+  }
+
+  // Evicts page 0's DRAM copy by moving page 1 up.
+  Traffic EvictPage0() {
+    const Traffic t = NvmTraffic(
+        [&] { EXPECT_TRUE(bm_->FetchPage(1, AccessIntent::kRead).ok()); });
+    EXPECT_FALSE(bm_->IsDramResident(0));
+    return t;
+  }
+
+  const std::byte* NvmCopy() {
+    const SharedPageDescriptor* d = bm_->shard(0)->page_table().Find(0);
+    return bm_->nvm_pool()->FramePtr(d->nvm.frame.load());
+  }
+
+  void ExpectNvmCopyIsModel() {
+    EXPECT_EQ(std::memcmp(NvmCopy(), want_.data(), kPageSize), 0);
+  }
+
+  SsdDevice ssd_{64 * kPageSize};
+  std::unique_ptr<BufferManager> bm_;
+  std::vector<std::byte> want_;
+};
+
+TEST_F(WriteBackGranularityTest, WriteInsideOneUnitWritesThatUnit) {
+  {
+    PageGuard g = FetchPage0();
+    WriteAt(g, 1000, 8);
+  }
+  const Traffic t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, 256u);
+  EXPECT_EQ(t.writes, 1u);
+  ExpectNvmCopyIsModel();
+}
+
+TEST_F(WriteBackGranularityTest, WriteAcrossAUnitBoundaryWritesBothUnits) {
+  {
+    PageGuard g = FetchPage0();
+    WriteAt(g, 1020, 8);
+  }
+  const Traffic t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, 512u);
+  EXPECT_EQ(t.writes, 1u);
+  ExpectNvmCopyIsModel();
+}
+
+TEST_F(WriteBackGranularityTest, DisjointWritesAreSeparateDeviceWrites) {
+  {
+    PageGuard g = FetchPage0();
+    WriteAt(g, 1000, 8);
+    WriteAt(g, 9000, 8);
+  }
+  const Traffic t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, 512u);
+  EXPECT_EQ(t.writes, 2u);
+  ExpectNvmCopyIsModel();
+}
+
+TEST_F(WriteBackGranularityTest, MarkedRangeOfARawWriteIsWrittenBack) {
+  {
+    PageGuard g = FetchPage0();
+    RawWrite(g, 5000, 8);
+    g.MarkDirty(5000, 8);
+  }
+  const Traffic t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, 256u);
+  EXPECT_EQ(t.writes, 1u);
+  ExpectNvmCopyIsModel();
+}
+
+TEST_F(WriteBackGranularityTest, WholePageMarksWriteTheWholePage) {
+  {
+    PageGuard g = FetchPage0();
+    RawWrite(g, 5000, 8);
+    g.MarkDirty();
+  }
+  Traffic t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, kPageSize);
+  EXPECT_EQ(t.writes, 1u);
+  ExpectNvmCopyIsModel();
+
+  {
+    PageGuard g = FetchPage0();
+    const std::vector<std::byte> buf = Fill(7000, 8);
+    std::memcpy(g.RawData(/*for_write=*/true) + 7000, buf.data(), 8);
+  }
+  t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, kPageSize);
+  EXPECT_EQ(t.writes, 1u);
+  ExpectNvmCopyIsModel();
+}
+
+TEST_F(WriteBackGranularityTest, FlushRefreshesTheNvmCopyWithDirtyUnits) {
+  {
+    PageGuard g = FetchPage0();
+    WriteAt(g, 1000, 8);
+  }
+  Traffic t = NvmTraffic([&] { ASSERT_TRUE(bm_->FlushPage(0).ok()); });
+  EXPECT_EQ(t.media_bytes, 256u);
+  EXPECT_EQ(t.writes, 1u);
+  EXPECT_TRUE(bm_->IsDramResident(0));
+  ExpectNvmCopyIsModel();
+  // Both copies are clean now: evicting the DRAM copy writes nothing.
+  t = EvictPage0();
+  EXPECT_EQ(t.media_bytes, 0u);
+  ExpectNvmCopyIsModel();
 }
 
 }  // namespace

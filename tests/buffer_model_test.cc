@@ -1,6 +1,7 @@
 // Differential fuzz of the buffer manager against a reference model: one
 // 16 KB image per page id. Random NewPage, FetchPage + ReadAt/WriteAt,
-// whole-page RawData reads, FlushPage, FlushAll and SetPolicy sequences
+// whole-page RawData reads, RawData writes that mark only the range they
+// change, FlushPage, FlushAll and SetPolicy sequences
 // run over every hierarchy, migration policy, replacer, HyMem mode and
 // shard count, and every byte read back is compared with the model.
 //
@@ -11,9 +12,9 @@
 // the operation sequence, not every placement decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -267,8 +268,10 @@ class ModelRun {
       return;
     }
     const uint64_t dice = rng_.NextUint64(100);
-    if (dice < 75) {
+    if (dice < 65) {
       Access();
+    } else if (dice < 75) {
+      RawWrite();
     } else if (dice < 87) {
       RawRead();
     } else if (dice < 94) {
@@ -359,7 +362,7 @@ class ModelRun {
           b = static_cast<std::byte>(rng_.Next());
         }
         if (!Check(g.WriteAt(offset, size, buf.data()), "WriteAt")) return;
-        std::memcpy(model_[pid].data() + offset, buf.data(), size);
+        std::copy(buf.begin(), buf.end(), model_[pid].begin() + offset);
       } else {
         if (!Check(g.ReadAt(offset, size, buf.data()), "ReadAt")) return;
         Compare(pid, offset, size, buf.data(), "ReadAt");
@@ -375,6 +378,29 @@ class ModelRun {
         Fail(pid, "out-of-range access was not refused");
       }
     }
+  }
+
+  // Writes a range through the raw frame and marks only that range dirty,
+  // as the table heap and the B+Tree do: a partial write-back that misses
+  // a changed unit loses bytes the model still has.
+  void RawWrite() {
+    const page_id_t pid = pids_[rng_.NextUint64(pids_.size())];
+    auto r = bm_->FetchPage(pid, AccessIntent::kWrite);
+    if (!Check(r.status(), "FetchPage")) return;
+    PageGuard g = r.MoveValue();
+    std::byte* p = g.RawData();
+    if (p == nullptr) {
+      Check(Status::Busy("RawData found no frame"), "RawData");
+      return;
+    }
+    size_t offset = 0;
+    size_t size = 0;
+    DrawRange(/*write=*/true, &offset, &size);
+    std::byte* want = model_[pid].data();
+    for (size_t i = offset; i < offset + size; ++i) {
+      p[i] = want[i] = static_cast<std::byte>(rng_.Next());
+    }
+    g.MarkDirty(offset, size);
   }
 
   void RawRead() {
