@@ -251,10 +251,21 @@ Status Database::Commit(Transaction* txn) {
       SPITFIRE_RETURN_NOT_OK(lm_->Drain());
     }
   }
-  for (const auto& op : txn->write_set) {
-    Table* t = GetTable(op.table_id);
-    SPITFIRE_CHECK(t != nullptr);
-    t->FinalizeCommit(txn, op);
+  if (!txn->write_set.empty()) {
+    // One GC watermark for the whole commit: a stale one only delays GC.
+    const timestamp_t watermark = tm_.MinActiveTs();
+    std::vector<Table*> written;
+    for (const auto& op : txn->write_set) {
+      Table* t = GetTable(op.table_id);
+      SPITFIRE_CHECK(t != nullptr);
+      t->FinalizeCommit(txn, op, watermark);
+      if (std::find(written.begin(), written.end(), t) == written.end()) {
+        written.push_back(t);
+      }
+    }
+    // Tombstones that earlier deletes in these tables queued while an
+    // older transaction was active, and that the watermark has now passed.
+    for (Table* t : written) t->ReclaimTombstones(watermark);
   }
   txn->set_state(TxnState::kCommitted);
   tm_.Finish(txn);
@@ -290,7 +301,15 @@ Status Database::Checkpoint() {
   // the sweep starts and a clean sweep makes them durable. Writes racing
   // the sweep belong to transactions above the watermark and stay covered
   // by redo.
-  const timestamp_t watermark = tm_.MinActiveTs() - 1;
+  timestamp_t horizon = tm_.MinActiveTs() - 1;
+  // Reclaiming a queued tombstone frees its key's versions with no log
+  // record of that key after the delete, so the horizon stays below every
+  // tombstone still queued: redo then replays the delete over whatever
+  // part of the reclaim reached durable media. Read after the watermark,
+  // so every delete at or below it has queued its tombstone by now.
+  for (Table* t : Tables()) {
+    horizon = std::min(horizon, t->oldest_queued_tombstone() - 1);
+  }
   size_t skipped = 0;
   SPITFIRE_RETURN_NOT_OK(bm_->FlushAll(/*include_nvm=*/false, &skipped));
   if (lm_ != nullptr) {
@@ -299,10 +318,17 @@ Status Database::Checkpoint() {
     // skipped because it was actively referenced may hold the only copy
     // of a version at or below the watermark.
     if (skipped == 0) {
-      SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(watermark));
+      SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(horizon));
     }
   }
   return Status::OK();
+}
+
+std::vector<Table*> Database::Tables() {
+  std::lock_guard<std::mutex> g(schema_mu_);
+  std::vector<Table*> tables;
+  for (auto& [id, entry] : tables_) tables.push_back(entry.table.get());
+  return tables;
 }
 
 Status Database::CheckIntegrity(std::string* why) {
@@ -514,6 +540,23 @@ Status Database::RunRecovery() {
     }
   }
   tm_.AdvanceTo(max_ts + 1);
+
+  // No transaction is active, so every tombstone the heap scan found or
+  // redo replayed can be reclaimed now. A tombstone at or below the
+  // durable horizon has no later record of its key, so the horizon is
+  // voided first, as for a quarantine: a crash before the checkpoint
+  // below then replays the whole log.
+  {
+    const std::vector<Table*> tables = Tables();
+    timestamp_t oldest = kMaxTimestamp;
+    for (Table* t : tables) {
+      oldest = std::min(oldest, t->oldest_queued_tombstone());
+    }
+    if (lm_ != nullptr && oldest <= lm_->durable_horizon()) {
+      SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(0));
+    }
+    for (Table* t : tables) t->ReclaimTombstones(tm_.MinActiveTs());
+  }
 
   // Persist the rebuilt catalog (fresh index roots) and checkpoint. A
   // crash anywhere in this tail must leave the database re-recoverable:

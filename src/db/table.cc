@@ -15,8 +15,9 @@ namespace spitfire {
 namespace {
 // Atomic views over header fields stored in page memory. Pages are pinned
 // for the duration of every access, so the bytes cannot move underneath.
-inline std::atomic_ref<uint64_t> AtomicField(uint64_t& f) {
-  return std::atomic_ref<uint64_t>(f);
+template <typename T>
+inline std::atomic_ref<T> AtomicField(T& f) {
+  return std::atomic_ref<T>(f);
 }
 
 // The byte range [lo, hi) outside which `a` and `b` agree (lo == hi when
@@ -149,8 +150,8 @@ Status Table::LogWrite(Transaction* txn, LogRecordType type, uint64_t key,
 
 Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
   FetchContext* ctx = txn->fetch_ctx;
-  SPITFIRE_ASSIGN_OR_RETURN(const rid_t rid, AllocateSlot());
-  {
+  for (;;) {
+    SPITFIRE_ASSIGN_OR_RETURN(const rid_t rid, AllocateSlot());
     // On any pin failure — including a parked miss — return the slot to
     // the free list; the resumed Insert allocates afresh.
     auto ref_r = PinSlot(rid, AccessIntent::kWrite, ctx);
@@ -169,24 +170,31 @@ Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
     std::memcpy(ref.hdr, &h, sizeof(h));
     std::memcpy(ref.payload, tuple, opts_.tuple_size);
     ref.MarkDirty();
-  }
-  const Status st = index_->Insert(key, rid, ctx);
-  if (!st.ok()) {
-    // The slot was written but never published: safe to re-run after a
-    // parked index traversal resumes (the re-run gets a fresh slot).
+    const Status st = index_->Insert(key, rid, ctx);
+    if (st.ok()) {
+      // Join the write set before the append, so an Abort after a failed
+      // append rolls the published version back.
+      txn->write_set.push_back(Transaction::WriteOp{
+          Transaction::WriteOp::Kind::kInsert, opts_.table_id, key, rid,
+          kInvalidRid});
+      return LogWrite(txn, LogRecordType::kInsert, key, nullptr,
+                      static_cast<const std::byte*>(tuple));
+    }
+    // The slot was written but never published: free it, so no
+    // uncommitted version is left allocated. A parked index traversal
+    // resumes with a re-run, which gets a fresh slot.
+    ref.hdr->flags = 0;
+    ref.MarkDirty();
+    ref.guard.Release();
     DeferFree(rid);
-    if (st.IsBusy() || st.IsWouldBlock()) return st;
+    if (st.code() != StatusCode::kInvalidArgument) return st;
     // The key exists in the index — but it may be a committed tombstone,
-    // in which case the insert proceeds as a successor version.
-    return WriteInternal(txn, key, tuple, /*allow_tombstone_head=*/true);
+    // in which case the insert proceeds as a successor version. If the
+    // tombstone was reclaimed since, the key is gone: insert afresh.
+    const Status wst =
+        WriteInternal(txn, key, tuple, /*allow_tombstone_head=*/true);
+    if (!wst.IsNotFound()) return wst;
   }
-  // Join the write set before the append, so an Abort after a failed
-  // append rolls the published version back.
-  txn->write_set.push_back(Transaction::WriteOp{
-      Transaction::WriteOp::Kind::kInsert, opts_.table_id, key, rid,
-      kInvalidRid});
-  return LogWrite(txn, LogRecordType::kInsert, key, nullptr,
-                  static_cast<const std::byte*>(tuple));
 }
 
 Status Table::Read(Transaction* txn, uint64_t key, void* out) {
@@ -206,7 +214,12 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
     const uint64_t begin = AtomicField(ref.hdr->begin_ts).load(
         std::memory_order_acquire);
     const bool own = writer == txn->id() && begin == kMaxTimestamp;
-    if (!own && writer != 0 && writer != txn->id() && writer < txn->ts()) {
+    // A claim valued at the version's own begin_ts is no write in flight:
+    // its committer holds it to finish the commit (FinalizeCommit), or a
+    // reclaimer holds it for the deleter (ReclaimQueued). Neither
+    // installs a successor.
+    if (!own && writer != 0 && writer != begin && writer != txn->id() &&
+        writer < txn->ts()) {
       // An older transaction has a write in flight on this version (either
       // an uncommitted successor, or a lock on the committed head). If it
       // commits, its timestamp precedes ours and we would have read a
@@ -236,7 +249,10 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
                               sizeof(ref.hdr->read_ts));
         }
       }
-      if (ref.hdr->flags & kFlagTombstone) {
+      // Atomic: a reclaim clears kFlagAllocated on a tombstone that
+      // readers may still reach; kFlagTombstone stays.
+      if (AtomicField(ref.hdr->flags).load(std::memory_order_relaxed) &
+          kFlagTombstone) {
         // The key was deleted as of this snapshot. (read_ts was still
         // advanced above so older writers correctly abort.)
         return Status::NotFound("deleted");
@@ -275,10 +291,18 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
 
   SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref,
                             PinSlot(head, AccessIntent::kWrite, ctx));
-  const uint64_t writer =
+  uint64_t writer =
       AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
   const uint64_t begin =
       AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire);
+  // A claim valued at the version's own begin_ts (see Read) ends within
+  // a commit's bookkeeping and installs nothing: wait it out, backing off
+  // as PinSlot does, rather than abort on it.
+  for (int wait = 0; writer != 0 && writer == begin && wait < 8; ++wait) {
+    SpinWaitNanos(std::min<uint64_t>(uint64_t{1'000} << wait,
+                                     uint64_t{32'000}));
+    writer = AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
+  }
 
   const LogRecordType type =
       tuple != nullptr ? LogRecordType::kUpdate : LogRecordType::kDelete;
@@ -303,7 +327,9 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
   if (begin == kMaxTimestamp || begin > txn->ts()) {
     return Status::Aborted("newer version exists");
   }
-  const bool head_is_tombstone = (ref.hdr->flags & kFlagTombstone) != 0;
+  const bool head_is_tombstone =
+      (AtomicField(ref.hdr->flags).load(std::memory_order_relaxed) &
+       kFlagTombstone) != 0;
   if (head_is_tombstone && !allow_tombstone_head) {
     return Status::NotFound("key deleted");
   }
@@ -328,7 +354,8 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     const Status hst = index_->Lookup(key, &cur_head);
     if (!hst.ok() || cur_head != head) {
       AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
-      return Status::Aborted("head moved");
+      // A reclaimed tombstone leaves the key absent.
+      return hst.IsNotFound() ? hst : Status::Aborted("head moved");
     }
   }
   ref.MarkDirty();
@@ -410,7 +437,8 @@ Status Table::Scan(Transaction* txn, uint64_t lo, uint64_t hi,
 // Commit / abort
 // ---------------------------------------------------------------------------
 
-void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op) {
+void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
+                           timestamp_t watermark) {
   auto ref_r = PinSlot(op.new_rid, AccessIntent::kWrite);
   if (!ref_r.ok()) return;
   SlotRef ref = ref_r.MoveValue();
@@ -424,7 +452,20 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op) {
       AtomicField(old.hdr->writer).store(0, std::memory_order_release);
       old.MarkDirty();
     }
-    TruncateChain(op.new_rid);
+  }
+  // Whether this write deleted the key is the version's flag, not the
+  // entry's kind: a delete then an insert of one key in one transaction
+  // leaves a live row under a kDelete entry (the insert cleared the flag
+  // in place), and an insert then a delete a tombstone under kInsert.
+  const bool tombstone = (ref.hdr->flags & kFlagTombstone) != 0;
+  if (tombstone && txn->ts() <= watermark) {
+    // No transaction older than the delete is active: every reader sees
+    // the tombstone, and an absent key reads the same.
+    ReclaimTombstone(op.key, op.new_rid, &ref, watermark);
+    return;
+  }
+  if (op.kind != Transaction::WriteOp::Kind::kInsert) {
+    TruncateChain(op.new_rid, watermark);
   }
   // Release the head's write claim only AFTER truncating. While it is
   // held no successor version can be installed, so at most one
@@ -432,6 +473,97 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op) {
   // walks double-DeferFree the same garbage versions; a slot recycled
   // while a chain still references it turns the prev links into a cycle.
   AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+  if (tombstone) QueueTombstone({op.key, op.new_rid, txn->ts()});
+}
+
+void Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+                             timestamp_t watermark) {
+  // The tombstone is the survivor at `watermark`, so TruncateChain frees
+  // every older version. Only then may the key leave the index and the
+  // tombstone its slot: a tombstone freed while a cut-off older version
+  // is still allocated would let recovery's heap scan bring that version
+  // back. If a step fails the key stays a committed, indexed tombstone.
+  const bool freed = TruncateChain(rid, watermark) && index_->Remove(key).ok();
+  if (freed) {
+    // Keep kFlagTombstone through the grace period: a reader that took
+    // `rid` from the index before the removal still reads "deleted".
+    AtomicField(ref->hdr->flags)
+        .store(kFlagTombstone, std::memory_order_relaxed);
+  }
+  // Release the claim before the slot can be recycled.
+  AtomicField(ref->hdr->writer).store(0, std::memory_order_release);
+  ref->MarkDirty();
+  if (freed) DeferFree(rid);
+}
+
+void Table::QueueTombstone(const QueuedTombstone& q) {
+  std::lock_guard<std::mutex> g(reclaim_mu_);
+  tombstones_.push_back(q);
+  if (q.ts < oldest_tombstone_.load(std::memory_order_relaxed)) {
+    oldest_tombstone_.store(q.ts, std::memory_order_release);
+  }
+}
+
+void Table::ReclaimTombstones(timestamp_t watermark) {
+  if (oldest_queued_tombstone() > watermark) return;
+  std::unique_lock<std::mutex> g(reclaim_mu_, std::try_to_lock);
+  if (!g.owns_lock()) return;
+  // Entries are kept in place until all are settled, and the oldest
+  // timestamp rises only after that: a checkpoint that reads it while
+  // this runs keeps its horizon below every entry in progress.
+  size_t kept = 0;
+  timestamp_t oldest = kMaxTimestamp;
+  for (const QueuedTombstone& q : tombstones_) {
+    if (q.ts > watermark || !ReclaimQueued(q, watermark)) {
+      tombstones_[kept++] = q;
+      oldest = std::min(oldest, q.ts);
+    }
+  }
+  tombstones_.resize(kept);
+  oldest_tombstone_.store(oldest, std::memory_order_release);
+}
+
+bool Table::ReclaimQueued(const QueuedTombstone& q, timestamp_t watermark) {
+  // Look the key up before touching a slot: a slot the index maps to is
+  // not free, and the caller's transaction keeps it from being recycled
+  // until it finishes.
+  const auto head_of_key = [&] {
+    uint64_t head = kInvalidRid;
+    return index_->Lookup(q.key, &head).ok() ? head : kInvalidRid;
+  };
+  const rid_t head = head_of_key();
+  if (head == kInvalidRid) return true;  // already reclaimed
+  auto ref_r = PinSlot(head, AccessIntent::kWrite);
+  if (!ref_r.ok()) return false;
+  SlotRef ref = ref_r.MoveValue();
+  if (head != q.rid) {
+    // A re-insert replaced the tombstone. Until it commits its writer may
+    // abort and make the tombstone the head again; once it has, the
+    // tombstone is chain garbage that its commit frees.
+    return AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire) !=
+           kMaxTimestamp;
+  }
+  // Take the key's write claim on behalf of the deleter.
+  uint64_t expected = 0;
+  if (!AtomicField(ref.hdr->writer)
+           .compare_exchange_strong(expected, q.ts,
+                                    std::memory_order_acq_rel)) {
+    return false;  // a writer holds the key; it may yet abort
+  }
+  // Under the claim the head cannot move: check that it is still this
+  // committed tombstone.
+  const bool same =
+      head_of_key() == q.rid && ref.hdr->key == q.key &&
+      AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire) ==
+          q.ts &&
+      AtomicField(ref.hdr->flags).load(std::memory_order_relaxed) ==
+          (kFlagAllocated | kFlagTombstone);
+  if (!same) {
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+    return true;
+  }
+  ReclaimTombstone(q.key, q.rid, &ref, watermark);
+  return true;
 }
 
 void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {
@@ -464,8 +596,7 @@ void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {
   DeferFree(op.new_rid);
 }
 
-void Table::TruncateChain(rid_t head) {
-  const timestamp_t watermark = tm_->MinActiveTs();
+bool Table::TruncateChain(rid_t head, timestamp_t watermark) {
   // Find the newest version whose begin_ts <= watermark: every active and
   // future transaction sees it or something newer, so older versions are
   // garbage.
@@ -474,7 +605,7 @@ void Table::TruncateChain(rid_t head) {
   int depth = 0;
   while (rid != kInvalidRid && depth++ < 64) {
     auto ref_r = PinSlot(rid, AccessIntent::kRead);
-    if (!ref_r.ok()) return;
+    if (!ref_r.ok()) return false;
     SlotRef ref = ref_r.MoveValue();
     const uint64_t begin =
         AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire);
@@ -484,12 +615,12 @@ void Table::TruncateChain(rid_t head) {
     }
     rid = ref.hdr->prev;
   }
-  if (survivor == kInvalidRid) return;
+  if (survivor == kInvalidRid) return true;
   auto sref_r = PinSlot(survivor, AccessIntent::kWrite);
-  if (!sref_r.ok()) return;
+  if (!sref_r.ok()) return false;
   SlotRef sref = sref_r.MoveValue();
   rid_t garbage = sref.hdr->prev;
-  if (garbage == kInvalidRid) return;
+  if (garbage == kInvalidRid) return true;
   sref.hdr->prev = kInvalidRid;
   sref.MarkDirty();
   // A well-formed garbage list is at most as long as the version chain.
@@ -499,17 +630,23 @@ void Table::TruncateChain(rid_t head) {
   while (garbage != kInvalidRid) {
     if (++freed > 4096) {
       SPITFIRE_DCHECK(false && "version chain cycle detected");
-      return;
+      return false;
     }
     auto gref_r = PinSlot(garbage, AccessIntent::kWrite);
-    if (!gref_r.ok()) return;
+    if (!gref_r.ok()) return false;
     SlotRef gref = gref_r.MoveValue();
     const rid_t next = gref.hdr->prev;
-    gref.hdr->flags = 0;
+    // A freed tombstone keeps its tombstone flag, as a reclaimed one does
+    // (ReclaimTombstone): a reader that took this rid from the index just
+    // before a newer version replaced it reads "deleted", not the zeroed
+    // payload as a live row.
+    AtomicField(gref.hdr->flags)
+        .fetch_and(kFlagTombstone, std::memory_order_relaxed);
     gref.MarkDirty();
     DeferFree(garbage);
     garbage = next;
   }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -533,6 +670,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
   std::map<uint64_t, std::pair<timestamp_t, rid_t>> heads;
   // every surviving committed version: rid -> (key, begin_ts)
   std::map<rid_t, std::pair<uint64_t, timestamp_t>> live;
+  std::set<rid_t> tombstones;  // committed tombstones among `live`
   std::vector<rid_t> holes;
   for (page_id_t pid : pages) {
     for (uint32_t slot = 0; slot < slots_per_page_; ++slot) {
@@ -556,6 +694,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
       ref.MarkDirty();
       if (max_ts != nullptr && h->begin_ts > *max_ts) *max_ts = h->begin_ts;
       live[rid] = {h->key, h->begin_ts};
+      if (h->flags & kFlagTombstone) tombstones.insert(rid);
       auto it = heads.find(h->key);
       if (it == heads.end() || it->second.first < h->begin_ts) {
         heads[h->key] = {h->begin_ts, rid};
@@ -602,6 +741,11 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
 
   for (const auto& [key, entry] : heads) {
     SPITFIRE_RETURN_NOT_OK(index_->Upsert(key, entry.second));
+    // Redo may still need a deleted key's tombstone as the base of a
+    // later record, so it is reclaimed only after redo.
+    if (tombstones.count(entry.second) != 0) {
+      QueueTombstone({key, entry.second, entry.first});
+    }
   }
   {
     std::lock_guard<std::mutex> g(alloc_mu_);
@@ -698,6 +842,7 @@ Status Table::RecoveryApply(const LogRecord& rec) {
       // place, as the live path did. Re-applying is idempotent.
       if (tombstone) {
         ref.hdr->flags |= kFlagTombstone;
+        QueueTombstone({rec.key, head, ts});
       } else {
         std::copy(rec.after.begin(), rec.after.end(),
                   ref.payload + rec.offset);
@@ -730,7 +875,9 @@ Status Table::RecoveryApply(const LogRecord& rec) {
     std::memcpy(ref.payload, payload.data(), n);
     ref.MarkDirty();
   }
-  return index_->Upsert(rec.key, rid);
+  SPITFIRE_RETURN_NOT_OK(index_->Upsert(rec.key, rid));
+  if (tombstone) QueueTombstone({rec.key, rid, ts});
+  return Status::OK();
 }
 
 }  // namespace spitfire

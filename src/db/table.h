@@ -1,6 +1,7 @@
 #ifndef SPITFIRE_DB_TABLE_H_
 #define SPITFIRE_DB_TABLE_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -58,6 +59,9 @@ class Table {
   static constexpr uint32_t kFlagAllocated = 1;
   // Deletes install a tombstone version: readers whose timestamp sees the
   // tombstone get NotFound; older snapshots still see the predecessor.
+  // Once no transaction older than the delete is active, the tombstone is
+  // reclaimed and the key leaves the index (see FinalizeCommit); its slot
+  // keeps this flag, without kFlagAllocated, until the slot is reused.
   static constexpr uint32_t kFlagTombstone = 2;
 
   Table(const Options& opts, BufferManager* bm, TransactionManager* tm,
@@ -89,16 +93,32 @@ class Table {
               const std::function<bool(uint64_t, const void*)>& fn);
 
   // --- commit/abort processing (driven by Database) ---
-  void FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op);
+  // `watermark` is TransactionManager::MinActiveTs() sampled during the
+  // commit: no active transaction is older. A committed tombstone at or
+  // below it is reclaimed at once; a younger one is queued.
+  void FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
+                      timestamp_t watermark);
   void RollbackAbort(Transaction* txn, const Transaction::WriteOp& op);
+  // Reclaims the queued tombstones whose deletes are at or below
+  // `watermark`. Returns at once when there are none, or when another
+  // thread is already reclaiming this table's queue.
+  void ReclaimTombstones(timestamp_t watermark);
+  // Timestamp of the oldest tombstone still queued (kMaxTimestamp if
+  // none). Reclaiming it will change the heap with no later log record of
+  // its key, so a checkpoint keeps its redo horizon below it.
+  timestamp_t oldest_queued_tombstone() const {
+    return oldest_tombstone_.load(std::memory_order_acquire);
+  }
 
   // --- recovery ---
   // Registers a heap page discovered during the recovery scan.
   void AdoptPage(page_id_t pid);
   // Scrubs uncommitted versions, resets stale write locks, rebuilds the
   // index to point at each key's newest committed version, and rebuilds
-  // the slot free list. Reports the largest committed begin_ts seen so the
-  // timestamp dispenser can be advanced past it.
+  // the slot free list. A key whose newest version is a tombstone is
+  // indexed and queued for ReclaimTombstones, which recovery runs after
+  // redo. Reports the largest committed begin_ts seen so the timestamp
+  // dispenser can be advanced past it.
   Status RebuildFromHeap(timestamp_t* max_ts = nullptr);
   // Redoes one committed INSERT, UPDATE or DELETE record (its timestamp is
   // its transaction id) against the key's newest version. A newer version
@@ -107,7 +127,8 @@ class Table {
   // re-applying is idempotent. Otherwise a new version is built from the
   // newest version's bytes plus the record's range (a tombstone's payload
   // is zeroed). An update that changes only part of the tuple needs that
-  // base version; without one it is Corruption.
+  // base version; without one it is Corruption. A tombstone it leaves is
+  // queued for ReclaimTombstones.
   Status RecoveryApply(const LogRecord& rec);
   // begin_ts of the key's newest version, 0 if the key has none.
   Result<timestamp_t> RecoveryHeadTs(uint64_t key);
@@ -157,9 +178,25 @@ class Table {
   Status WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
                        bool allow_tombstone_head);
 
-  // Unlinks versions older than the newest one visible at the GC
-  // watermark, deferring slot reuse until in-flight readers finish.
-  void TruncateChain(rid_t head);
+  // Unlinks versions older than the newest one visible at `watermark`,
+  // deferring slot reuse until in-flight readers finish. Returns false if
+  // a pin failed, which may leave the chain cut but its tail allocated.
+  bool TruncateChain(rid_t head, timestamp_t watermark);
+
+  // Reclaims the committed tombstone at `rid`, the index head of `key`,
+  // whose write claim the caller holds, and releases the claim.
+  void ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+                        timestamp_t watermark);
+  struct QueuedTombstone {
+    uint64_t key;
+    rid_t rid;
+    timestamp_t ts;  // the delete's commit timestamp
+  };
+  void QueueTombstone(const QueuedTombstone& q);
+  // Reclaims `q` if it is still its key's head. Returns false to keep it
+  // queued: a writer holds the key, or replaced the tombstone and has not
+  // committed, or a pin failed.
+  bool ReclaimQueued(const QueuedTombstone& q, timestamp_t watermark);
 
   // Appends the record of one write. `before` is the version it replaces
   // (null for an insert), `after` the new tuple (null for a delete).
@@ -182,6 +219,12 @@ class Table {
     timestamp_t freed_at;
   };
   std::deque<DeferredFree> free_list_;  // FIFO: oldest free first
+
+  // Committed tombstones waiting for the watermark to pass their delete.
+  std::mutex reclaim_mu_;
+  std::vector<QueuedTombstone> tombstones_;  // guarded by reclaim_mu_
+  // min ts over tombstones_; a reclaim raises it only when it is done.
+  std::atomic<timestamp_t> oldest_tombstone_{kMaxTimestamp};
 };
 
 }  // namespace spitfire

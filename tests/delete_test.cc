@@ -1,10 +1,13 @@
 // Tests for Table::Delete: tombstone semantics under MVTO, snapshot
-// behaviour, re-insertion over tombstones, abort rollback, and crash
-// recovery of deletes.
+// behaviour, re-insertion over tombstones, abort rollback, reclamation of
+// committed tombstones, and crash recovery of deletes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "db/database.h"
 #include "storage/perf_model.h"
@@ -24,6 +27,10 @@ class DeleteTest : public ::testing::Test {
     opts_.dram_frames = 64;
     opts_.nvm_frames = 64;
     opts_.enable_wal = true;
+    // These tests write little; zeroing the default 256 MB devices would
+    // take most of each test's time under TSan.
+    opts_.ssd_capacity = 16ull * 1024 * 1024;
+    opts_.log_ssd_capacity = 16ull * 1024 * 1024;
     db_ = Database::Create(opts_).MoveValue();
     table_ = db_->CreateTable(1, sizeof(Item)).value();
   }
@@ -40,6 +47,8 @@ class DeleteTest : public ::testing::Test {
     ASSERT_TRUE(table_->Delete(txn.get(), key).ok());
     ASSERT_TRUE(db_->Commit(txn.get()).ok());
   }
+
+  uint64_t IndexCount() { return table_->index()->Count().value(); }
 
   DatabaseOptions opts_;
   std::unique_ptr<Database> db_;
@@ -121,6 +130,206 @@ TEST_F(DeleteTest, DeleteThenInsertInSameTxn) {
   ASSERT_TRUE(table_->Read(txn.get(), 1, &it).ok());
   EXPECT_EQ(it.value, 30u);
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  // The write set holds a kDelete entry for a version that is live again:
+  // commit must not reclaim it as a tombstone.
+  auto later = db_->Begin();
+  ASSERT_TRUE(table_->Read(later.get(), 1, &it).ok());
+  EXPECT_EQ(it.value, 30u);
+  ASSERT_TRUE(db_->Commit(later.get()).ok());
+  EXPECT_EQ(IndexCount(), 1u);
+}
+
+TEST_F(DeleteTest, InsertThenDeleteInSameTxnLeavesNoKey) {
+  // The converse: a tombstone under a kInsert entry is reclaimed too.
+  auto txn = db_->Begin();
+  Item it{10, 0};
+  ASSERT_TRUE(table_->Insert(txn.get(), 1, &it).ok());
+  ASSERT_TRUE(table_->Delete(txn.get(), 1).ok());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  EXPECT_EQ(IndexCount(), 0u);
+  auto later = db_->Begin();
+  EXPECT_TRUE(table_->Read(later.get(), 1, &it).IsNotFound());
+  ASSERT_TRUE(db_->Commit(later.get()).ok());
+}
+
+TEST_F(DeleteTest, DeletedKeysLeaveTheIndex) {
+  // With nothing else open, each delete's commit reclaims its tombstone:
+  // the key leaves the index and its slots return to the free list.
+  constexpr uint64_t kKeys = 200;
+  uint64_t pages_after_first_round = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (uint64_t k = 0; k < kKeys; ++k) InsertCommitted(k, k + 1);
+    EXPECT_EQ(IndexCount(), kKeys);
+    for (uint64_t k = 0; k < kKeys; ++k) DeleteCommitted(k);
+    EXPECT_EQ(IndexCount(), 0u) << "round " << round;
+    if (round == 0) pages_after_first_round = table_->allocated_pages();
+  }
+  EXPECT_EQ(table_->allocated_pages(), pages_after_first_round);
+  auto txn = db_->Begin();
+  Item it{};
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_TRUE(table_->Read(txn.get(), k, &it).IsNotFound()) << k;
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+}
+
+TEST_F(DeleteTest, OlderSnapshotHoldsTombstoneBack) {
+  InsertCommitted(1, 10);
+  auto snapshot = db_->Begin();
+  DeleteCommitted(1);
+  // The snapshot is older than the delete: the tombstone stays indexed
+  // and the snapshot still reads the row under it.
+  EXPECT_EQ(IndexCount(), 1u);
+  Item it{};
+  ASSERT_TRUE(table_->Read(snapshot.get(), 1, &it).ok());
+  EXPECT_EQ(it.value, 10u);
+  ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
+  // A read-only commit writes no table, so nothing has reclaimed it yet.
+  EXPECT_EQ(IndexCount(), 1u);
+  // The first commit that writes the table after the snapshot ended does.
+  InsertCommitted(2, 20);
+  EXPECT_EQ(IndexCount(), 1u);
+  uint64_t head = 0;
+  EXPECT_TRUE(table_->index()->Lookup(1, &head).IsNotFound());
+  auto txn = db_->Begin();
+  EXPECT_TRUE(table_->Read(txn.get(), 1, &it).IsNotFound());
+  ASSERT_TRUE(table_->Read(txn.get(), 2, &it).ok());
+  EXPECT_EQ(it.value, 20u);
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+TEST_F(DeleteTest, ReinsertOverQueuedTombstoneKeepsTheRow) {
+  // A queued tombstone that a later insert built on is chain garbage,
+  // not a tombstone to reclaim: the queue drops it.
+  InsertCommitted(1, 10);
+  auto snapshot = db_->Begin();
+  DeleteCommitted(1);
+  InsertCommitted(1, 42);
+  ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
+  InsertCommitted(2, 20);  // drains the queue
+  EXPECT_EQ(IndexCount(), 2u);
+  auto txn = db_->Begin();
+  Item it{};
+  ASSERT_TRUE(table_->Read(txn.get(), 1, &it).ok());
+  EXPECT_EQ(it.value, 42u);
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+}
+
+TEST_F(DeleteTest, AbortedReinsertLeavesTombstoneQueued) {
+  // A drain that meets an uncommitted re-insert over a queued tombstone
+  // keeps the entry: the re-insert may abort and make the tombstone the
+  // key's head again.
+  InsertCommitted(1, 10);
+  auto snapshot = db_->Begin();
+  DeleteCommitted(1);
+  auto reinsert = db_->Begin();
+  Item it{42, 0};
+  ASSERT_TRUE(table_->Insert(reinsert.get(), 1, &it).ok());
+  ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
+  InsertCommitted(2, 20);  // drains while the re-insert is open
+  ASSERT_TRUE(db_->Abort(reinsert.get()).ok());
+  EXPECT_EQ(IndexCount(), 2u);  // the tombstone is the head again
+  InsertCommitted(3, 30);  // drains again
+  EXPECT_EQ(IndexCount(), 2u);
+  uint64_t head = 0;
+  EXPECT_TRUE(table_->index()->Lookup(1, &head).IsNotFound());
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+}
+
+TEST_F(DeleteTest, CheckpointHorizonStaysBelowQueuedTombstone) {
+  // Reclaiming a queued tombstone changes the heap with no later log
+  // record of its key, so a checkpoint taken while it waits must leave
+  // the delete above the durable redo horizon.
+  InsertCommitted(1, 10);
+  auto snapshot = db_->Begin();
+  auto deleter = db_->Begin();
+  const timestamp_t delete_ts = deleter->ts();
+  ASSERT_TRUE(table_->Delete(deleter.get(), 1).ok());
+  ASSERT_TRUE(db_->Commit(deleter.get()).ok());
+  ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
+  EXPECT_EQ(IndexCount(), 1u);  // still queued
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_LT(db_->log_manager()->durable_horizon(), delete_ts);
+  InsertCommitted(2, 20);  // reclaims it
+  EXPECT_EQ(IndexCount(), 1u);
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_GE(db_->log_manager()->durable_horizon(), delete_ts);
+}
+
+TEST_F(DeleteTest, ReadersRacingReclaimSeeRowOrNotFound) {
+  // One thread inserts and deletes a few keys over and over, so their
+  // tombstones are reclaimed while readers look them up. A reader may see
+  // the row or NotFound (or abort), never a freed slot's bytes.
+  constexpr uint64_t kKeys = 4;
+  constexpr int kMinRounds = 300;
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> rows_seen{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t k = static_cast<uint64_t>(r);
+      while (!stop.load()) {
+        auto txn = db_->Begin();
+        k = (k + 1) % kKeys;
+        Item it{};
+        const Status st = table_->Read(txn.get(), k, &it);
+        if (st.ok()) {
+          rows_seen.fetch_add(1);
+          if (it.value != k + 1 || it.pad != ~(k + 1)) errors.fetch_add(1);
+        } else if (!st.IsNotFound() && !st.IsAborted() && !st.IsBusy()) {
+          errors.fetch_add(1);
+        }
+        (void)db_->Commit(txn.get());
+      }
+    });
+  }
+  // Returns the first write that neither succeeded nor aborted, if any.
+  // Run on until the readers have seen rows: on a loaded host they may
+  // not have been scheduled at all during the first rounds.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto write_rounds = [&]() -> std::string {
+    for (int round = 0;
+         round < kMinRounds || (rows_seen.load() < 100 &&
+                                std::chrono::steady_clock::now() < deadline);
+         ++round) {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        // Readers' read_ts bumps can abort the writer: retry.
+        Status st;
+        for (int attempt = 0; attempt < 1000; ++attempt) {
+          auto txn = db_->Begin();
+          Item it{k + 1, ~(k + 1)};
+          st = (round % 2 == 0) ? table_->Insert(txn.get(), k, &it)
+                                : table_->Delete(txn.get(), k);
+          if (st.ok()) {
+            st = db_->Commit(txn.get());
+            break;
+          }
+          (void)db_->Abort(txn.get());
+          if (!st.IsAborted() && !st.IsBusy()) break;
+        }
+        if (!st.ok()) {
+          return "key " + std::to_string(k) + " round " +
+                 std::to_string(round) + ": " + st.ToString();
+        }
+      }
+    }
+    return "";
+  };
+  const std::string failed_write = write_rounds();
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failed_write, "");
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(rows_seen.load(), 0u);
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
 }
 
 TEST_F(DeleteTest, AbortedDeleteLeavesRowVisible) {
@@ -191,6 +400,40 @@ TEST_F(DeleteTest, DeletesSurviveCrashRecovery) {
     }
   }
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  // Recovery leaves no tombstone behind: 20 rows never deleted, plus 3.
+  EXPECT_EQ(IndexCount(), 21u);
+}
+
+TEST_F(DeleteTest, RecoveryReclaimsQueuedTombstones) {
+  // Tombstones still queued at the crash (an old snapshot held them) are
+  // found by the heap scan or replayed by redo, and reclaimed.
+  for (uint64_t k = 0; k < 20; ++k) InsertCommitted(k, k + 100);
+  auto snapshot = db_->Begin();
+  for (uint64_t k = 0; k < 20; k += 2) DeleteCommitted(k);
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_EQ(IndexCount(), 20u);
+  snapshot.reset();  // dropped by the crash, never finished
+
+  DatabaseEnv env = Database::Crash(std::move(db_));
+  auto db_r = Database::Recover(opts_, std::move(env));
+  ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
+  db_ = db_r.MoveValue();
+  table_ = db_->GetTable(1);
+  EXPECT_EQ(IndexCount(), 10u);
+  auto txn = db_->Begin();
+  Item it{};
+  for (uint64_t k = 0; k < 20; ++k) {
+    const Status st = table_->Read(txn.get(), k, &it);
+    if (k % 2 == 0) {
+      EXPECT_TRUE(st.IsNotFound()) << "key " << k;
+    } else {
+      ASSERT_TRUE(st.ok()) << "key " << k;
+      EXPECT_EQ(it.value, k + 100);
+    }
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
 }
 
 TEST_F(DeleteTest, ConcurrentInsertDeleteChurn) {

@@ -3,6 +3,7 @@
 // crash point, workload-driven crash consistency, and restart counters.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "db/database.h"
@@ -160,10 +161,18 @@ TEST_F(RecoveryTest, CheckpointerThreadKeepsDatabaseConsistent) {
       }
       ASSERT_TRUE(db->Commit(txn.get()).ok());
     }
-    for (int i = 0; i < 2000; ++i) {
+    // Update at least 2000 times, and on until the checkpointer has
+    // finished a round: on a loaded host its first round can take longer
+    // than the updates do.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (uint64_t i = 0;
+         i < 2000 || (db->checkpointer()->rounds() == 0 &&
+                      std::chrono::steady_clock::now() < deadline);
+         ++i) {
       auto txn = db->Begin();
       const uint64_t k = rng.NextUint64(50);
-      Cell c{static_cast<uint64_t>(i), 0};
+      Cell c{i, 0};
       if (t->Update(txn.get(), k, &c).ok()) {
         ASSERT_TRUE(db->Commit(txn.get()).ok());
       } else {

@@ -183,6 +183,29 @@ TEST_F(TpccTest, DeliveryDeletesNewOrderRows) {
   EXPECT_LT(CountPending(), before);
 }
 
+TEST_F(TpccTest, DeliveredOrdersLeaveTheNewOrderIndex) {
+  // One worker: every delete's commit finds no older transaction active,
+  // so delivered NEW-ORDER rows leave the index at once and Delivery's
+  // scan starts at the oldest pending order.
+  Xoshiro256 rng(8);
+  for (int i = 0; i < 300; ++i) (void)tpcc_->RunTransaction(rng);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(tpcc_->Delivery(rng).ok());
+  Table* new_orders = db_->GetTable(TpccWorkload::kNewOrder);
+  auto txn = db_->Begin();
+  uint64_t visible = 0;
+  ASSERT_TRUE(new_orders
+                  ->Scan(txn.get(), 0, UINT64_MAX,
+                         [&](uint64_t, const void*) {
+                           ++visible;
+                           return true;
+                         })
+                  .ok());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  EXPECT_EQ(new_orders->index()->Count().value(), visible);
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+}
+
 TEST_F(TpccTest, MixedWorkloadRuns) {
   Xoshiro256 rng(7);
   int commits = 0;
