@@ -254,18 +254,11 @@ Status Database::Commit(Transaction* txn) {
   if (!txn->write_set.empty()) {
     // One GC watermark for the whole commit: a stale one only delays GC.
     const timestamp_t watermark = tm_.MinActiveTs();
-    std::vector<Table*> written;
     for (const auto& op : txn->write_set) {
       Table* t = GetTable(op.table_id);
       SPITFIRE_CHECK(t != nullptr);
       t->FinalizeCommit(txn, op, watermark);
-      if (std::find(written.begin(), written.end(), t) == written.end()) {
-        written.push_back(t);
-      }
     }
-    // Tombstones that earlier deletes in these tables queued while an
-    // older transaction was active, and that the watermark has now passed.
-    for (Table* t : written) t->ReclaimTombstones(watermark);
   }
   txn->set_state(TxnState::kCommitted);
   tm_.Finish(txn);
@@ -301,15 +294,7 @@ Status Database::Checkpoint() {
   // the sweep starts and a clean sweep makes them durable. Writes racing
   // the sweep belong to transactions above the watermark and stay covered
   // by redo.
-  timestamp_t horizon = tm_.MinActiveTs() - 1;
-  // Reclaiming a queued tombstone frees its key's versions with no log
-  // record of that key after the delete, so the horizon stays below every
-  // tombstone still queued: redo then replays the delete over whatever
-  // part of the reclaim reached durable media. Read after the watermark,
-  // so every delete at or below it has queued its tombstone by now.
-  for (Table* t : Tables()) {
-    horizon = std::min(horizon, t->oldest_queued_tombstone() - 1);
-  }
+  const timestamp_t watermark = tm_.MinActiveTs() - 1;
   size_t skipped = 0;
   SPITFIRE_RETURN_NOT_OK(bm_->FlushAll(/*include_nvm=*/false, &skipped));
   if (lm_ != nullptr) {
@@ -318,17 +303,10 @@ Status Database::Checkpoint() {
     // skipped because it was actively referenced may hold the only copy
     // of a version at or below the watermark.
     if (skipped == 0) {
-      SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(horizon));
+      SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(watermark));
     }
   }
   return Status::OK();
-}
-
-std::vector<Table*> Database::Tables() {
-  std::lock_guard<std::mutex> g(schema_mu_);
-  std::vector<Table*> tables;
-  for (auto& [id, entry] : tables_) tables.push_back(entry.table.get());
-  return tables;
 }
 
 Status Database::CheckIntegrity(std::string* why) {
@@ -547,15 +525,17 @@ Status Database::RunRecovery() {
   // voided first, as for a quarantine: a crash before the checkpoint
   // below then replays the whole log.
   {
-    const std::vector<Table*> tables = Tables();
+    std::lock_guard<std::mutex> g(schema_mu_);
     timestamp_t oldest = kMaxTimestamp;
-    for (Table* t : tables) {
-      oldest = std::min(oldest, t->oldest_queued_tombstone());
+    for (auto& [id, entry] : tables_) {
+      oldest = std::min(oldest, entry.table->oldest_recovered_tombstone());
     }
     if (lm_ != nullptr && oldest <= lm_->durable_horizon()) {
       SPITFIRE_RETURN_NOT_OK(lm_->SetDurableHorizon(0));
     }
-    for (Table* t : tables) t->ReclaimTombstones(tm_.MinActiveTs());
+    for (auto& [id, entry] : tables_) {
+      entry.table->ReclaimRecoveredTombstones(tm_.MinActiveTs());
+    }
   }
 
   // Persist the rebuilt catalog (fresh index roots) and checkpoint. A

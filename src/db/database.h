@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "buffer/buffer_manager.h"
 #include "db/table.h"
@@ -131,9 +130,6 @@ class Database {
   Status InitCommon(bool fresh);
   Status WriteCatalog();
   Status RunRecovery();
-  // Every table, in id order. Tables are never dropped, so the pointers
-  // stay valid.
-  std::vector<Table*> Tables();
 
   static constexpr uint32_t kCatalogPageType = 0xCA7A0001;
   static constexpr page_id_t kCatalogPid = 0;

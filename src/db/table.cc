@@ -214,12 +214,7 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
     const uint64_t begin = AtomicField(ref.hdr->begin_ts).load(
         std::memory_order_acquire);
     const bool own = writer == txn->id() && begin == kMaxTimestamp;
-    // A claim valued at the version's own begin_ts is no write in flight:
-    // its committer holds it to finish the commit (FinalizeCommit), or a
-    // reclaimer holds it for the deleter (ReclaimQueued). Neither
-    // installs a successor.
-    if (!own && writer != 0 && writer != begin && writer != txn->id() &&
-        writer < txn->ts()) {
+    if (!own && writer != 0 && writer != txn->id() && writer < txn->ts()) {
       // An older transaction has a write in flight on this version (either
       // an uncommitted successor, or a lock on the committed head). If it
       // commits, its timestamp precedes ours and we would have read a
@@ -291,18 +286,10 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
 
   SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref,
                             PinSlot(head, AccessIntent::kWrite, ctx));
-  uint64_t writer =
+  const uint64_t writer =
       AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
   const uint64_t begin =
       AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire);
-  // A claim valued at the version's own begin_ts (see Read) ends within
-  // a commit's bookkeeping and installs nothing: wait it out, backing off
-  // as PinSlot does, rather than abort on it.
-  for (int wait = 0; writer != 0 && writer == begin && wait < 8; ++wait) {
-    SpinWaitNanos(std::min<uint64_t>(uint64_t{1'000} << wait,
-                                     uint64_t{32'000}));
-    writer = AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
-  }
 
   const LogRecordType type =
       tuple != nullptr ? LogRecordType::kUpdate : LogRecordType::kDelete;
@@ -460,7 +447,9 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
   const bool tombstone = (ref.hdr->flags & kFlagTombstone) != 0;
   if (tombstone && txn->ts() <= watermark) {
     // No transaction older than the delete is active: every reader sees
-    // the tombstone, and an absent key reads the same.
+    // the tombstone, and an absent key reads the same. A tombstone whose
+    // delete had older transactions active stays indexed, as does one
+    // whose reclaim fails, until recovery reclaims it.
     ReclaimTombstone(op.key, op.new_rid, &ref, watermark);
     return;
   }
@@ -473,10 +462,9 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
   // walks double-DeferFree the same garbage versions; a slot recycled
   // while a chain still references it turns the prev links into a cycle.
   AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
-  if (tombstone) QueueTombstone({op.key, op.new_rid, txn->ts()});
 }
 
-void Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+bool Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
                              timestamp_t watermark) {
   // The tombstone is the survivor at `watermark`, so TruncateChain frees
   // every older version. Only then may the key leave the index and the
@@ -494,76 +482,7 @@ void Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
   AtomicField(ref->hdr->writer).store(0, std::memory_order_release);
   ref->MarkDirty();
   if (freed) DeferFree(rid);
-}
-
-void Table::QueueTombstone(const QueuedTombstone& q) {
-  std::lock_guard<std::mutex> g(reclaim_mu_);
-  tombstones_.push_back(q);
-  if (q.ts < oldest_tombstone_.load(std::memory_order_relaxed)) {
-    oldest_tombstone_.store(q.ts, std::memory_order_release);
-  }
-}
-
-void Table::ReclaimTombstones(timestamp_t watermark) {
-  if (oldest_queued_tombstone() > watermark) return;
-  std::unique_lock<std::mutex> g(reclaim_mu_, std::try_to_lock);
-  if (!g.owns_lock()) return;
-  // Entries are kept in place until all are settled, and the oldest
-  // timestamp rises only after that: a checkpoint that reads it while
-  // this runs keeps its horizon below every entry in progress.
-  size_t kept = 0;
-  timestamp_t oldest = kMaxTimestamp;
-  for (const QueuedTombstone& q : tombstones_) {
-    if (q.ts > watermark || !ReclaimQueued(q, watermark)) {
-      tombstones_[kept++] = q;
-      oldest = std::min(oldest, q.ts);
-    }
-  }
-  tombstones_.resize(kept);
-  oldest_tombstone_.store(oldest, std::memory_order_release);
-}
-
-bool Table::ReclaimQueued(const QueuedTombstone& q, timestamp_t watermark) {
-  // Look the key up before touching a slot: a slot the index maps to is
-  // not free, and the caller's transaction keeps it from being recycled
-  // until it finishes.
-  const auto head_of_key = [&] {
-    uint64_t head = kInvalidRid;
-    return index_->Lookup(q.key, &head).ok() ? head : kInvalidRid;
-  };
-  const rid_t head = head_of_key();
-  if (head == kInvalidRid) return true;  // already reclaimed
-  auto ref_r = PinSlot(head, AccessIntent::kWrite);
-  if (!ref_r.ok()) return false;
-  SlotRef ref = ref_r.MoveValue();
-  if (head != q.rid) {
-    // A re-insert replaced the tombstone. Until it commits its writer may
-    // abort and make the tombstone the head again; once it has, the
-    // tombstone is chain garbage that its commit frees.
-    return AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire) !=
-           kMaxTimestamp;
-  }
-  // Take the key's write claim on behalf of the deleter.
-  uint64_t expected = 0;
-  if (!AtomicField(ref.hdr->writer)
-           .compare_exchange_strong(expected, q.ts,
-                                    std::memory_order_acq_rel)) {
-    return false;  // a writer holds the key; it may yet abort
-  }
-  // Under the claim the head cannot move: check that it is still this
-  // committed tombstone.
-  const bool same =
-      head_of_key() == q.rid && ref.hdr->key == q.key &&
-      AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire) ==
-          q.ts &&
-      AtomicField(ref.hdr->flags).load(std::memory_order_relaxed) ==
-          (kFlagAllocated | kFlagTombstone);
-  if (!same) {
-    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
-    return true;
-  }
-  ReclaimTombstone(q.key, q.rid, &ref, watermark);
-  return true;
+  return freed;
 }
 
 void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {
@@ -626,22 +545,32 @@ bool Table::TruncateChain(rid_t head, timestamp_t watermark) {
   // A well-formed garbage list is at most as long as the version chain.
   // Bound the walk defensively: a cycle (chain corruption) must degrade
   // into a bounded slot leak, not an unbounded free-list explosion.
+  // If the walk stops early, the rest of the garbage is linked back behind
+  // the survivor: an allocated version no head reaches would be taken for
+  // its key's newest version by recovery's heap scan once the head is gone.
+  const auto stop = [&] {
+    sref.hdr->prev = garbage;
+    sref.MarkDirty();
+    return false;
+  };
   int freed = 0;
   while (garbage != kInvalidRid) {
     if (++freed > 4096) {
       SPITFIRE_DCHECK(false && "version chain cycle detected");
-      return false;
+      return stop();
     }
     auto gref_r = PinSlot(garbage, AccessIntent::kWrite);
-    if (!gref_r.ok()) return false;
+    if (!gref_r.ok()) return stop();
     SlotRef gref = gref_r.MoveValue();
     const rid_t next = gref.hdr->prev;
     // A freed tombstone keeps its tombstone flag, as a reclaimed one does
     // (ReclaimTombstone): a reader that took this rid from the index just
     // before a newer version replaced it reads "deleted", not the zeroed
-    // payload as a live row.
-    AtomicField(gref.hdr->flags)
-        .fetch_and(kFlagTombstone, std::memory_order_relaxed);
+    // payload as a live row. Only this walk writes a garbage version's
+    // flags, so a plain load and store suffice.
+    auto flags = AtomicField(gref.hdr->flags);
+    flags.store(flags.load(std::memory_order_relaxed) & kFlagTombstone,
+                std::memory_order_relaxed);
     gref.MarkDirty();
     DeferFree(garbage);
     garbage = next;
@@ -744,7 +673,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
     // Redo may still need a deleted key's tombstone as the base of a
     // later record, so it is reclaimed only after redo.
     if (tombstones.count(entry.second) != 0) {
-      QueueTombstone({key, entry.second, entry.first});
+      recovered_tombstones_.push_back({key, entry.second, entry.first});
     }
   }
   {
@@ -842,7 +771,7 @@ Status Table::RecoveryApply(const LogRecord& rec) {
       // place, as the live path did. Re-applying is idempotent.
       if (tombstone) {
         ref.hdr->flags |= kFlagTombstone;
-        QueueTombstone({rec.key, head, ts});
+        recovered_tombstones_.push_back({rec.key, head, ts});
       } else {
         std::copy(rec.after.begin(), rec.after.end(),
                   ref.payload + rec.offset);
@@ -876,8 +805,31 @@ Status Table::RecoveryApply(const LogRecord& rec) {
     ref.MarkDirty();
   }
   SPITFIRE_RETURN_NOT_OK(index_->Upsert(rec.key, rid));
-  if (tombstone) QueueTombstone({rec.key, rid, ts});
+  if (tombstone) recovered_tombstones_.push_back({rec.key, rid, ts});
   return Status::OK();
+}
+
+timestamp_t Table::oldest_recovered_tombstone() const {
+  timestamp_t oldest = kMaxTimestamp;
+  for (const RecoveredTombstone& t : recovered_tombstones_) {
+    oldest = std::min(oldest, t.ts);
+  }
+  return oldest;
+}
+
+void Table::ReclaimRecoveredTombstones(timestamp_t watermark) {
+  for (const RecoveredTombstone& t : recovered_tombstones_) {
+    // Redo may have built a newer version on the tombstone, or noted it
+    // twice; reclaim it only while it is still the key's head.
+    uint64_t head = kInvalidRid;
+    if (!index_->Lookup(t.key, &head).ok() || head != t.rid) continue;
+    auto ref_r = PinSlot(t.rid, AccessIntent::kWrite);
+    if (!ref_r.ok()) continue;  // stays an indexed tombstone
+    SlotRef ref = ref_r.MoveValue();
+    if (ref.hdr->flags != (kFlagAllocated | kFlagTombstone)) continue;
+    ReclaimTombstone(t.key, t.rid, &ref, watermark);
+  }
+  recovered_tombstones_.clear();
 }
 
 }  // namespace spitfire

@@ -1,7 +1,6 @@
 #ifndef SPITFIRE_DB_TABLE_H_
 #define SPITFIRE_DB_TABLE_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -59,9 +58,9 @@ class Table {
   static constexpr uint32_t kFlagAllocated = 1;
   // Deletes install a tombstone version: readers whose timestamp sees the
   // tombstone get NotFound; older snapshots still see the predecessor.
-  // Once no transaction older than the delete is active, the tombstone is
-  // reclaimed and the key leaves the index (see FinalizeCommit); its slot
-  // keeps this flag, without kFlagAllocated, until the slot is reused.
+  // A tombstone whose delete committed with no older transaction active
+  // is reclaimed and the key leaves the index (see FinalizeCommit); its
+  // slot keeps this flag, without kFlagAllocated, until the slot is reused.
   static constexpr uint32_t kFlagTombstone = 2;
 
   Table(const Options& opts, BufferManager* bm, TransactionManager* tm,
@@ -95,20 +94,11 @@ class Table {
   // --- commit/abort processing (driven by Database) ---
   // `watermark` is TransactionManager::MinActiveTs() sampled during the
   // commit: no active transaction is older. A committed tombstone at or
-  // below it is reclaimed at once; a younger one is queued.
+  // below it (its delete is the oldest active transaction) is reclaimed at
+  // once; any other stays indexed until the next recovery.
   void FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
                       timestamp_t watermark);
   void RollbackAbort(Transaction* txn, const Transaction::WriteOp& op);
-  // Reclaims the queued tombstones whose deletes are at or below
-  // `watermark`. Returns at once when there are none, or when another
-  // thread is already reclaiming this table's queue.
-  void ReclaimTombstones(timestamp_t watermark);
-  // Timestamp of the oldest tombstone still queued (kMaxTimestamp if
-  // none). Reclaiming it will change the heap with no later log record of
-  // its key, so a checkpoint keeps its redo horizon below it.
-  timestamp_t oldest_queued_tombstone() const {
-    return oldest_tombstone_.load(std::memory_order_acquire);
-  }
 
   // --- recovery ---
   // Registers a heap page discovered during the recovery scan.
@@ -116,9 +106,9 @@ class Table {
   // Scrubs uncommitted versions, resets stale write locks, rebuilds the
   // index to point at each key's newest committed version, and rebuilds
   // the slot free list. A key whose newest version is a tombstone is
-  // indexed and queued for ReclaimTombstones, which recovery runs after
-  // redo. Reports the largest committed begin_ts seen so the timestamp
-  // dispenser can be advanced past it.
+  // indexed and noted for ReclaimRecoveredTombstones. Reports the largest
+  // committed begin_ts seen so the timestamp dispenser can be advanced
+  // past it.
   Status RebuildFromHeap(timestamp_t* max_ts = nullptr);
   // Redoes one committed INSERT, UPDATE or DELETE record (its timestamp is
   // its transaction id) against the key's newest version. A newer version
@@ -128,8 +118,16 @@ class Table {
   // newest version's bytes plus the record's range (a tombstone's payload
   // is zeroed). An update that changes only part of the tuple needs that
   // base version; without one it is Corruption. A tombstone it leaves is
-  // queued for ReclaimTombstones.
+  // noted for ReclaimRecoveredTombstones.
   Status RecoveryApply(const LogRecord& rec);
+  // Timestamp of the oldest tombstone noted since the heap scan
+  // (kMaxTimestamp if none). Reclaiming it changes the heap with no later
+  // log record of its key.
+  timestamp_t oldest_recovered_tombstone() const;
+  // Reclaims every noted tombstone that is still its key's head. Recovery
+  // runs it after redo, which may build on a tombstone, with no
+  // transaction active.
+  void ReclaimRecoveredTombstones(timestamp_t watermark);
   // begin_ts of the key's newest version, 0 if the key has none.
   Result<timestamp_t> RecoveryHeadTs(uint64_t key);
   // Verifies heap/index invariants on a QUIESCENT table (no active
@@ -180,23 +178,15 @@ class Table {
 
   // Unlinks versions older than the newest one visible at `watermark`,
   // deferring slot reuse until in-flight readers finish. Returns false if
-  // a pin failed, which may leave the chain cut but its tail allocated.
+  // it stopped early (a pin failed): the versions it did not free stay
+  // linked behind the survivor.
   bool TruncateChain(rid_t head, timestamp_t watermark);
 
   // Reclaims the committed tombstone at `rid`, the index head of `key`,
-  // whose write claim the caller holds, and releases the claim.
-  void ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+  // whose write claim the caller holds, and releases the claim. Returns
+  // whether the key left the index; if not, it stays a committed tombstone.
+  bool ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
                         timestamp_t watermark);
-  struct QueuedTombstone {
-    uint64_t key;
-    rid_t rid;
-    timestamp_t ts;  // the delete's commit timestamp
-  };
-  void QueueTombstone(const QueuedTombstone& q);
-  // Reclaims `q` if it is still its key's head. Returns false to keep it
-  // queued: a writer holds the key, or replaced the tombstone and has not
-  // committed, or a pin failed.
-  bool ReclaimQueued(const QueuedTombstone& q, timestamp_t watermark);
 
   // Appends the record of one write. `before` is the version it replaces
   // (null for an insert), `after` the new tuple (null for a delete).
@@ -220,11 +210,14 @@ class Table {
   };
   std::deque<DeferredFree> free_list_;  // FIFO: oldest free first
 
-  // Committed tombstones waiting for the watermark to pass their delete.
-  std::mutex reclaim_mu_;
-  std::vector<QueuedTombstone> tombstones_;  // guarded by reclaim_mu_
-  // min ts over tombstones_; a reclaim raises it only when it is done.
-  std::atomic<timestamp_t> oldest_tombstone_{kMaxTimestamp};
+  // Tombstones recovery found or replayed, reclaimed after redo. Touched
+  // only by the single-threaded recovery.
+  struct RecoveredTombstone {
+    uint64_t key;
+    rid_t rid;
+    timestamp_t ts;  // the delete's commit timestamp
+  };
+  std::vector<RecoveredTombstone> recovered_tombstones_;
 };
 
 }  // namespace spitfire

@@ -178,7 +178,10 @@ TEST_F(DeleteTest, DeletedKeysLeaveTheIndex) {
 TEST_F(DeleteTest, OlderSnapshotHoldsTombstoneBack) {
   InsertCommitted(1, 10);
   auto snapshot = db_->Begin();
-  DeleteCommitted(1);
+  auto deleter = db_->Begin();
+  const timestamp_t delete_ts = deleter->ts();
+  ASSERT_TRUE(table_->Delete(deleter.get(), 1).ok());
+  ASSERT_TRUE(db_->Commit(deleter.get()).ok());
   // The snapshot is older than the delete: the tombstone stays indexed
   // and the snapshot still reads the row under it.
   EXPECT_EQ(IndexCount(), 1u);
@@ -186,29 +189,33 @@ TEST_F(DeleteTest, OlderSnapshotHoldsTombstoneBack) {
   ASSERT_TRUE(table_->Read(snapshot.get(), 1, &it).ok());
   EXPECT_EQ(it.value, 10u);
   ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
-  // A read-only commit writes no table, so nothing has reclaimed it yet.
-  EXPECT_EQ(IndexCount(), 1u);
-  // The first commit that writes the table after the snapshot ended does.
+  // Only the delete's own commit reclaims, so the tombstone stays indexed
+  // after the snapshot ends. Nothing reclaims it later, so it does not
+  // hold a checkpoint's redo horizon back.
   InsertCommitted(2, 20);
-  EXPECT_EQ(IndexCount(), 1u);
-  uint64_t head = 0;
-  EXPECT_TRUE(table_->index()->Lookup(1, &head).IsNotFound());
+  EXPECT_EQ(IndexCount(), 2u);
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_GE(db_->log_manager()->durable_horizon(), delete_ts);
   auto txn = db_->Begin();
   EXPECT_TRUE(table_->Read(txn.get(), 1, &it).IsNotFound());
   ASSERT_TRUE(table_->Read(txn.get(), 2, &it).ok());
   EXPECT_EQ(it.value, 20u);
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  // Deleting a key that was never reclaimed is still NotFound.
+  auto again = db_->Begin();
+  EXPECT_TRUE(table_->Delete(again.get(), 1).IsNotFound());
+  ASSERT_TRUE(db_->Abort(again.get()).ok());
 }
 
-TEST_F(DeleteTest, ReinsertOverQueuedTombstoneKeepsTheRow) {
-  // A queued tombstone that a later insert built on is chain garbage,
-  // not a tombstone to reclaim: the queue drops it.
+TEST_F(DeleteTest, ReinsertOverHeldTombstoneKeepsTheRow) {
+  // A tombstone an older snapshot held back is the base of a later
+  // insert, which its commit then frees as chain garbage.
   InsertCommitted(1, 10);
   auto snapshot = db_->Begin();
   DeleteCommitted(1);
   InsertCommitted(1, 42);
   ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
-  InsertCommitted(2, 20);  // drains the queue
+  InsertCommitted(2, 20);
   EXPECT_EQ(IndexCount(), 2u);
   auto txn = db_->Begin();
   Item it{};
@@ -219,46 +226,76 @@ TEST_F(DeleteTest, ReinsertOverQueuedTombstoneKeepsTheRow) {
   EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
 }
 
-TEST_F(DeleteTest, AbortedReinsertLeavesTombstoneQueued) {
-  // A drain that meets an uncommitted re-insert over a queued tombstone
-  // keeps the entry: the re-insert may abort and make the tombstone the
-  // key's head again.
-  InsertCommitted(1, 10);
+TEST_F(DeleteTest, FailedGarbagePinKeepsTheChainReachable) {
+  // A reclaim whose walk over the older versions cannot pin one of them
+  // must leave that version linked behind the tombstone. Were it cut off
+  // but still allocated, a later reclaim of the key would leave it as the
+  // key's only version, and recovery would bring the deleted row back.
+  DatabaseOptions opts = opts_;
+  opts.dram_frames = 16;
+  opts.nvm_frames = 0;
+  opts.num_shards = 1;
+  db_ = Database::Create(opts).MoveValue();
+  // One version per page, so each version of the key has a page of its own.
+  constexpr size_t kTupleSize = 12 * 1024;
+  Table* t = db_->CreateTable(2, kTupleSize).value();
+  ASSERT_EQ(t->slots_per_page(), 1u);
+  BufferManager* bm = db_->buffer_manager();
+  std::vector<std::byte> tuple(kTupleSize, std::byte{7});
+  const auto commit = [&](auto&& op) {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(op(txn.get()).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  };
+  constexpr uint64_t kKey = 5;
+  const page_id_t oldest_page = bm->next_page_id();
+  commit([&](Transaction* txn) { return t->Insert(txn, kKey, tuple.data()); });
+  ASSERT_EQ(bm->next_page_id(), oldest_page + 1);
+  // A snapshot open across the update keeps the first version in the chain.
   auto snapshot = db_->Begin();
-  DeleteCommitted(1);
-  auto reinsert = db_->Begin();
-  Item it{42, 0};
-  ASSERT_TRUE(table_->Insert(reinsert.get(), 1, &it).ok());
+  commit([&](Transaction* txn) { return t->Update(txn, kKey, tuple.data()); });
   ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
-  InsertCommitted(2, 20);  // drains while the re-insert is open
-  ASSERT_TRUE(db_->Abort(reinsert.get()).ok());
-  EXPECT_EQ(IndexCount(), 2u);  // the tombstone is the head again
-  InsertCommitted(3, 30);  // drains again
-  EXPECT_EQ(IndexCount(), 2u);
-  uint64_t head = 0;
-  EXPECT_TRUE(table_->index()->Lookup(1, &head).IsNotFound());
+  auto deleter = db_->Begin();
+  ASSERT_TRUE(t->Delete(deleter.get(), kKey).ok());
+  // Pin every page but the oldest version's, then fill the remaining
+  // frames with new pages: the oldest version's page is evicted and
+  // cannot come back while the delete commits.
+  std::vector<PageGuard> held;
+  for (page_id_t pid = 0; pid < bm->next_page_id(); ++pid) {
+    if (pid == oldest_page) continue;
+    auto g = bm->FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(g.ok()) << pid << ": " << g.status().ToString();
+    held.push_back(g.MoveValue());
+  }
+  for (;;) {
+    auto g = bm->NewPage();
+    if (!g.ok()) break;
+    held.push_back(g.MoveValue());
+  }
+  ASSERT_TRUE(db_->Commit(deleter.get()).ok());
+  held.clear();
+  // The reclaim stopped, so the key is still an indexed tombstone.
+  EXPECT_EQ(t->index()->Count().value(), 1u);
   std::string why;
   EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
-}
+  // Re-insert and delete the key: this time every pin succeeds, and the
+  // key leaves the heap with no version of it left allocated.
+  commit([&](Transaction* txn) { return t->Insert(txn, kKey, tuple.data()); });
+  commit([&](Transaction* txn) { return t->Delete(txn, kKey); });
+  EXPECT_EQ(t->index()->Count().value(), 0u);
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+  ASSERT_TRUE(db_->Checkpoint().ok());
 
-TEST_F(DeleteTest, CheckpointHorizonStaysBelowQueuedTombstone) {
-  // Reclaiming a queued tombstone changes the heap with no later log
-  // record of its key, so a checkpoint taken while it waits must leave
-  // the delete above the durable redo horizon.
-  InsertCommitted(1, 10);
-  auto snapshot = db_->Begin();
-  auto deleter = db_->Begin();
-  const timestamp_t delete_ts = deleter->ts();
-  ASSERT_TRUE(table_->Delete(deleter.get(), 1).ok());
-  ASSERT_TRUE(db_->Commit(deleter.get()).ok());
-  ASSERT_TRUE(db_->Commit(snapshot.get()).ok());
-  EXPECT_EQ(IndexCount(), 1u);  // still queued
-  ASSERT_TRUE(db_->Checkpoint().ok());
-  EXPECT_LT(db_->log_manager()->durable_horizon(), delete_ts);
-  InsertCommitted(2, 20);  // reclaims it
-  EXPECT_EQ(IndexCount(), 1u);
-  ASSERT_TRUE(db_->Checkpoint().ok());
-  EXPECT_GE(db_->log_manager()->durable_horizon(), delete_ts);
+  DatabaseEnv env = Database::Crash(std::move(db_));
+  auto db_r = Database::Recover(opts, std::move(env));
+  ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
+  db_ = db_r.MoveValue();
+  t = db_->GetTable(2);
+  EXPECT_EQ(t->index()->Count().value(), 0u);
+  auto txn = db_->Begin();
+  EXPECT_TRUE(t->Read(txn.get(), kKey, tuple.data()).IsNotFound());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
 }
 
 TEST_F(DeleteTest, ReadersRacingReclaimSeeRowOrNotFound) {
@@ -404,8 +441,8 @@ TEST_F(DeleteTest, DeletesSurviveCrashRecovery) {
   EXPECT_EQ(IndexCount(), 21u);
 }
 
-TEST_F(DeleteTest, RecoveryReclaimsQueuedTombstones) {
-  // Tombstones still queued at the crash (an old snapshot held them) are
+TEST_F(DeleteTest, RecoveryReclaimsHeldTombstones) {
+  // Tombstones still indexed at the crash (an old snapshot held them) are
   // found by the heap scan or replayed by redo, and reclaimed.
   for (uint64_t k = 0; k < 20; ++k) InsertCommitted(k, k + 100);
   auto snapshot = db_->Begin();
