@@ -464,7 +464,7 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
   AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
 }
 
-bool Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+void Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
                              timestamp_t watermark) {
   // The tombstone is the survivor at `watermark`, so TruncateChain frees
   // every older version. Only then may the key leave the index and the
@@ -482,7 +482,6 @@ bool Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
   AtomicField(ref->hdr->writer).store(0, std::memory_order_release);
   ref->MarkDirty();
   if (freed) DeferFree(rid);
-  return freed;
 }
 
 void Table::RollbackAbort(Transaction* txn, const Transaction::WriteOp& op) {

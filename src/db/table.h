@@ -183,9 +183,9 @@ class Table {
   bool TruncateChain(rid_t head, timestamp_t watermark);
 
   // Reclaims the committed tombstone at `rid`, the index head of `key`,
-  // whose write claim the caller holds, and releases the claim. Returns
-  // whether the key left the index; if not, it stays a committed tombstone.
-  bool ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
+  // whose write claim the caller holds, and releases the claim. If a step
+  // fails, the key stays a committed, indexed tombstone.
+  void ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
                         timestamp_t watermark);
 
   // Appends the record of one write. `before` is the version it replaces
