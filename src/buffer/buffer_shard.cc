@@ -302,15 +302,12 @@ Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
       }
     } else if (s == FetchSubmit::kQueuedJoined) {
       // A joiner's latency is covered by the leader's spin (or by the
-      // async ring); don't burn the core next to it. Sleep on the
-      // scheduler's completion broadcast — epoch-checked, so a completion
-      // firing between the ready check and the wait returns immediately —
-      // and steal queued prefetch work on each wake, exactly as the old
-      // flight join did through the shard condvar.
+      // async ring, or the scheduler's completion worker); don't burn the
+      // core next to it. Sleep on the scheduler's completion broadcast —
+      // epoch-checked, so a completion firing between the ready check and
+      // the wait returns immediately.
       while (!t.ready.load(std::memory_order_acquire)) {
         const uint64_t epoch = io_->completion_epoch();
-        if (t.ready.load(std::memory_order_acquire)) break;
-        if (io_->TryRunPendingTask()) continue;
         if (t.ready.load(std::memory_order_acquire)) break;
         io_->WaitForCompletion(epoch, 100'000);
       }
@@ -386,7 +383,7 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
   }
 
   // Read-ahead keepalive: two relaxed loads on the hot path; matches only
-  // inside the live range of the active prefetch chain.
+  // inside the live range of the active read-ahead chain.
   if (pid >= ra_live_lo_.load(std::memory_order_relaxed) &&
       pid < ra_next_pid_.load(std::memory_order_relaxed)) {
     ra_consumed_.store(true, std::memory_order_relaxed);
@@ -424,9 +421,15 @@ FetchSubmit BufferShard::SubmitFetchOnDescriptor(SharedPageDescriptor* d,
       t->next = d->io_waiters;
       d->io_waiters = t;
       d->io_latch.Unlock();
-      // Misses that piggyback on an in-flight read are dedup wins exactly
-      // like scheduler-level flight joiners; count them with the same
-      // stat so "N threads, one device read" stays observable.
+      // A join is a miss too: a scan front that catches up with a
+      // read-ahead window joins its pages, and the chain decision reads
+      // the front's position from here. (Load first: a miss storm's
+      // joiners all name the same page.)
+      if (last_miss_pid_.load(std::memory_order_relaxed) != d->pid) {
+        last_miss_pid_.store(d->pid, std::memory_order_relaxed);
+      }
+      // Count every miss that rides another's device read, so "N threads,
+      // one device read" stays observable.
       io_->stats().reads_deduped.fetch_add(1, std::memory_order_relaxed);
       stats_.Add(BufferCounter::kMissJoins);
       return FetchSubmit::kQueuedJoined;
@@ -467,130 +470,184 @@ FetchSubmit BufferShard::SubmitFetchOnDescriptor(SharedPageDescriptor* d,
 }
 
 void BufferShard::LeadMiss(SharedPageDescriptor* d) {
-  // Kick read-ahead before submitting: the window claim registers this
-  // page's read flight, so the submission below joins the coalesced
-  // window read instead of leading a separate single-page device op.
-  MaybeScheduleReadAhead(d->pid);
-  if (d->DramResident() || d->NvmResident()) {
-    // The window ran inline and installed the page. Resolve the in-flight
-    // state without touching the device; waiters re-dispatch and hit.
-    CompleteMiss(d, Status::Busy("page appeared during read-ahead"),
-                 /*data=*/nullptr, /*seq=*/0);
-    return;
+  // A sequential miss run makes this page the first of a read-ahead
+  // window; otherwise it is read alone.
+  if (ReadAheadTriggered(d->pid)) {
+    SubmitWindow(d->pid, d);
+  } else {
+    SubmitRun(MissRun{{d}, /*holds_slot=*/true, nullptr});
   }
-  io_->SubmitRead(
-      SsdOffset(d->pid),
-      [this, d](const Status& st, const std::byte* data, uint64_t seq) {
-        CompleteMiss(d, st, data, seq);
-      });
+}
+
+void BufferShard::SubmitRun(MissRun run) {
+  const uint64_t offset = SsdOffset(run.pages.front()->pid);
+  const size_t n = run.pages.size();
+  io_->SubmitRead(offset, n,
+                  [this, run = std::move(run)](const Status& st,
+                                               const std::byte* data,
+                                               const uint64_t* seqs) {
+                    CompleteMiss(run, st, data, seqs);
+                  });
 }
 
 // ---------------------------------------------------------------------------
 // Asynchronous miss path: completion half
 // ---------------------------------------------------------------------------
 
-void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
-                                 const std::byte* data, uint64_t seq) {
-  // One completion per leader: releases the admission slot taken when the
-  // descriptor entered kIoInflight (re-dispatched waiters that lead a new
-  // miss take a fresh slot).
-  inflight_misses_.fetch_sub(1, std::memory_order_acq_rel);
-  if (shutting_down_.load(std::memory_order_acquire)) {
-    // Tear-down drain: the scheduler fires leftover flights early. Fail
+void BufferShard::CompleteMiss(const MissRun& run, Status st,
+                               const std::byte* data, const uint64_t* seqs) {
+  // Releases the admission slot the leading miss took when its descriptor
+  // entered kIoInflight (re-dispatched waiters that lead a new miss take a
+  // fresh slot).
+  if (run.holds_slot) inflight_misses_.fetch_sub(1, std::memory_order_acq_rel);
+  const bool shutdown = shutting_down_.load(std::memory_order_acquire);
+
+  // A window's last run makes the chain decision, before any waiter wakes,
+  // so the next window is on the device while the front consumes this
+  // one. A hit inside the live range means a scan front is consuming the
+  // chain; the last miss (leading or joining) must also be within one
+  // window of this one, or the front has moved elsewhere and chaining
+  // would start a stale chase whose installs evict the frames the front
+  // just filled. No signal = nobody follows: release the gate and let the
+  // run detector start a fresh chain. Shutdown never chains: nobody will
+  // consume the window.
+  if (run.window != nullptr &&
+      run.window->runs_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    const ReadWindow& w = *run.window;
+    const bool consumed =
+        ra_consumed_.exchange(false, std::memory_order_relaxed);
+    const page_id_t lm = last_miss_pid_.load(std::memory_order_relaxed);
+    const page_id_t next = w.start + w.count;
+    const size_t ra = options_.read_ahead_pages;
+    const bool near =
+        lm != kInvalidPageId && lm + ra >= w.start && lm < next + ra;
+    if (consumed && near && !shutdown) {
+      SubmitWindow(next, /*leader=*/nullptr);
+    } else {
+      read_ahead_inflight_.store(false);
+    }
+  }
+
+  if (shutdown) {
+    // Tear-down drain: the scheduler fires leftover reads early. Fail
     // every waiter without installing — tickets stay guard-free, so they
-    // can safely outlive the buffer manager.
-    d->io_latch.Lock();
-    FetchTicket* w = d->io_waiters;
-    d->io_waiters = nullptr;
-    d->io_state = IoState::kIdle;
-    d->io_latch.Unlock();
-    while (w != nullptr) {
-      FetchTicket* next = w->next;
-      w->next = nullptr;
-      FinishTicket(w, Status::Busy("buffer manager shutting down"));
-      w = next;
+    // can safely outlive the buffer manager. (Installing would also
+    // evict, and the stopping scheduler refuses a dirty victim's
+    // write-back, so every frame search would sweep the pools again.)
+    for (SharedPageDescriptor* d : run.pages) {
+      d->io_latch.Lock();
+      FetchTicket* w = d->io_waiters;
+      d->io_waiters = nullptr;
+      d->io_state = IoState::kIdle;
+      d->io_latch.Unlock();
+      while (w != nullptr) {
+        FetchTicket* next = w->next;
+        w->next = nullptr;
+        FinishTicket(w, Status::Busy("buffer manager shutting down"));
+        w = next;
+      }
     }
     return;
   }
-  FetchTicket* waiters = nullptr;
-  Tier tier = Tier::kDram;
-  bool installed = false;
-  PageGuard first;
-  {
-    SpinLatchGuard gd(d->dram_latch);
-    SpinLatchGuard gn(d->nvm_latch);
-    if (st.ok()) {
-      if (d->DramResident() || d->NvmResident()) {
-        st = Status::Busy("page appeared while installing");
-      } else if (io_->WriteSeq(SsdOffset(d->pid)) != seq) {
-        // A write-back landed while the read was in flight; the
-        // re-dispatch below is served from the scheduler's staged image.
-        st = Status::Busy("page written during miss read");
-      } else {
-        Result<PageGuard> r = InstallPinned(d, data);
-        if (r.ok()) {
-          first = r.MoveValue();
-          tier = first.tier();
-          installed = true;
+
+  // Install every page of the run first and wake its waiters together
+  // afterwards: waking per page would let early joiners outrun the
+  // installs and sleep again on the next page. `woken` collects the pinned
+  // waiters of installed pages; `failed` the pages whose waiters must be
+  // re-dispatched or failed.
+  FetchTicket* woken = nullptr;
+  struct Failed {
+    SharedPageDescriptor* d;
+    FetchTicket* waiters;
+    Status st;
+  };
+  std::vector<Failed> failed;
+  for (size_t i = 0; i < run.pages.size(); ++i) {
+    SharedPageDescriptor* d = run.pages[i];
+    Status page_st = st;
+    FetchTicket* waiters = nullptr;
+    bool installed = false;
+    {
+      SpinLatchGuard gd(d->dram_latch);
+      SpinLatchGuard gn(d->nvm_latch);
+      PageGuard first;
+      if (page_st.ok()) {
+        if (d->DramResident() || d->NvmResident()) {
+          page_st = Status::Busy("page appeared while installing");
+        } else if (io_->WriteSeq(SsdOffset(d->pid)) != seqs[i]) {
+          // A write-back landed while the read was in flight; the
+          // re-dispatch below is served from the scheduler's staged image.
+          page_st = Status::Busy("page written during miss read");
         } else {
-          st = r.status();
+          d->io_latch.Lock();
+          const bool waited = d->io_waiters != nullptr;
+          d->io_latch.Unlock();
+          Result<PageGuard> r =
+              InstallPinned(d, data + i * kPageSize, waited);
+          if (r.ok()) {
+            first = r.MoveValue();
+            installed = true;
+            if (run.window != nullptr) {
+              stats_.Add(BufferCounter::kReadAheadInstalls);
+            }
+          } else {
+            page_st = r.status();
+          }
         }
       }
-    }
 
-    // Detach the waiter list and clear the in-flight mark. io_latch nests
-    // inside the tier latches only here (submitters take it alone), so
-    // install → detach → pin is one atomic step with respect to evictors:
-    // nothing can retire the fresh copy before every waiter holds a pin.
-    d->io_latch.Lock();
-    waiters = d->io_waiters;
-    d->io_waiters = nullptr;
-    d->io_state = IoState::kIdle;
-    d->io_latch.Unlock();
+      // Detach the waiter list and clear the in-flight mark. io_latch
+      // nests inside the tier latches only here (submitters take it
+      // alone), so install → detach → pin is one atomic step with respect
+      // to evictors: nothing can retire the fresh copy before every waiter
+      // holds a pin.
+      d->io_latch.Lock();
+      waiters = d->io_waiters;
+      d->io_waiters = nullptr;
+      d->io_state = IoState::kIdle;
+      d->io_latch.Unlock();
 
-    if (installed) {
-      bool first_pin_used = false;
-      for (FetchTicket* t = waiters; t != nullptr; t = t->next) {
-        if (!first_pin_used) {
-          t->guard = std::move(first);  // the install's own pin
-          first_pin_used = true;
-        } else {
-          // Cannot fail: the copy was published above and both tier
-          // latches are held, so no evictor can retire it.
-          const DramMode m =
-              tier == Tier::kDram ? d->dram.TryPin() : d->nvm.TryPin();
-          SPITFIRE_DCHECK(m != DramMode::kNone);
-          (void)m;
-          t->guard = PageGuard(this, d, tier);
-          // Each completed waiter is one fetch served from SSD —
-          // TotalFetches counts exactly one counter per success.
+      if (installed) {
+        const Tier tier = first.tier();
+        for (FetchTicket* t = waiters; t != nullptr;) {
+          FetchTicket* next = t->next;
+          if (first.valid()) {
+            t->guard = std::move(first);  // the install's own pin
+          } else {
+            // Cannot fail: the copy was published above and both tier
+            // latches are held, so no evictor can retire it.
+            const DramMode m =
+                tier == Tier::kDram ? d->dram.TryPin() : d->nvm.TryPin();
+            SPITFIRE_DCHECK(m != DramMode::kNone);
+            (void)m;
+            t->guard = PageGuard(this, d, tier);
+          }
+          // Each served waiter is one fetch served from SSD — TotalFetches
+          // counts exactly one counter per success.
           stats_.Add(BufferCounter::kSsdFetches);
+          t->status = Status::OK();
+          t->next = woken;
+          woken = t;
+          t = next;
         }
-        t->status = Status::OK();
+        // With no waiters (a read-ahead page) `first` drops its pin on
+        // scope exit and the page simply stays resident.
       }
-      // With no waiters (all were re-dispatched away earlier) `first`
-      // drops its pin on scope exit and the page simply stays resident.
+    }  // tier latches released
+    if (!installed && waiters != nullptr) {
+      failed.push_back(Failed{d, waiters, std::move(page_st)});
     }
-  }  // tier latches released
+  }
 
-  if (installed) {
-    // Fire outside the latches. Read `next` before the release store:
-    // the owner may destroy (or Reset and relink) the ticket the moment
-    // it observes ready == true.
-    bool woke_joiner = false;
-    for (FetchTicket* t = waiters; t != nullptr;) {
-      FetchTicket* next = t->next;
-      t->next = nullptr;
-      t->ready.store(true, std::memory_order_release);
-      woke_joiner = true;
-      t = next;
-    }
-    // When this completion ran inside a scheduler callback the scheduler
-    // broadcasts right after it; signal here too so tickets completed on
-    // the direct path (LeadMiss's resident short-circuit, re-dispatch)
-    // also wake their sleeping owners promptly.
-    if (woke_joiner) io_->SignalCompletions();
-    return;
+  // Fire outside the latches, then signal once. Read `next` before the
+  // release store: the owner may destroy (or Reset and relink) the ticket
+  // the moment it observes ready == true.
+  bool signal = woken != nullptr;
+  for (FetchTicket* t = woken; t != nullptr;) {
+    FetchTicket* next = t->next;
+    t->next = nullptr;
+    t->ready.store(true, std::memory_order_release);
+    t = next;
   }
 
   // Failure. Hard errors complete every waiter; Busy re-dispatches them
@@ -598,22 +655,23 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
   // fresh read) under a per-ticket attempt budget that also bounds the
   // recursion when the simulated device completes re-reads inline.
   // Resubmission runs outside all latches for the same reason.
-  bool finished_any = false;
-  for (FetchTicket* t = waiters; t != nullptr;) {
-    FetchTicket* next = t->next;
-    t->next = nullptr;
-    if (!st.IsBusy()) {
-      FinishTicket(t, st);
-      finished_any = true;
-    } else if (++t->attempts >= kTicketMaxAttempts) {
-      FinishTicket(t, Status::Busy("fetch re-dispatch budget exhausted"));
-      finished_any = true;
-    } else {
-      (void)SubmitFetchOnDescriptor(d, t->intent, t);
+  for (const Failed& f : failed) {
+    for (FetchTicket* t = f.waiters; t != nullptr;) {
+      FetchTicket* next = t->next;
+      t->next = nullptr;
+      if (!f.st.IsBusy()) {
+        FinishTicket(t, f.st);
+        signal = true;
+      } else if (++t->attempts >= kTicketMaxAttempts) {
+        FinishTicket(t, Status::Busy("fetch re-dispatch budget exhausted"));
+        signal = true;
+      } else {
+        (void)SubmitFetchOnDescriptor(f.d, t->intent, t);
+      }
+      t = next;
     }
-    t = next;
   }
-  if (finished_any) io_->SignalCompletions();
+  if (signal) io_->SignalCompletions();
 }
 
 Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
@@ -623,6 +681,25 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
   if (d == nullptr) return Status::OutOfMemory("SSD device full");
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
+  // A read-ahead window reads every page id below the allocator's, so it
+  // can install this page's meaningless SSD image between the id's
+  // allocation and this call. Nobody else knows the id yet, so nobody
+  // holds that copy: format it in place.
+  for (const Tier tier : {Tier::kDram, Tier::kNvm}) {
+    TierState& state = tier == Tier::kDram ? d->dram : d->nvm;
+    if (!state.Resident()) continue;
+    const frame_id_t f = state.frame.load(std::memory_order_relaxed);
+    PageView(pool(tier)->FramePtr(f)).Format(pid, page_type);
+    if (tier == Tier::kNvm) {
+      nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
+                          /*sequential=*/true);
+    }
+    state.MarkDirty(TierState::kAllUnits);
+    const DramMode m = state.TryPin();
+    SPITFIRE_DCHECK(m == DramMode::kFull);
+    (void)m;
+    return PageGuard(this, d, tier);
+  }
   for (const Tier tier : {Tier::kDram, Tier::kNvm}) {
     if (pool(tier) == nullptr) continue;
     const frame_id_t f = AcquireFrame(tier);
@@ -639,12 +716,13 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
 }
 
 Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
-                                             const std::byte* src) {
+                                             const std::byte* src,
+                                             bool waited) {
   // Where does the page land? Bypassing NVM on the read path happens with
   // probability 1 - Nr (Section 3.3); without a DRAM tier everything goes
   // to NVM and vice versa. If the chosen tier has no frame (transient
-  // exhaustion: every frame pinned or latched), the page lands on the
-  // other tier; if neither has one, the caller retries.
+  // exhaustion: every frame pinned or latched), a waited-for page lands on
+  // the other tier; if neither has one, the caller retries.
   const bool to_nvm =
       dram_pool_ == nullptr ||
       (nvm_pool_ != nullptr && policy().InstallSsdToNvmOnRead());
@@ -652,13 +730,17 @@ Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
   for (const Tier tier : {first, to_nvm ? Tier::kDram : Tier::kNvm}) {
     BufferPool* p = pool(tier);
     if (p == nullptr) continue;
-    const frame_id_t f = AcquireFrame(tier);
-    if (f == kInvalidFrameId) continue;
+    const frame_id_t f = waited ? AcquireFrame(tier)
+                                : AcquireFrame(tier, /*sweeps=*/1,
+                                               /*rounds=*/1);
+    if (f == kInvalidFrameId) {
+      if (waited) continue;
+      break;
+    }
     std::memcpy(p->FramePtr(f), src, kPageSize);
     p->device()->OnDirectWrite(p->FrameOffset(f), kPageSize,
                                /*sequential=*/true);
     PublishFrame(tier, d, f, DramMode::kFull, /*dirty=*/false, /*pins=*/1);
-    stats_.Add(BufferCounter::kSsdFetches);
     if (tier == Tier::kNvm) stats_.Add(BufferCounter::kNvmInstalls);
     return PageGuard(this, d, tier);
   }
@@ -669,12 +751,12 @@ Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
 // Read-ahead
 // ---------------------------------------------------------------------------
 
-void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
-  if (options_.io_scheduler.read_ahead_pages == 0) return;
+bool BufferShard::ReadAheadTriggered(page_id_t pid) {
+  if (options_.read_ahead_pages == 0) return false;
   const page_id_t prev = last_miss_pid_.exchange(pid);
   bool trigger = false;
   if (pid == ra_next_pid_.load(std::memory_order_relaxed)) {
-    // The scan consumed the previous window and ran off its end: chain the
+    // The scan consumed the previous window and ran off its end: start the
     // next window without rebuilding a two-miss run.
     trigger = true;
   } else if (prev != kInvalidPageId && pid == prev + 1) {
@@ -682,41 +764,30 @@ void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
   } else {
     seq_miss_run_.store(1, std::memory_order_relaxed);
   }
-  if (!trigger) return;
-  if (read_ahead_inflight_.exchange(true)) return;  // a window is in flight
-  // The window INCLUDES the missing page: the triggering miss then joins
-  // the window's read flight (or finds the page already installed), so
-  // the whole window is one coalesced device op with no separate
-  // front-page read. Steal the queued execution right away: this thread
-  // is about to wait on the window's boundary page anyway, and on the
-  // synchronous simulated device an inline read beats racing the worker
-  // for the core.
-  if (ClaimAndQueueWindow(pid)) io_->TryRunPendingTask();
+  // One window at a time: the gate stays held while a window (or the
+  // chain it starts) is in flight.
+  return trigger && !read_ahead_inflight_.exchange(true);
 }
 
-bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
-  // Precondition: this thread owns read_ahead_inflight_; ownership passes
-  // to the queued execution on success and is released here on failure.
+void BufferShard::SubmitWindow(page_id_t start, SharedPageDescriptor* leader) {
+  const size_t ra = options_.read_ahead_pages;
   const page_id_t horizon = std::min(
       next_page_id_->load(std::memory_order_relaxed), table_.num_pages());
-  // Skip pages that are already resident (e.g. whole windows surviving
-  // from the scan's previous pass over the database). Claiming them is
-  // not just wasted transfer: the front HITS straight through a resident
-  // window, so no miss ever joins its flights, nobody steals its queued
-  // execution, and the chain stalls holding the one-window gate while
-  // the front runs ahead on single-page reads. At a miss-triggered call
-  // the first page just missed, so this loop exits immediately; it only
-  // walks (bounded) when the stall it prevents would otherwise begin.
-  size_t trim_budget = 4 * options_.io_scheduler.read_ahead_pages;
-  while (start < horizon && OwnsPage(start)) {
+  // A chained window skips pages that are already resident (e.g. whole
+  // windows surviving from the scan's previous pass over the database).
+  // Claiming them is not just wasted transfer: the front HITS straight
+  // through a resident window, so its chain decision sees no miss near it
+  // and the chain dies while the front runs ahead on single-page reads.
+  // The walk is bounded; a leading miss's window starts at its own page.
+  size_t trim_budget = 4 * ra;
+  while (leader == nullptr && start < horizon && OwnsPage(start)) {
     const SharedPageDescriptor* d = table_.Find(start);
     if (d == nullptr || (!d->DramResident() && !d->NvmResident())) break;
     ++start;
     if (--trim_budget == 0) break;
   }
   size_t n = start < horizon && trim_budget > 0 && OwnsPage(start)
-                 ? std::min<size_t>(options_.io_scheduler.read_ahead_pages,
-                                    horizon - start)
+                 ? std::min<size_t>(ra, horizon - start)
                  : 0;
   // Clamp the window to this shard's contiguous run of pages: routing is
   // block-granular (kShardBlockBits), so a window crossing the block edge
@@ -726,133 +797,57 @@ bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   size_t owned_run = 0;
   while (owned_run < n && OwnsPage(start + owned_run)) ++owned_run;
   n = owned_run;
+  SPITFIRE_DCHECK(leader == nullptr || n > 0);
   if (n == 0) {
     read_ahead_inflight_.store(false);
-    return false;
-  }
-  // A miss exactly at the window's end chains the next window without
-  // rebuilding a two-miss run (see MaybeScheduleReadAhead); any access
-  // inside [previous window, claim frontier) marks the chain as consumed
-  // (see FetchPage). The lower bound trails by one window because the
-  // front may still be consuming the window behind the one claimed here
-  // when the next life-or-death decision is made.
-  if (start >= options_.io_scheduler.read_ahead_pages) {
-    ra_live_lo_.store(start - options_.io_scheduler.read_ahead_pages,
-                      std::memory_order_relaxed);
-  } else {
-    ra_live_lo_.store(0, std::memory_order_relaxed);
-  }
-  ra_next_pid_.store(start + n, std::memory_order_relaxed);
-
-  // Claim the window's read flights NOW — from this point every miss on
-  // a window page joins a flight instead of leading its own single-page
-  // device read — with no residency pre-scan: a claimed page that turns
-  // out to be resident costs only its share of the coalesced transfer
-  // and is dropped by InstallPrefetched's residency and write-sequence
-  // checks. Only the device work is deferred.
-  std::shared_ptr<void> claim = io_->ClaimPrefetch(SsdOffset(start), n);
-  if (claim == nullptr) {
-    read_ahead_inflight_.store(false);
-    return false;
-  }
-  const bool queued = io_->Submit([this, claim, start, n] {
-    PrefetchExecute(claim, start, n);
-  });
-  if (!queued) {
-    // Shutting down: the claim must still complete or joiners hang.
-    PrefetchExecute(claim, start, n);
-  }
-  return true;
-}
-
-void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
-                                    page_id_t start, size_t count) {
-  std::vector<std::byte> buf(count * kPageSize);
-  std::vector<uint64_t> seqs(count, 0);
-  std::vector<char> covered(count, 0);
-  // Reinterpret: ExecutePrefetch wants bool*; vector<bool> is packed, so
-  // use a char vector and cast.
-  // Install each page from the executor's ready callback — after the
-  // device read, but before the page's flight completes — so at every
-  // instant a window page is either resident or has a joinable flight;
-  // there is no gap for a concurrent miss to duplicate the read.
-  (void)io_->ExecutePrefetch(
-      claim, buf.data(), seqs.data(), reinterpret_cast<bool*>(covered.data()),
-      [&](size_t i) {
-        InstallPrefetched(start + i, buf.data() + i * kPageSize, seqs[i]);
-      },
-      // Chain decision — deliberately BEFORE the executor completes the
-      // window's flights. Threads that found their page freshly installed
-      // are already running ahead, and on one core their device busy-waits
-      // can starve the completion pass for milliseconds; deciding here
-      // keeps the next window queued before the front reaches it.
-      //
-      // A hit inside the live range means a scan front is consuming this
-      // window: claim the NEXT window in this quiet moment — the front is
-      // at the pages just installed, so the claim cannot race a miss
-      // storm — and leave its execution queued; the first thread to miss
-      // on the new window's boundary page joins the pre-existing flight
-      // and steals the queued read (FetchPage's joiner wait runs pending
-      // tasks). The chain must also verify the front is actually AT this
-      // window (last miss within one window of it): if execution was
-      // delayed, the front has run past on single reads and chaining
-      // would start a stale chase — claims forever behind the front, each
-      // wasting a full window read whose installs evict the frames the
-      // front just filled. No signal = nobody follows: release the gate
-      // and let the run detector start a fresh chain. Shutdown never
-      // chains: nobody will consume the window.
-      [&] {
-        const bool cons =
-            ra_consumed_.exchange(false, std::memory_order_relaxed);
-        const page_id_t lm = last_miss_pid_.load(std::memory_order_relaxed);
-        const page_id_t next = start + count;
-        const size_t ra = options_.io_scheduler.read_ahead_pages;
-        const bool near =
-            lm != kInvalidPageId && lm + ra >= start && lm < next + ra;
-        if (cons && near && !shutting_down_.load(std::memory_order_acquire)) {
-          (void)ClaimAndQueueWindow(next);
-        } else {
-          read_ahead_inflight_.store(false);
-        }
-      });
-}
-
-void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
-                                      uint64_t seq) {
-  // Tear-down runs the queued windows only to complete their flights
-  // (CompleteMiss follows the same rule). Installing would evict, and a
-  // dirty victim's write-back is refused by the stopping scheduler, so
-  // every frame search would sweep the whole pool again and again.
-  if (shutting_down_.load(std::memory_order_acquire)) return;
-  SharedPageDescriptor* d = table_.GetOrCreate(pid);
-  // Never contend with foreground work: TryLock only on the target, and at
-  // most one one-round (try-lock-based) eviction sweep when no frame is
-  // free — without it read-ahead would go dead the moment the pool warms
-  // up, which is exactly when a scan needs it.
-  if (!d->dram_latch.TryLock()) return;
-  if (!d->nvm_latch.TryLock()) {
-    d->dram_latch.Unlock();
     return;
   }
-  [&] {
-    if (d->DramResident() || d->NvmResident()) return;
-    if (io_->WriteSeq(SsdOffset(pid)) != seq) return;
+  // A miss exactly at the window's end starts the next window without
+  // rebuilding a two-miss run (see ReadAheadTriggered); any access inside
+  // [previous window, window end) marks the chain as consumed (see
+  // SubmitFetch). The lower bound trails by one window because the front
+  // may still be consuming the window behind this one when the next
+  // chain decision is made.
+  ra_live_lo_.store(start >= ra ? start - ra : 0, std::memory_order_relaxed);
+  ra_next_pid_.store(start + n, std::memory_order_relaxed);
 
-    const bool to_nvm =
-        dram_pool_ == nullptr ||
-        (nvm_pool_ != nullptr && policy().InstallSsdToNvmOnRead());
-    const Tier tier = to_nvm ? Tier::kNvm : Tier::kDram;
-    BufferPool* p = pool(tier);
-    const frame_id_t f = AcquireFrame(tier, /*sweeps=*/1, /*rounds=*/1);
-    if (f == kInvalidFrameId) return;
-    std::memcpy(p->FramePtr(f), src, kPageSize);
-    p->device()->OnDirectWrite(p->FrameOffset(f), kPageSize,
-                               /*sequential=*/true);
-    PublishFrame(tier, d, f, DramMode::kFull, /*dirty=*/false, /*pins=*/0);
-    stats_.Add(BufferCounter::kReadAheadInstalls);
-  }();
-  d->nvm_latch.Unlock();
-  d->dram_latch.Unlock();
+  // Claim each page the way a leading miss does — under io_latch, only an
+  // idle page with no resident copy — so a miss on a claimed page joins
+  // its waiter list. Every contiguous claimed range is one device read.
+  auto window = std::make_shared<ReadWindow>();
+  window->start = start;
+  window->count = n;
+  std::vector<MissRun> runs;
+  bool in_run = false;
+  for (size_t i = 0; i < n; ++i) {
+    SharedPageDescriptor* d = nullptr;
+    if (i == 0 && leader != nullptr) {
+      d = leader;
+    } else if (SharedPageDescriptor* c = table_.GetOrCreate(start + i);
+               c != nullptr) {
+      c->io_latch.Lock();
+      if (c->io_state == IoState::kIdle && !c->DramResident() &&
+          !c->NvmResident()) {
+        c->io_state = IoState::kIoInflight;
+        d = c;
+      }
+      c->io_latch.Unlock();
+    }
+    if (d == nullptr) {
+      in_run = false;
+      continue;
+    }
+    if (!in_run) runs.push_back(MissRun{{}, false, window});
+    runs.back().pages.push_back(d);
+    in_run = true;
+  }
+  if (runs.empty()) {
+    read_ahead_inflight_.store(false);
+    return;
+  }
+  runs.front().holds_slot = leader != nullptr;
+  window->runs_left.store(runs.size(), std::memory_order_relaxed);
+  for (MissRun& r : runs) SubmitRun(std::move(r));
 }
 
 // ---------------------------------------------------------------------------

@@ -63,9 +63,16 @@ struct BufferManagerOptions {
   ReplacerKind dram_replacer = ReplacerKind::kClock;
   ReplacerKind nvm_replacer = ReplacerKind::kClock;
 
-  // All SSD-tier traffic goes through an IoScheduler (single-flight miss
-  // dedup, write coalescing, read-ahead).
+  // All SSD-tier traffic goes through an IoScheduler (multi-page reads,
+  // write coalescing).
   IoSchedulerOptions io_scheduler;
+
+  // Pages read ahead of a detected sequential miss run, as one multi-page
+  // miss; 0 disables read-ahead. 32 pages = 512 KB: on the simulated
+  // device a 32-page sequential read costs ~1/3 of 32 single-page reads,
+  // and a wider window also means fewer chain handoffs per scanned
+  // megabyte.
+  size_t read_ahead_pages = 32;
 
   // Devices. `ssd` is required and owned by the caller (it holds the
   // database itself). `nvm` may be supplied by the caller so that its
@@ -273,8 +280,9 @@ class BufferShard {
 
   // Submission half of the asynchronous miss path. Hits complete the
   // ticket inline (kCompleted, ready == true on return). A miss either
-  // joins the page's in-flight read (kQueuedJoined) or marks the
-  // descriptor kIoInflight and submits the device read (kQueuedLeader);
+  // joins the page's in-flight read (kQueuedJoined) — a leading miss's or
+  // a read-ahead window's — or marks the descriptor kIoInflight and
+  // submits the device read (kQueuedLeader);
   // either way the ticket fires when the completion installs the page —
   // possibly inside this call when the simulated device completes
   // immediately. The caller keeps the ticket alive and unmoved until
@@ -283,8 +291,7 @@ class BufferShard {
   FetchSubmit SubmitFetch(page_id_t pid, AccessIntent intent, FetchTicket* t);
 
   // Runs due I/O completions on the calling thread. With may_sleep, waits
-  // briefly (marking this thread async-aware: simulated device waits then
-  // sleep instead of spinning). Returns whether any work was done.
+  // briefly when nothing is due. Returns whether any work was done.
   bool PumpIo(bool may_sleep);
 
   // Materializes a zeroed, dirty page for `pid` (already allocated by the
@@ -368,9 +375,7 @@ class BufferShard {
   // Reconfigures the sequential read-ahead window (0 disables). Not
   // thread-safe against concurrent fetches; meant for tests and setup
   // code that needs deterministic miss behavior.
-  void SetReadAheadPages(size_t n) {
-    options_.io_scheduler.read_ahead_pages = n;
-  }
+  void SetReadAheadPages(size_t n) { options_.read_ahead_pages = n; }
 
   SsdDevice* ssd() { return ssd_; }
   NvmDevice* nvm_device() { return nvm_; }
@@ -413,43 +418,61 @@ class BufferShard {
   int TryHitOnce(SharedPageDescriptor* d, AccessIntent intent,
                  const MigrationPolicy& pol, Tier* tier);
 
+  // A read-ahead window in flight: the pages it covers and how many of its
+  // runs have not completed yet (the last one makes the chain decision).
+  struct ReadWindow {
+    page_id_t start = 0;
+    size_t count = 0;
+    std::atomic<size_t> runs_left{0};
+  };
+
+  // One SSD read the shard has in flight: a contiguous run of pages, each
+  // claimed kIoInflight on its descriptor. A lone miss is a run of one
+  // page; a read-ahead window is one run per contiguous claimed range.
+  struct MissRun {
+    std::vector<SharedPageDescriptor*> pages;
+    // Whether the run carries the leading miss's admission slot; a
+    // window's other pages and a chained window hold none.
+    bool holds_slot = false;
+    std::shared_ptr<ReadWindow> window;  // null for a lone miss
+  };
+
   // Async miss-path internals. SubmitFetchOnDescriptor is SubmitFetch
-  // minus pid validation; LeadMiss kicks read-ahead and submits the
-  // device read for a descriptor this thread just marked kIoInflight;
-  // CompleteMiss is the continuation every miss read resolves through:
-  // it installs the bytes, pins the new copy for every queued waiter and
-  // fires their tickets — or re-dispatches them on transient failure.
+  // minus pid validation; LeadMiss reads the page a miss just marked
+  // kIoInflight, alone or as the first page of a read-ahead window;
+  // SubmitRun hands one run to the scheduler; CompleteMiss is the
+  // continuation every SSD read resolves through: it installs the run's
+  // pages, pins each for its queued waiters and fires their tickets — or
+  // re-dispatches them on transient failure.
   FetchSubmit SubmitFetchOnDescriptor(SharedPageDescriptor* d,
                                       AccessIntent intent, FetchTicket* t);
   void LeadMiss(SharedPageDescriptor* d);
-  void CompleteMiss(SharedPageDescriptor* d, Status st, const std::byte* data,
-                    uint64_t seq);
+  void SubmitRun(MissRun run);
+  void CompleteMiss(const MissRun& run, Status st, const std::byte* data,
+                    const uint64_t* seqs);
   static void FinishTicket(FetchTicket* t, Status st);
 
   // Installs the page image in `src` (already read from SSD) into NVM
-  // (path 1, probability Nr) or directly into DRAM (path 8), falling back
-  // to the other tier when the first has no frame, and returns a pinned
-  // guard. Caller holds both descriptor latches and has verified the page
-  // is not resident on any tier.
+  // (path 1, probability Nr) or directly into DRAM (path 8) and returns a
+  // pinned guard. A page somebody waits for (`waited`) gets the foreground
+  // frame budget and falls back to the other tier when the first has no
+  // frame; a read-ahead page nobody waits for gets one one-round sweep of
+  // the first tier, so read-ahead never waits on eviction. Caller holds
+  // both descriptor latches and has verified the page is not resident on
+  // any tier.
   Result<PageGuard> InstallPinned(SharedPageDescriptor* d,
-                                  const std::byte* src);
+                                  const std::byte* src, bool waited);
 
-  // Sequential-miss detection: after a miss on `pid`, schedule a prefetch
-  // window starting at it if the miss run looks sequential.
-  void MaybeScheduleReadAhead(page_id_t pid);
-  // Claims one prefetch window's read flights and queues its execution;
-  // requires ownership of read_ahead_inflight_, which passes to the
-  // queued execution (released on failure; returns whether a window was
-  // claimed).
-  bool ClaimAndQueueWindow(page_id_t start);
-  // Worker-side read-ahead: run the device reads for a claimed window
-  // and install the pages that arrive cleanly.
-  void PrefetchExecute(std::shared_ptr<void> claim, page_id_t start,
-                       size_t count);
-  // Installs one prefetched page image, preferring a free frame and
-  // falling back to at most one try-lock eviction round; silently drops
-  // the page on any contention or residency change, and during shutdown.
-  void InstallPrefetched(page_id_t pid, const std::byte* src, uint64_t seq);
+  // Read-ahead. ReadAheadTriggered runs the sequential-miss detector for a
+  // leading miss on `pid` and takes the one-window gate when it fires.
+  // SubmitWindow, called with the gate held, claims up to
+  // read_ahead_pages pages from `start` — `leader`, when not null, is
+  // start's descriptor, already claimed by the leading miss — and submits
+  // one read per contiguous claimed run; it releases the gate when it
+  // claims nothing, and otherwise the window's last completion passes
+  // the gate on to the next window or releases it.
+  bool ReadAheadTriggered(page_id_t pid);
+  void SubmitWindow(page_id_t start, SharedPageDescriptor* leader);
 
   BufferPool* pool(Tier tier) {
     return tier == Tier::kDram ? dram_pool_.get() : nvm_pool_.get();
@@ -458,8 +481,8 @@ class BufferShard {
   // Pops a free frame from `tier`'s pool, evicting replacer victims while
   // the free list is empty: at most `sweeps` victim searches of `rounds`
   // replacer rounds each. Returns kInvalidFrameId when the budget runs
-  // out. Foreground installs use the default budget; read-ahead passes one
-  // one-round sweep, so it never waits on eviction.
+  // out. Foreground installs use the default budget; a read-ahead page
+  // nobody waits for passes one one-round sweep (InstallPinned).
   frame_id_t AcquireFrame(Tier tier, int sweeps = 64, int rounds = 3);
   bool TryEvictDramFrame(frame_id_t f);
   bool TryEvictNvmFrame(frame_id_t f);
@@ -555,11 +578,11 @@ class BufferShard {
   // Shared SSD scheduler, owned by the facade.
   IoScheduler* io_ = nullptr;
 
-  // Sequential-miss run detection for read-ahead. `ra_next_pid_` is the
-  // page just past the last prefetched window: a miss landing exactly
-  // there means the scan consumed the whole window, so the next one is
-  // chained immediately instead of waiting for the run counter to rebuild
-  // (trailing joiner misses inside the window scramble the counter).
+  // Sequential-miss run detection for read-ahead. `last_miss_pid_` is the
+  // page of the latest miss, leading or joining. `ra_next_pid_` is the
+  // page just past the last claimed window: a miss landing exactly there
+  // means the scan consumed the whole window, so the next one is started
+  // immediately instead of waiting for the run counter to rebuild.
   std::atomic<page_id_t> last_miss_pid_{kInvalidPageId};
   std::atomic<uint32_t> seq_miss_run_{0};
   std::atomic<page_id_t> ra_next_pid_{kInvalidPageId};
@@ -576,10 +599,10 @@ class BufferShard {
   uint32_t miss_admission_cap_ = 0;
   // Live range [ra_live_lo_, ra_next_pid_) of the chain's recent windows
   // and the consumed flag an access inside it sets: a HIT there proves a
-  // scan front is following the chain even when prefetch runs far enough
-  // ahead that the front never misses (and so never joins a flight).
-  // Without it a perfectly-overlapped chain would look abandoned and die
-  // every other window.
+  // scan front is following the chain even when read-ahead runs far
+  // enough ahead that the front never misses (and so never joins a
+  // window's read). Without it a perfectly-overlapped chain would look
+  // abandoned and die every other window.
   std::atomic<page_id_t> ra_live_lo_{kInvalidPageId};
   std::atomic<bool> ra_consumed_{false};
   std::atomic<bool> read_ahead_inflight_{false};

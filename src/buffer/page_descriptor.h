@@ -189,10 +189,10 @@ struct TierState {
 
 // SSD-fetch state of a page (guarded by SharedPageDescriptor::io_latch).
 // kIdle — no fetch in flight; a miss may become the submission leader.
-// kIoInflight — a leader has submitted the device read; later misses
-// enqueue a FetchTicket on `io_waiters` instead of duplicating the I/O,
-// and the completion installs the page, pins it for every waiter, and
-// fires their continuations.
+// kIoInflight — a leading miss or a read-ahead window has claimed the page
+// and submitted its device read; later misses enqueue a FetchTicket on
+// `io_waiters` instead of duplicating the I/O, and the completion installs
+// the page, pins it for every waiter, and fires their continuations.
 enum class IoState : uint8_t { kIdle = 0, kIoInflight = 1 };
 
 // Continuation of one asynchronous fetch (declared in buffer_manager.h).

@@ -25,7 +25,7 @@ namespace spitfire {
   X(kFineGrainedLoads, fine_grained_loads)    /* cache-line units loaded */   \
   X(kMiniPageAdmits, mini_page_admits)                                        \
   X(kMiniPagePromotions, mini_page_promotions) /* mini → full overflow */     \
-  X(kReadAheadInstalls, read_ahead_installs)  /* pages prefetched */          \
+  X(kReadAheadInstalls, read_ahead_installs)  /* window pages installed */    \
   X(kMissSubmits, miss_submits)               /* led a device read */         \
   X(kMissJoins, miss_joins)                   /* joined an in-flight read */  \
   X(kReplacerSampled, replacer_sampled)       /* hits sent to RecordAccess */ \

@@ -119,7 +119,6 @@ Status Database::InitCommon(bool fresh) {
       commit_forces_drain_ = true;
     }
     lopts.log_ssd = env_.log_ssd.get();
-    lopts.enable_group_commit = opts_.wal_group_commit;
     auto lm_r = fresh ? LogManager::Create(lopts) : LogManager::Attach(lopts);
     SPITFIRE_RETURN_NOT_OK(lm_r.status());
     lm_ = lm_r.MoveValue();

@@ -12,13 +12,6 @@ namespace {
 // Backpressure bound on staged-but-unwritten pages (16 KB each): WritePage
 // waits while this many are queued.
 constexpr size_t kMaxPendingWrites = 128;
-
-// Threads that pump completions with may_sleep=true (the async workload
-// ring, the completion worker) are async-aware: device waits they execute
-// sleep out their deadlines, yielding the core to useful work. Blocking
-// threads keep the spin-wait so the synchronous path's CPU accounting is
-// unchanged.
-thread_local bool t_async_aware = false;
 }  // namespace
 
 IoScheduler::IoScheduler(SsdDevice* ssd, const IoSchedulerOptions& opts)
@@ -34,15 +27,6 @@ IoScheduler::IoScheduler(SsdDevice* ssd, const IoSchedulerOptions& opts)
 }
 
 IoScheduler::~IoScheduler() { Shutdown(); }
-
-void IoScheduler::MaybeEraseLocked(Shard& s, uint64_t offset) {
-  auto it = s.table.find(offset);
-  if (it == s.table.end()) return;
-  const Entry& e = it->second;
-  if (e.read == nullptr && e.write == nullptr && e.write_seq == 0) {
-    s.table.erase(it);
-  }
-}
 
 void IoScheduler::ScheduleAt(uint64_t deadline_ns, std::function<void()> fn,
                              bool is_write) {
@@ -110,49 +94,6 @@ bool IoScheduler::PumpDueWrites() {
   return any;
 }
 
-void IoScheduler::WaitUntilDeadline(uint64_t deadline_ns) {
-  for (;;) {
-    const uint64_t now = NowNanos();
-    if (now >= deadline_ns) return;
-    // Keep other requests' completions flowing while this one is in
-    // flight — that is what keeps N queues busy from one thread.
-    if (PumpDue()) continue;
-    const uint64_t remaining = deadline_ns - now;
-    if (t_async_aware && remaining > 5'000) {
-      std::unique_lock<std::mutex> cl(comp_mu_);
-      comp_sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      comp_cv_.wait_for(cl, std::chrono::nanoseconds(std::min<uint64_t>(
-                                remaining, 200'000)));
-      comp_sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-      SpinWaitNanos(std::min<uint64_t>(remaining, 2'000));
-    }
-  }
-}
-
-void IoScheduler::CompleteFlight(uint64_t offset,
-                                 std::shared_ptr<ReadFlight> f, Status st) {
-  Shard& s = ShardFor(offset);
-  std::vector<ReadCallback> cbs;
-  {
-    std::lock_guard<std::mutex> l(s.mu);
-    Entry& e = s.table[offset];
-    f->stale = (e.write_seq != f->seq);
-    cbs.swap(f->callbacks);
-    if (e.read == f) e.read.reset();
-    MaybeEraseLocked(s, offset);
-  }
-  if (f->stale) {
-    stats_.stale_read_retries.fetch_add(cbs.size(), std::memory_order_relaxed);
-  }
-  const Status cb_st =
-      f->stale ? Status::Busy("read superseded by concurrent write") : st;
-  for (ReadCallback& cb : cbs) {
-    cb(cb_st, f->buf, f->seq);
-  }
-  SignalCompletions();
-}
-
 void IoScheduler::SignalCompletions() {
   // Dekker-style handshake with the sleepers: bump the epoch, THEN check
   // for sleepers (both seq_cst). A sleeper registers in comp_sleepers_
@@ -179,7 +120,6 @@ void IoScheduler::WaitForCompletion(uint64_t observed_epoch,
 }
 
 void IoScheduler::CompletionWorkerLoop() {
-  t_async_aware = true;
   std::unique_lock<std::mutex> cl(comp_mu_);
   for (;;) {
     if (comps_.empty() && wcomps_.empty()) {
@@ -213,56 +153,62 @@ void IoScheduler::CompletionWorkerLoop() {
   }
 }
 
-IoScheduler::SubmitKind IoScheduler::SubmitRead(uint64_t offset,
-                                                ReadCallback cb) {
-  Shard& s = ShardFor(offset);
-  std::unique_lock<std::mutex> l(s.mu);
-  Entry& e = s.table[offset];
-  if (e.write != nullptr) {
-    // A staged (not yet device-durable) write holds the freshest bytes.
-    // Copy to a thread-local scratch so the callback runs without the
-    // shard lock (it may take buffer-manager latches).
-    thread_local std::unique_ptr<std::byte[]> scratch;
-    if (!scratch) scratch = std::make_unique<std::byte[]>(kPageSize);
-    std::memcpy(scratch.get(), e.write->buf.get(), kPageSize);
-    const uint64_t seq = e.write_seq;
-    l.unlock();
-    stats_.reads_from_staged.fetch_add(1, std::memory_order_relaxed);
-    cb(Status::OK(), scratch.get(), seq);
-    return SubmitKind::kInline;
+void IoScheduler::SubmitRead(uint64_t offset, size_t n, ReadCallback cb) {
+  struct Read {
+    std::unique_ptr<std::byte[]> buf;
+    std::vector<uint64_t> seqs;
+    ReadCallback cb;
+  };
+  auto r = std::make_shared<Read>();
+  r->buf = std::make_unique_for_overwrite<std::byte[]>(n * kPageSize);
+  r->seqs.assign(n, 0);
+  r->cb = std::move(cb);
+  // Sample before any device copy, under the shard lock that WritePage
+  // bumps the sequence under: a page staged before its sample is served
+  // from the staged image (the device may still hold older bytes, and
+  // the sequence cannot tell), and a page staged after it fails the
+  // caller's sequence check.
+  std::vector<bool> staged(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t off = offset + i * kPageSize;
+    Shard& s = ShardFor(off);
+    std::lock_guard<std::mutex> l(s.mu);
+    auto it = s.table.find(off);
+    if (it == s.table.end()) continue;
+    r->seqs[i] = it->second.write_seq;
+    if (it->second.write != nullptr) {
+      std::memcpy(r->buf.get() + i * kPageSize, it->second.write->buf.get(),
+                  kPageSize);
+      staged[i] = true;
+    }
   }
-  if (e.read != nullptr) {
-    // Single-flight: ride the in-flight read (a SubmitRead leader's or a
-    // prefetch claim's) instead of duplicating it.
-    e.read->callbacks.push_back(std::move(cb));
-    stats_.reads_deduped.fetch_add(1, std::memory_order_relaxed);
-    return SubmitKind::kJoined;
-  }
-  // Leader: register the flight, then submit without the shard lock so
-  // joiners can attach (and writers can supersede) during the I/O.
-  auto f = std::make_shared<ReadFlight>();
-  f->seq = e.write_seq;
-  f->callbacks.push_back(std::move(cb));
-  e.read = f;
-  l.unlock();
-  stats_.async_submits.fetch_add(1, std::memory_order_relaxed);
-  stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
+  Status st = Status::OK();
   uint64_t deadline = 0;
-  const Status st = ssd_->BeginRead(offset, f->buf, kPageSize, &deadline);
-  if (!st.ok()) {
-    CompleteFlight(offset, std::move(f), st);
-  } else {
-    ScheduleAt(deadline,
-               [this, offset, f] { CompleteFlight(offset, f, Status::OK()); },
-               /*is_write=*/false);
+  for (size_t i = 0; i < n;) {
+    if (staged[i]) {
+      stats_.reads_from_staged.fetch_add(1, std::memory_order_relaxed);
+      ++i;
+      continue;
+    }
+    size_t j = i + 1;
+    while (j < n && !staged[j]) ++j;
+    uint64_t done = 0;
+    const Status rs = ssd_->BeginRead(offset + i * kPageSize,
+                                      r->buf.get() + i * kPageSize,
+                                      (j - i) * kPageSize, &done);
+    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
+    if (!rs.ok()) st = rs;
+    deadline = std::max(deadline, done);
+    i = j;
   }
-  return SubmitKind::kLeader;
+  ScheduleAt(
+      st.ok() ? deadline : 0,
+      [r, st] { r->cb(st, r->buf.get(), r->seqs.data()); },
+      /*is_write=*/false);
 }
 
 bool IoScheduler::PumpCompletions(bool may_sleep) {
-  if (may_sleep) t_async_aware = true;
-  bool ran = TryRunPendingTask();
-  if (PumpDue()) ran = true;
+  const bool ran = PumpDue();
   if (ran || !may_sleep) return ran;
   std::unique_lock<std::mutex> cl(comp_mu_);
   uint64_t next = UINT64_MAX;
@@ -283,146 +229,11 @@ bool IoScheduler::PumpCompletions(bool may_sleep) {
   return PumpDue();
 }
 
-std::shared_ptr<void> IoScheduler::ClaimPrefetch(uint64_t offset, size_t n) {
-  auto rec = std::make_shared<PrefetchClaimRec>();
-  rec->offset = offset;
-  rec->n = n;
-  rec->flights.resize(n);
-  size_t owned = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t off = offset + i * kPageSize;
-    Shard& s = ShardFor(off);
-    std::lock_guard<std::mutex> l(s.mu);
-    Entry& e = s.table[off];
-    // Pages with a staged write or an in-flight read stay with their
-    // current owner.
-    if (e.write != nullptr || e.read != nullptr) continue;
-    auto f = std::make_shared<ReadFlight>();
-    f->seq = e.write_seq;
-    e.read = f;
-    rec->flights[i] = std::move(f);
-    ++owned;
-  }
-  if (owned == 0) return nullptr;
-  return rec;
-}
-
-Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
-                                    std::byte* dst, uint64_t* seqs,
-                                    bool* covered,
-                                    const std::function<void(size_t)>& ready,
-                                    const std::function<void()>& installed) {
-  auto* rec = static_cast<PrefetchClaimRec*>(claim.get());
-  const uint64_t offset = rec->offset;
-  const size_t n = rec->n;
-  for (size_t i = 0; i < n; ++i) covered[i] = false;
-  bool installed_fired = false;
-
-  // One device op per maximal contiguous run of owned pages.
-  Status result = Status::OK();
-  size_t i = 0;
-  while (i < n) {
-    if (rec->flights[i] == nullptr) {
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < n && rec->flights[j] != nullptr) ++j;
-    // Admit the run into the device's queue model and wait out its
-    // deadline here, pumping other completions meanwhile: a second window
-    // can be in flight on another queue while this one drains. Async-aware
-    // threads sleep the wait; blocking threads spin (the synchronous CPU
-    // accounting).
-    uint64_t deadline = 0;
-    const Status st =
-        ssd_->BeginRead(offset + i * kPageSize, dst + i * kPageSize,
-                        (j - i) * kPageSize, &deadline);
-    if (st.ok()) WaitUntilDeadline(deadline);
-    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) result = st;
-    // Three passes over the run, in a strict order: validate every page,
-    // install every page, and only then complete the flights.
-    //
-    //  - Installing before completing means a window page is at every
-    //    instant either resident or joinable: completing first would
-    //    erase the page's single-flight entry while its bytes are still
-    //    unpublished, and a miss in that gap would duplicate the read.
-    //  - Completing the whole run as one batch (rather than per page)
-    //    means each joiner wakes exactly once, to a fully-published run.
-    //    Waking per page lets early joiners outrun the install loop and
-    //    re-sleep on the next page, turning one window into dozens of
-    //    context-switch round trips.
-    for (size_t k = i; k < j; ++k) {
-      const uint64_t off = offset + k * kPageSize;
-      Shard& s = ShardFor(off);
-      std::shared_ptr<ReadFlight>& f = rec->flights[k];
-      std::lock_guard<std::mutex> l(s.mu);
-      Entry& e = s.table[off];
-      f->status = st;
-      f->stale = (e.write_seq != f->seq);
-      if (st.ok() && !f->stale) {
-        seqs[k] = f->seq;
-        covered[k] = true;
-      }
-    }
-    if (ready) {
-      for (size_t k = i; k < j; ++k) {
-        // Outside the shard lock; the install re-validates WriteSeq.
-        if (covered[k]) ready(k);
-      }
-    }
-    if (installed && !installed_fired) {
-      installed_fired = true;
-      installed();
-    }
-    for (size_t k = i; k < j; ++k) {
-      const uint64_t off = offset + k * kPageSize;
-      Shard& s = ShardFor(off);
-      std::shared_ptr<ReadFlight>& f = rec->flights[k];
-      std::vector<ReadCallback> cbs;
-      {
-        std::lock_guard<std::mutex> l(s.mu);
-        Entry& e = s.table[off];
-        // A write may have staged while the installs ran: re-check, so a
-        // joiner retries rather than consuming superseded bytes. (The
-        // install path re-validates against WriteSeq on its own.)
-        f->stale = (e.write_seq != f->seq);
-        if (!f->callbacks.empty() && covered[k] && !f->stale) {
-          // Callbacks that joined this flight read from its buffer.
-          std::memcpy(f->buf, dst + k * kPageSize, kPageSize);
-        }
-        cbs.swap(f->callbacks);
-        if (e.read == f) e.read.reset();
-        MaybeEraseLocked(s, off);
-      }
-      if (!cbs.empty()) {
-        // Async misses that joined this window's flights.
-        const bool bad = !covered[k] || f->stale;
-        if (f->stale) {
-          stats_.stale_read_retries.fetch_add(cbs.size(),
-                                              std::memory_order_relaxed);
-        }
-        const Status cb_st =
-            bad ? (f->status.ok()
-                       ? Status::Busy("read superseded by concurrent write")
-                       : f->status)
-                : Status::OK();
-        for (ReadCallback& cb : cbs) cb(cb_st, f->buf, f->seq);
-      }
-    }
-    i = j;
-  }
-  // Wake sleeping pumpers and waiters: installed window pages may unblock
-  // their rings or complete a joined fetch.
-  SignalCompletions();
-  return result;
-}
-
 Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
   {
     // Backpressure before touching the shard, so a blocked writer never
     // holds a lock a worker needs to make progress. The wait pumps due
-    // write completions: this thread may itself be inside a read-flight
+    // write completions: this thread may itself be inside a read
     // completion (install -> evict -> write), in which case nobody else is
     // guaranteed to retire the writes it is waiting on.
     std::unique_lock<std::mutex> ql(q_mu_);
@@ -504,28 +315,6 @@ Status IoScheduler::Drain() {
   return st;
 }
 
-bool IoScheduler::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> ql(q_mu_);
-    if (stop_) return false;
-    tasks_.push_back(std::move(task));
-  }
-  q_cv_.notify_all();
-  return true;
-}
-
-bool IoScheduler::TryRunPendingTask() {
-  std::function<void()> t;
-  {
-    std::lock_guard<std::mutex> ql(q_mu_);
-    if (tasks_.empty()) return false;
-    t = std::move(tasks_.front());
-    tasks_.pop_front();
-  }
-  t();
-  return true;
-}
-
 void IoScheduler::Shutdown() {
   {
     std::lock_guard<std::mutex> ql(q_mu_);
@@ -539,7 +328,7 @@ void IoScheduler::Shutdown() {
   workers_.clear();
   // Write workers are gone (their shutdown drain may have scheduled more
   // completions); now let the completion worker fire everything still in
-  // the heaps — early, but exactly once — so no flight or staged write is
+  // the heaps — early, but exactly once — so no read or staged write is
   // left unresolved, then join it.
   {
     std::lock_guard<std::mutex> cl(comp_mu_);
@@ -555,21 +344,7 @@ void IoScheduler::WorkerLoop() {
   for (;;) {
     q_cv_.wait(ql, [&] { return stop_ || !write_queue_.empty(); });
     if (write_queue_.empty()) {
-      if (stop_) {
-        // Queued prefetch tasks normally run on the thread that first
-        // waits for one of their pages (TryRunPendingTask): waking a
-        // worker for them would make its simulated device spin compete
-        // with the submitter for the core. Any still pending at shutdown
-        // must run here, though — their claims have flights to complete.
-        while (!tasks_.empty()) {
-          std::function<void()> t = std::move(tasks_.front());
-          tasks_.pop_front();
-          ql.unlock();
-          t();
-          ql.lock();
-        }
-        return;
-      }
+      if (stop_) return;
       continue;
     }
     if (write_queue_.size() < opts_.max_coalesce_pages && !stop_ &&

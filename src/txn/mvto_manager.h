@@ -21,7 +21,12 @@ namespace spitfire {
 // scans the array without locking, and only below a high-water mark one
 // past the highest slot ever claimed; see Begin() for why the scan can
 // never overtake a transaction that is mid-Begin.
-class TransactionManager {
+//
+// Every Begin and Finish writes next_ts_ and active_count_, so the manager
+// keeps a cache line to itself: embedded in its owner (Database), it would
+// otherwise share a line with read-mostly fields that every operation
+// loads, and where that happens depends on the owner's field sizes.
+class alignas(64) TransactionManager {
  public:
   // Upper bound on concurrently active transactions. 4096 slots of 8
   // bytes is one page of memory; Begin spins (it cannot fail) in the

@@ -120,17 +120,6 @@ Result<lsn_t> LogManager::Append(const LogRecord& record) {
   std::vector<std::byte> buf;
   buf.reserve(record.SerializedSize());
   record.SerializeTo(&buf);
-  if (opts_.enable_group_commit) return AppendGrouped(std::move(buf));
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    Result<lsn_t> r = staging_->Append(buf.data(), buf.size());
-    if (r.ok()) return r;
-    if (!r.status().IsOutOfMemory()) return r;
-    SPITFIRE_RETURN_NOT_OK(Drain());
-  }
-  return Status::OutOfMemory("log record larger than NVM buffer");
-}
-
-Result<lsn_t> LogManager::AppendGrouped(std::vector<std::byte> buf) {
   if (buf.size() > staging_->capacity()) {
     return Status::OutOfMemory("log record larger than NVM buffer");
   }

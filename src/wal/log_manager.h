@@ -29,12 +29,6 @@ class LogManager {
     uint64_t nvm_size = 1 << 20;
     Device* log_ssd = nullptr;  // SSD device holding the log file
     uint64_t drain_threshold = 512 * 1024;  // bytes
-    // Group commit: concurrent Appends batch into one NVM persist. Each
-    // group has a generation; a group's leader waits until the previous
-    // generation is durable, persists the whole batch with a single
-    // NvmLogBuffer::Append, then advances the durability epoch and wakes
-    // the group's followers. Disabling restores per-record appends.
-    bool enable_group_commit = true;
   };
 
   static constexpr uint64_t kLogDataOffset = 4096;
@@ -45,8 +39,13 @@ class LogManager {
   // Re-attaches after a restart; surviving staged records remain readable.
   static Result<std::unique_ptr<LogManager>> Attach(const Options& opts);
 
-  // Appends a record to the NVM log buffer; returns its LSN. Drains to SSD
-  // first if the buffer cannot hold the record.
+  // Appends a record to the NVM log buffer; returns its LSN once the
+  // record is durable. Drains to SSD first if the buffer cannot hold it.
+  // Group commit: concurrent Appends batch into one NVM persist. Each
+  // group has a generation; a group's leader waits until the previous
+  // generation is durable, persists the whole batch with a single
+  // NvmLogBuffer::Append, then advances the durability epoch and wakes
+  // the group's followers.
   Result<lsn_t> Append(const LogRecord& record);
 
   // Appends the staged NVM bytes to the SSD log file. Crash-safe protocol:
@@ -105,11 +104,8 @@ class LogManager {
     lsn_t base_lsn = 0;
   };
 
-  // Group-commit append: join (or open) the current group, wait for its
-  // durability. Returns the record's LSN.
-  Result<lsn_t> AppendGrouped(std::vector<std::byte> buf);
   // One staging append for the whole group's payload (drains to SSD on
-  // buffer pressure, like the per-record path).
+  // buffer pressure).
   Status PersistGroup(const std::vector<std::byte>& payload, lsn_t* base);
 
   Options opts_;

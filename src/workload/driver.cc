@@ -203,10 +203,6 @@ DriverResult WorkloadDriver::RunAsyncPageOps(BufferManager* bm,
   return RunWorkers(
       {num_threads, seconds, warmup_seconds, 0.0, 0xA51D0000ULL},
       [bm, depth, &op_fn](Worker& w) {
-        // Mark this worker async-aware up front: simulated device waits on
-        // this thread (e.g. a stolen prefetch execution) sleep instead of
-        // spinning, letting the ring's other completions overlap.
-        (void)bm->PumpIo(/*may_sleep=*/true);
         // Tickets are written by the completer: the slots need stable
         // addresses for the whole run.
         auto ring = std::make_unique<Slot[]>(depth);
@@ -303,9 +299,6 @@ DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
       [bm, depth, &factory](Worker& w) {
         auto ring = std::make_unique<Slot[]>(depth);
         for (size_t i = 0; i < depth; ++i) ring[i].machine = factory();
-        // Mark this worker async-aware up front so simulated device waits
-        // on this thread sleep instead of spinning (see RunAsyncPageOps).
-        (void)bm->PumpIo(/*may_sleep=*/true);
         return [bm, depth, &w, ring = std::move(ring)](Phase ph) {
           bool progressed = false;  // any real forward motion this pass
           bool any_active = false;  // some machine still parked or running

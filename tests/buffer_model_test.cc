@@ -1,7 +1,8 @@
 // Differential fuzz of the buffer manager against a reference model: one
 // 16 KB image per page id. Random NewPage, FetchPage + ReadAt/WriteAt,
 // whole-page RawData reads, RawData writes that mark only the range they
-// change, FlushPage, FlushAll and SetPolicy sequences
+// change, scans of consecutive pages (which fire read-ahead), FlushPage,
+// FlushAll and SetPolicy sequences
 // run over every hierarchy, migration policy, replacer, HyMem mode and
 // shard count, and every byte read back is compared with the model.
 //
@@ -268,8 +269,10 @@ class ModelRun {
       return;
     }
     const uint64_t dice = rng_.NextUint64(100);
-    if (dice < 65) {
+    if (dice < 60) {
       Access();
+    } else if (dice < 65) {
+      Scan();
     } else if (dice < 75) {
       RawWrite();
     } else if (dice < 87) {
@@ -376,6 +379,24 @@ class ModelRun {
       if (read.code() != StatusCode::kInvalidArgument ||
           write.code() != StatusCode::kInvalidArgument) {
         Fail(pid, "out-of-range access was not refused");
+      }
+    }
+  }
+
+  // Reads a run of this thread's pages in page-id order — consecutive ids
+  // in the single-threaded pass — so the sequential-miss detector starts
+  // read-ahead windows, and every window install is checked in full.
+  void Scan() {
+    const size_t first = rng_.NextUint64(pids_.size());
+    const size_t end =
+        std::min(pids_.size(), first + 4 + rng_.NextUint64(13));
+    std::vector<std::byte> buf(kPageSize);
+    for (size_t i = first; i < end && error_.empty(); ++i) {
+      const page_id_t pid = pids_[i];
+      auto r = bm_->FetchPage(pid, AccessIntent::kRead);
+      if (!Check(r.status(), "scan FetchPage")) return;
+      if (Check(r.value().ReadAt(0, kPageSize, buf.data()), "scan ReadAt")) {
+        Compare(pid, 0, kPageSize, buf.data(), "scan ReadAt");
       }
     }
   }
@@ -487,7 +508,8 @@ class BufferModelTest : public ::testing::TestWithParam<ModelConfig> {
 // One thread drives the whole page set; the configuration must both
 // evict and move pages up a tier, or the run proved nothing. Moving up is
 // an NVM→DRAM promotion in a three-tier hierarchy and an SSD fetch in a
-// two-tier one.
+// two-tier one. A DRAM–SSD hierarchy must also have installed read-ahead
+// windows, so their pages were checked against the model.
 TEST_P(BufferModelTest, SingleThreadMatchesModel) {
   const ModelConfig& c = GetParam();
   SCOPED_TRACE(Repro(c));
@@ -503,6 +525,9 @@ TEST_P(BufferModelTest, SingleThreadMatchesModel) {
     EXPECT_GT(s.promotions, 0u) << s.ToString();
   } else {
     EXPECT_GT(s.ssd_fetches, 0u) << s.ToString();
+  }
+  if (c.dram_frames > 0 && c.nvm_frames == 0) {
+    EXPECT_GT(s.read_ahead_installs, 0u) << s.ToString();
   }
 }
 

@@ -59,27 +59,28 @@ class IoSchedulerTest : public ::testing::Test {
     return true;
   }
 
-  // One single-flight read through SubmitRead, pumping completions until
-  // its callback fires. Busy means a concurrent write superseded the
-  // bytes; like any SubmitRead caller, resubmit to read the fresh image.
+  // One page read through SubmitRead, pumping completions until its
+  // callback fires. A write staged after the read sampled the page's
+  // sequence may have superseded the bytes; like the buffer manager, check
+  // the sequence and read again.
   static Status SubmitReadAndWait(IoScheduler& io, uint64_t offset,
                                   std::byte* dst, uint64_t* seq) {
     for (;;) {
       std::atomic<bool> fired{false};
       Status out;
-      (void)io.SubmitRead(offset, [&](const Status& st, const std::byte* data,
-                                      uint64_t s) {
+      io.SubmitRead(offset, 1, [&](const Status& st, const std::byte* data,
+                                   const uint64_t* seqs) {
         out = st;
         if (st.ok()) {
           std::memcpy(dst, data, kPageSize);
-          *seq = s;
+          *seq = seqs[0];
         }
         fired.store(true, std::memory_order_release);
       });
       while (!fired.load(std::memory_order_acquire)) {
         (void)io.PumpCompletions(/*may_sleep=*/false);
       }
-      if (!out.IsBusy()) return out;
+      if (!out.ok() || io.WriteSeq(offset) == *seq) return out;
     }
   }
 
@@ -144,14 +145,14 @@ TEST_F(IoSchedulerTest, ReadOfStagedWriteSeesNewBytesBeforeDeviceWrite) {
   std::vector<std::byte> got(kPageSize);
   uint64_t seq = 0;
   bool fired = false;
-  const IoScheduler::SubmitKind kind = io.SubmitRead(
-      0, [&](const Status& st, const std::byte* data, uint64_t s) {
-        ASSERT_TRUE(st.ok()) << st.ToString();
-        std::memcpy(got.data(), data, kPageSize);
-        seq = s;
-        fired = true;
-      });
-  EXPECT_EQ(kind, IoScheduler::SubmitKind::kInline);
+  io.SubmitRead(0, 1,
+                [&](const Status& st, const std::byte* data,
+                    const uint64_t* seqs) {
+                  ASSERT_TRUE(st.ok()) << st.ToString();
+                  std::memcpy(got.data(), data, kPageSize);
+                  seq = seqs[0];
+                  fired = true;
+                });
   ASSERT_TRUE(fired);
   EXPECT_EQ(ssd_->stats().num_writes.load(), 0u);
   EXPECT_EQ(ssd_->stats().num_reads.load(), 0u);
@@ -278,11 +279,12 @@ TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
   opt.nvm_frames = 0;
   opt.policy = MigrationPolicy::Eager();
   opt.ssd = ssd_.get();
-  opt.io_scheduler.read_ahead_pages = 4;
+  opt.read_ahead_pages = 4;
   BufferManager bm(opt);
   bm.SetNextPageId(16);
 
-  // Two sequential misses arm the prefetcher for pages 2..5.
+  // Two sequential misses arm the prefetcher: the second leads a window
+  // over pages 1..4.
   for (page_id_t pid = 0; pid < 2; ++pid) {
     auto r = bm.FetchPage(pid, AccessIntent::kRead);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -304,6 +306,94 @@ TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
   ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
   EXPECT_EQ(v, Stamp(2));
   EXPECT_EQ(ssd_->stats().num_reads.load(), reads_before);
+}
+
+// A read-ahead window over a page whose newest image is still staged in
+// the scheduler (evicted dirty, device write not yet issued) must serve
+// that page from the staged image or leave it out — never install the
+// older bytes on the device. The sequence check at install cannot catch
+// this: staging bumped the sequence before the window sampled it.
+TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
+  constexpr page_id_t kPages = 64;
+  constexpr page_id_t kTarget = 10;
+  SeedColdPages(kPages);
+  BufferManagerOptions opt;
+  opt.dram_frames = 8;
+  opt.nvm_frames = 0;
+  opt.num_shards = 1;
+  opt.policy = MigrationPolicy::Eager();
+  opt.read_ahead_pages = 8;
+  opt.io_scheduler.coalesce_window_us = 10 * 1000 * 1000;  // park writes
+  opt.ssd = ssd_.get();
+  BufferManager bm(opt);
+  bm.SetNextPageId(kPages);
+
+  const uint64_t fresh = 0xF2E5;
+  {
+    auto r = bm.FetchPage(kTarget, AccessIntent::kWrite);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(
+        r.value().WriteAt(kPageHeaderSize, sizeof(fresh), &fresh).ok());
+  }
+  // Evict the dirty target with misses on pages far from it, stepping
+  // down by two so the run detector never arms read-ahead.
+  for (page_id_t pid = kPages - 1; pid > kPages / 2; pid -= 2) {
+    auto r = bm.FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_FALSE(bm.IsDramResident(kTarget));
+  ASSERT_NE(bm.io_scheduler()->WriteSeq(kTarget * kPageSize), 0u);
+  ASSERT_EQ(ssd_->stats().num_writes.load(), 0u);  // still staged
+
+  // Two sequential misses: the second leads a window over pages 9..16.
+  for (page_id_t pid = kTarget - 2; pid < kTarget; ++pid) {
+    auto r = bm.FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_GT(bm.stats().Snapshot().read_ahead_installs, 0u);
+
+  auto r = bm.FetchPage(kTarget, AccessIntent::kRead);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  uint64_t v = 0;
+  ASSERT_TRUE(r.value().ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, fresh);
+  EXPECT_GE(bm.io_scheduler()->stats().reads_from_staged.load(), 1u);
+}
+
+// A read-ahead window reads every page id below the allocator's, so it can
+// install the SSD image of a page whose id NewPage has allocated but not
+// yet materialized. NewPage must then take over that copy rather than
+// publish a second frame over it (which left the first frame owned by the
+// page but unreachable from its descriptor).
+TEST_F(IoSchedulerTest, NewPageOverReadAheadCopyReusesItsFrame) {
+  SeedColdPages(16);
+  BufferManagerOptions opt;
+  opt.dram_frames = 32;
+  opt.nvm_frames = 0;
+  opt.num_shards = 1;
+  opt.policy = MigrationPolicy::Eager();
+  opt.read_ahead_pages = 4;
+  opt.ssd = ssd_.get();
+  BufferManager bm(opt);
+  bm.SetNextPageId(16);
+
+  // Two sequential misses: the second leads a window over pages 1..4.
+  for (page_id_t pid = 0; pid < 2; ++pid) {
+    ASSERT_TRUE(bm.FetchPage(pid, AccessIntent::kRead).ok());
+  }
+  ASSERT_TRUE(bm.IsDramResident(3));
+  const size_t resident = bm.DramResidentPages();
+
+  // Page 3's id was allocated before the window read it.
+  auto r = bm.shard(0)->NewPageWithId(3);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  PageGuard g = r.MoveValue();
+  uint64_t v = 1;
+  ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, 0u);  // a new page, not the SSD image
+  g.Release();
+  EXPECT_EQ(bm.DramResidentPages(), resident);
+  EXPECT_EQ(bm.DebugDramCensus().detached, 0u);
 }
 
 // --- Asynchronous miss path: descriptor state machine ----------------------
@@ -442,7 +532,7 @@ TEST_F(IoSchedulerTest, ReadAheadInstallRacesSynchronousWaiter) {
   opt.nvm_frames = 0;
   opt.policy = MigrationPolicy::Eager();
   opt.ssd = ssd_.get();
-  opt.io_scheduler.read_ahead_pages = 8;
+  opt.read_ahead_pages = 8;
   BufferManager bm(opt);
   bm.SetNextPageId(kPages);
 
@@ -487,26 +577,27 @@ TEST_F(IoSchedulerTest, ReadAheadInstallRacesSynchronousWaiter) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-// Tear-down with a chained read-ahead window still queued, over pools
-// full of dirty pages. The scheduler's shutdown runs the queued window so
-// its flights complete; installing its pages would evict dirty victims
-// whose write-backs the stopping scheduler refuses, so every install
-// would sweep both pools again and again (NVM admission retries each
-// DRAM victim 64 times) — seconds even for these small pools and window.
-// Shutdown must skip the installs.
-TEST_F(IoSchedulerTest, TeardownWithQueuedReadAheadOverDirtyPoolsIsPrompt) {
+// Tear-down with a read-ahead window in flight, over pools full of dirty
+// pages. The scheduler's shutdown fires the window's read early;
+// installing its pages would evict dirty victims whose write-backs the
+// stopping scheduler refuses, so every install would sweep both pools
+// again and again (NVM admission retries each DRAM victim 64 times) —
+// seconds even for these small pools and window. Shutdown must skip the
+// installs and fail the window's waiting tickets.
+TEST_F(IoSchedulerTest, TeardownWithReadAheadInFlightOverDirtyPoolsIsPrompt) {
   constexpr page_id_t kPages = 512;
   constexpr page_id_t kScanPages = 64;
   constexpr size_t kDramFrames = 16;
   constexpr size_t kNvmFrames = 16;
   SeedColdPages(kPages);
+  std::vector<FetchTicket> tickets(2);
   BufferManagerOptions opt;
   opt.dram_frames = kDramFrames;
   opt.nvm_frames = kNvmFrames;
   opt.num_shards = 1;
   // Misses land in DRAM; every dirty DRAM victim is admitted into NVM.
   opt.policy = MigrationPolicy{0.0, 0.0, 0.0, 1.0};
-  opt.io_scheduler.read_ahead_pages = 4;
+  opt.read_ahead_pages = 4;
   opt.ssd = ssd_.get();
   auto bm = std::make_unique<BufferManager>(opt);
   bm->SetNextPageId(kPages);
@@ -519,15 +610,13 @@ TEST_F(IoSchedulerTest, TeardownWithQueuedReadAheadOverDirtyPoolsIsPrompt) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r.value().WriteAt(kPageHeaderSize, sizeof(mark), &mark).ok());
   }
-  // 2. A sequential scan from page 0 chains read-ahead windows; the chain
-  //    decision on the last one leaves the next window claimed and queued.
+  // 2. A sequential scan from page 0 chains read-ahead windows.
   for (page_id_t pid = 0; pid < kScanPages; ++pid) {
     auto r = bm->FetchPage(pid, AccessIntent::kRead);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   ASSERT_GT(bm->stats().Snapshot().read_ahead_installs, 0u);
-  // 3. Dirty what the scan left in DRAM, through hits only: a miss would
-  //    run the queued window.
+  // 3. Dirty what the scan left in DRAM, through hits only.
   for (page_id_t pid = 0; pid < kScanPages; ++pid) {
     if (!bm->IsDramResident(pid)) continue;
     auto r = bm->FetchPage(pid, AccessIntent::kRead);
@@ -536,10 +625,24 @@ TEST_F(IoSchedulerTest, TeardownWithQueuedReadAheadOverDirtyPoolsIsPrompt) {
   }
   ASSERT_EQ(bm->DramResidentPages(), kDramFrames);
   ASSERT_EQ(bm->NvmResidentPages(), kNvmFrames);
+  // 4. Two sequential misses on cold pages, submitted without waiting at
+  //    ~24 ms per read: the second leads a window still in flight when
+  //    the buffer manager is destroyed.
+  LatencySimulator::SetScale(2000.0);
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    (void)bm->SubmitFetch(static_cast<page_id_t>(kPages / 2 + i),
+                          AccessIntent::kRead, &tickets[i]);
+  }
 
   const auto start = std::chrono::steady_clock::now();
   bm.reset();
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  LatencySimulator::SetScale(0.0);
+  for (auto& t : tickets) {
+    EXPECT_TRUE(t.ready.load(std::memory_order_acquire));
+    EXPECT_TRUE(t.status.IsBusy()) << t.status.ToString();
+    EXPECT_FALSE(t.guard.valid());
+  }
 }
 
 }  // namespace

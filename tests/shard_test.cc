@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -185,11 +186,19 @@ TEST_F(ShardTest, CrossShardTxnAtomicityUnderLoad) {
     }
   });
 
+  // Each writer makes its transfers, and goes on until the auditor has
+  // completed a snapshot: on a loaded host the writers can finish before
+  // one full audit does.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       uint64_t rng = 0xC0FFEE + w * 7919;
-      for (int i = 0; i < kTransfersPerWriter; ++i) {
+      for (int i = 0;
+           i < kTransfersPerWriter ||
+           (audits.load() == 0 && std::chrono::steady_clock::now() < deadline);
+           ++i) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
         const uint64_t from = rng % kAccounts;
         const uint64_t to = (from + kAccounts / 2) % kAccounts;

@@ -214,7 +214,6 @@ TEST_F(WalTest, GroupCommitDurableAcrossCrash) {
   opts.nvm = &nvm;
   opts.nvm_size = 4 << 20;
   opts.log_ssd = &log_ssd;
-  opts.enable_group_commit = true;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   {
@@ -250,35 +249,6 @@ TEST_F(WalTest, GroupCommitDurableAcrossCrash) {
     seen[r.txn_id]++;
   }
   for (int i = 1; i <= kThreads * kPerThread; ++i) EXPECT_EQ(seen[i], 1);
-}
-
-// With group commit off the same workload must behave identically — the
-// per-record path is the fallback configuration.
-TEST_F(WalTest, GroupCommitDisabledStillDurable) {
-  NvmDevice nvm(1 << 20);
-  SsdDevice log_ssd(64 << 20);
-  LogManager::Options opts;
-  opts.nvm = &nvm;
-  opts.nvm_size = 1 << 20;
-  opts.log_ssd = &log_ssd;
-  opts.enable_group_commit = false;
-  {
-    auto lm = LogManager::Create(opts).MoveValue();
-    std::vector<std::thread> ths;
-    for (int t = 0; t < 4; ++t) {
-      ths.emplace_back([&, t] {
-        for (int i = 0; i < 100; ++i) {
-          ASSERT_TRUE(lm->Append(MakeUpdate(t + 1, i, 'g')).ok());
-        }
-      });
-    }
-    for (auto& th : ths) th.join();
-  }
-  auto lm_r = LogManager::Attach(opts);
-  ASSERT_TRUE(lm_r.ok());
-  auto recs = lm_r.value()->ReadAll();
-  ASSERT_TRUE(recs.ok());
-  EXPECT_EQ(recs.value().size(), 400u);
 }
 
 TEST_F(WalTest, DrainRacesWithAppendsLosesNothing) {
