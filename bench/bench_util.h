@@ -197,9 +197,6 @@ struct HierarchySpec {
   // direct-mapped DRAM cache of dram_cache_mb.
   bool memory_mode = false;
   double memory_mode_cache_mb = 0;
-  // Paper benches pin one shard so fig*/micro results stay comparable
-  // across PRs; the shard-scaling bench overrides this.
-  size_t num_shards = 1;
 };
 
 inline Hierarchy MakeHierarchy(const HierarchySpec& spec) {
@@ -218,7 +215,6 @@ inline Hierarchy MakeHierarchy(const HierarchySpec& spec) {
   opt.dram_replacer = spec.dram_replacer;
   opt.nvm_replacer = spec.nvm_replacer;
   opt.replacer_sample_rate = spec.replacer_sample_rate;
-  opt.num_shards = spec.num_shards;
   opt.ssd = h.ssd.get();
   if (spec.memory_mode) {
     const uint64_t backing = BufferPool::RequiredCapacity(

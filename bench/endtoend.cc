@@ -82,7 +82,6 @@ std::unique_ptr<Database> MakeSpillDb() {
   DatabaseOptions opts;
   opts.dram_frames = 256;                      // 4 MB
   opts.nvm_frames = 512;                       // 8 MB
-  opts.num_shards = 1;                         // comparable across PRs
   opts.policy = MigrationPolicy::Lazy();
   opts.ssd_capacity = 512ull * 1024 * 1024;
   opts.enable_wal = false;                     // isolate the buffer path

@@ -111,7 +111,7 @@ void BM_NvmLogAppend(benchmark::State& state) {
 BENCHMARK(BM_NvmLogAppend)->Threads(1)->Threads(2);
 
 // The checksum every page image written to SSD is stamped with
-// (BufferShard::WriteToSsd) and recovery verifies.
+// (BufferManager::WriteToSsd) and recovery verifies.
 void BM_PageChecksum(benchmark::State& state) {
   std::vector<std::byte> frame(kPageSize);
   Xoshiro256 rng(state.range(0));

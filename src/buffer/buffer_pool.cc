@@ -14,19 +14,10 @@ uint64_t BufferPool::RequiredCapacity(size_t num_frames,
   return table + static_cast<uint64_t>(num_frames) * kPageSize;
 }
 
-BufferPool::BufferPool(Tier tier, Device* device, size_t num_frames,
-                       bool persistent_frame_table)
-    : BufferPool(BufferPoolConfig{tier, device, num_frames,
-                                  persistent_frame_table,
-                                  ReplacerKind::kClock}) {}
-
 BufferPool::BufferPool(const BufferPoolConfig& config)
     : tier_(config.tier),
       device_(config.device),
       num_frames_(config.num_frames),
-      total_frames_(config.total_frames ? config.total_frames
-                                        : config.num_frames),
-      frame_base_(config.frame_base),
       persistent_frame_table_(config.persistent_frame_table),
       free_list_(config.num_frames ? config.num_frames : 1),
       replacer_(Replacer::Create(config.replacer, config.num_frames)),
@@ -35,15 +26,11 @@ BufferPool::BufferPool(const BufferPoolConfig& config)
   if (replacer_->kind() == ReplacerKind::kClock) {
     clock_ = static_cast<ClockReplacer*>(replacer_.get());
   }
-  const bool persistent_frame_table = persistent_frame_table_;
-  SPITFIRE_CHECK(frame_base_ + num_frames_ <= total_frames_);
   SPITFIRE_CHECK(device_ != nullptr);
-  // The device must hold the whole shared frame region, not just this
-  // pool's slice: layout is computed from total_frames_.
   SPITFIRE_CHECK(device_->capacity() >=
-                 RequiredCapacity(total_frames_, persistent_frame_table));
+                 RequiredCapacity(num_frames_, persistent_frame_table_));
   if (persistent_frame_table_) {
-    frames_base_ = (total_frames_ * sizeof(page_id_t) + kPageSize - 1) /
+    frames_base_ = (num_frames_ * sizeof(page_id_t) + kPageSize - 1) /
                    kPageSize * kPageSize;
   }
   for (size_t f = 0; f < num_frames_; ++f) {

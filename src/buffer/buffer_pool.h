@@ -30,21 +30,11 @@ struct BufferPoolConfig {
   bool persistent_frame_table = false;
   // Replacement policy for this tier (Replacer::Create).
   ReplacerKind replacer = ReplacerKind::kClock;
-  // Sharing one device between several pools (the sharded buffer manager
-  // slices each tier device across its shards): `total_frames` is the
-  // frame count of the WHOLE device — it fixes the frame-table size and
-  // the data-region base so the on-device layout is independent of how
-  // many pools share it — and `frame_base` is this pool's first frame
-  // within that region. 0 total_frames → num_frames (sole owner).
-  size_t total_frames = 0;
-  size_t frame_base = 0;
 };
 
 class BufferPool {
  public:
   explicit BufferPool(const BufferPoolConfig& config);
-  BufferPool(Tier tier, Device* device, size_t num_frames,
-             bool persistent_frame_table);
   SPITFIRE_DISALLOW_COPY_AND_MOVE(BufferPool);
 
   Tier tier() const { return tier_; }
@@ -55,8 +45,7 @@ class BufferPool {
     return device_->DirectPointer(FrameOffset(f));
   }
   uint64_t FrameOffset(frame_id_t f) const {
-    return frames_base_ +
-           static_cast<uint64_t>(frame_base_ + f) * kPageSize;
+    return frames_base_ + static_cast<uint64_t>(f) * kPageSize;
   }
 
   // Pops a frame from the free list. Returns false if none are free (the
@@ -129,17 +118,12 @@ class BufferPool {
 
  private:
   uint64_t FrameTableEntryOffset(frame_id_t f) const {
-    return static_cast<uint64_t>(frame_base_ + f) * sizeof(page_id_t);
+    return static_cast<uint64_t>(f) * sizeof(page_id_t);
   }
 
   const Tier tier_;
   Device* const device_;
   const size_t num_frames_;
-  // Device-wide frame count and this pool's first frame within it (see
-  // BufferPoolConfig); total_frames_ == num_frames_, frame_base_ == 0 for
-  // a pool that owns its whole device.
-  const size_t total_frames_;
-  const size_t frame_base_;
   const bool persistent_frame_table_;
   uint64_t frames_base_ = 0;
 

@@ -21,7 +21,7 @@ struct PageHeader {
   page_id_t page_id = kInvalidPageId;
   lsn_t page_lsn = 0;
   // checksum over the full page image, stamped on every SSD write
-  // (BufferShard::WriteToSsd); 0 = unstamped. Recovery refuses to trust
+  // (BufferManager::WriteToSsd); 0 = unstamped. Recovery refuses to trust
   // an SSD page whose stored checksum does not match — the signature of a
   // torn or short page write.
   uint64_t checksum = 0;

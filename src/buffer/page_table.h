@@ -11,23 +11,21 @@
 
 namespace spitfire {
 
-// Pages are routed to shards in blocks of 2^kShardBlockBits consecutive
-// page ids (ShardOfPage), and a page table allocates descriptors in the
-// same blocks, so every block of a shard's table is one the shard owns.
-inline constexpr uint32_t kShardBlockBits = 5;
-
 // The mapping table of Figure 4: page id → shared page descriptor. Page
-// ids are dense (one global allocator hands them out) and never freed, so
-// instead of a hash map the table is a directory with one slot per
-// routing block, covering [0, num_pages) — the SSD's page count, the same
-// bound NewPage enforces. A slot holds a block of 2^kShardBlockBits
-// inline descriptors, allocated on first touch and published by CAS, so
-// untouched blocks (and every block routed to another shard) cost one
-// null pointer. Lookup is one acquire load, takes no latch, and returns
-// null for a pid past the end; descriptors never move or die before the
-// table does, so a walk takes no latch either.
+// ids are dense (one allocator hands them out) and never freed, so
+// instead of a hash map the table is a directory with one slot per block
+// of kBlockPages consecutive page ids, covering [0, num_pages) — the
+// SSD's page count, the same bound NewPage enforces. A slot holds a
+// block of inline descriptors, allocated on first touch and published by
+// CAS, so an untouched block costs one null pointer. Lookup is one
+// acquire load, takes no latch, and returns null for a pid past the end;
+// descriptors never move or die before the table does, so a walk takes
+// no latch either.
 class PageTable {
  public:
+  static constexpr uint32_t kBlockBits = 5;
+  static constexpr page_id_t kBlockPages = page_id_t{1} << kBlockBits;
+
   explicit PageTable(page_id_t num_pages)
       : num_pages_(num_pages),
         num_blocks_(BlockOf(num_pages + kBlockPages - 1)),
@@ -80,7 +78,6 @@ class PageTable {
   }
 
  private:
-  static constexpr page_id_t kBlockPages = page_id_t{1} << kShardBlockBits;
   static constexpr page_id_t kBlockMask = kBlockPages - 1;
 
   struct Block {
@@ -93,7 +90,7 @@ class PageTable {
     SharedPageDescriptor descs[kBlockPages];
   };
 
-  static page_id_t BlockOf(page_id_t pid) { return pid >> kShardBlockBits; }
+  static page_id_t BlockOf(page_id_t pid) { return pid >> kBlockBits; }
 
   const page_id_t num_pages_;
   const page_id_t num_blocks_;

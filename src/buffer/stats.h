@@ -58,15 +58,6 @@ struct BufferStatsSnapshot {
     replacer_suppressed = hits > replacer_sampled ? hits - replacer_sampled : 0;
   }
 
-  // Field-wise sum; the sharded buffer manager merges its per-shard
-  // snapshots through this.
-  void Accumulate(const BufferStatsSnapshot& o) {
-#define SPITFIRE_X(counter, field) field += o.field;
-    SPITFIRE_BUFFER_COUNTERS(SPITFIRE_X)
-#undef SPITFIRE_X
-    replacer_suppressed += o.replacer_suppressed;
-  }
-
   // Field-wise difference from an earlier snapshot of the same counters;
   // they are monotonic, so this is the window between the two.
   BufferStatsSnapshot Since(const BufferStatsSnapshot& earlier) const {
@@ -95,11 +86,11 @@ struct BufferStatsSnapshot {
   }
 };
 
-// Sharded buffer manager counters. The hit path increments one counter per
-// fetch, so a single shared cacheline of atomics becomes a coherence
-// hotspot at high thread counts; instead each thread hashes to one of
-// kShards cacheline-padded slabs and Snapshot() sums them for reporting.
-// All increments are relaxed — counters are for reporting only.
+// Buffer manager counters, striped per thread. The hit path increments
+// one counter per fetch, so a single shared cacheline of atomics becomes a
+// coherence hotspot at high thread counts; instead each thread hashes to
+// one of kShards cacheline-padded slabs and Snapshot() sums them for
+// reporting. All increments are relaxed — counters are for reporting only.
 class BufferStats {
  public:
   static constexpr size_t kShards = 16;

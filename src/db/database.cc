@@ -63,6 +63,10 @@ Database::~Database() {
 }
 
 Status Database::InitCommon(bool fresh) {
+  if (opts_.num_shards > 1) {
+    return Status::InvalidArgument(
+        "num_shards above 1: the buffer manager has no shards");
+  }
   const bool have_nvm_tier = opts_.nvm_frames > 0;
   const uint64_t pool_bytes = have_nvm_tier
                                   ? BufferPool::RequiredCapacity(
@@ -86,7 +90,6 @@ Status Database::InitCommon(bool fresh) {
   BufferManagerOptions bopts;
   bopts.dram_frames = opts_.dram_frames;
   bopts.nvm_frames = opts_.nvm_frames;
-  bopts.num_shards = opts_.num_shards;
   bopts.policy = opts_.policy;
   bopts.nvm_admission = opts_.nvm_admission;
   bopts.admission_queue_capacity = opts_.admission_queue_capacity;

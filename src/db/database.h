@@ -21,8 +21,10 @@ struct DatabaseOptions {
   // Buffer hierarchy (0 frames removes the tier).
   size_t dram_frames = 256;
   size_t nvm_frames = 0;
-  // Buffer-manager shards (BufferManagerOptions::num_shards); 0 = auto.
-  size_t num_shards = 0;
+  // The buffer manager is one engine and has no shards. The field is kept
+  // only because perfbench (perfbench/perfbench.cc) still sets it to 1;
+  // Create and Recover refuse any value above 1.
+  size_t num_shards = 1;
   MigrationPolicy policy = MigrationPolicy::Eager();
   NvmAdmissionMode nvm_admission = NvmAdmissionMode::kProbabilistic;
   size_t admission_queue_capacity = 0;

@@ -16,8 +16,8 @@ namespace spitfire {
 //
 // The registry is a fixed-size slot array of atomic timestamps (0 =
 // free): Begin claims a slot with one CAS and Finish releases it with one
-// store, so transaction start/finish is lock-free and stops being a
-// global serial point under the sharded buffer manager. MinActiveTs()
+// store, so transaction start/finish is lock-free and is not a global
+// serial point for concurrent workers. MinActiveTs()
 // scans the array without locking, and only below a high-water mark one
 // past the highest slot ever claimed; see Begin() for why the scan can
 // never overtake a transaction that is mid-Begin.

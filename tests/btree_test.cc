@@ -316,7 +316,7 @@ TEST_F(BTreeTest, MixedConcurrentUpserts) {
   EXPECT_LE(count.value(), 512u);
 }
 
-// Each trial gets its own small one-shard buffer manager and a fresh
+// Each trial gets its own small buffer manager and a fresh
 // tree, so every trial races through the tree's first root splits. The
 // trials share one SSD: a tree never reads a page it did not write, and
 // zeroing a fresh device per trial would dominate the run under TSan.
@@ -332,7 +332,6 @@ class BTreeRootSplitTest : public ::testing::Test {
       opt.nvm_frames = 256;
       opt.policy = MigrationPolicy::Eager();
       opt.ssd = ssd;
-      opt.num_shards = 1;
       bm = std::make_unique<BufferManager>(opt);
       auto r = BTree::Create(bm.get());
       SPITFIRE_CHECK(r.ok());

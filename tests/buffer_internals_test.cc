@@ -50,7 +50,8 @@ TEST_F(BufferInternalsTest, PageHeaderRejectsGarbage) {
 
 TEST_F(BufferInternalsTest, BufferPoolFrameGeometry) {
   DramDevice dev(BufferPool::RequiredCapacity(16, false));
-  BufferPool pool(Tier::kDram, &dev, 16, /*persistent_frame_table=*/false);
+  BufferPool pool(BufferPoolConfig{Tier::kDram, &dev, 16,
+                                   /*persistent_frame_table=*/false});
   EXPECT_EQ(pool.num_frames(), 16u);
   // Frames are contiguous, page-sized, and inside the device.
   EXPECT_EQ(pool.FrameOffset(1) - pool.FrameOffset(0), kPageSize);
@@ -59,7 +60,7 @@ TEST_F(BufferInternalsTest, BufferPoolFrameGeometry) {
 
 TEST_F(BufferInternalsTest, BufferPoolAllocateFreeCycle) {
   DramDevice dev(BufferPool::RequiredCapacity(4, false));
-  BufferPool pool(Tier::kDram, &dev, 4, false);
+  BufferPool pool(BufferPoolConfig{Tier::kDram, &dev, 4, false});
   std::set<frame_id_t> got;
   frame_id_t f;
   while (pool.TryAllocateFrame(&f)) got.insert(f);
@@ -75,20 +76,21 @@ TEST_F(BufferInternalsTest, NvmPoolPersistentFrameTable) {
   NvmDevice dev(BufferPool::RequiredCapacity(8, true));
   SharedPageDescriptor desc(42);
   {
-    BufferPool pool(Tier::kNvm, &dev, 8, /*persistent_frame_table=*/true);
+    BufferPool pool(BufferPoolConfig{Tier::kNvm, &dev, 8,
+                                     /*persistent_frame_table=*/true});
     frame_id_t f;
     ASSERT_TRUE(pool.TryAllocateFrame(&f));
     pool.SetOwner(f, &desc, 42);
     EXPECT_EQ(pool.PersistedOwner(f), 42u);
     // A new pool over the SAME device sees the persisted entry.
-    BufferPool pool2(Tier::kNvm, &dev, 8, true);
+    BufferPool pool2(BufferPoolConfig{Tier::kNvm, &dev, 8, true});
     EXPECT_EQ(pool2.PersistedOwner(f), 42u);
   }
 }
 
 TEST_F(BufferInternalsTest, FrameTableDistinguishesPageZeroFromFree) {
   NvmDevice dev(BufferPool::RequiredCapacity(4, true));
-  BufferPool pool(Tier::kNvm, &dev, 4, true);
+  BufferPool pool(BufferPoolConfig{Tier::kNvm, &dev, 4, true});
   frame_id_t f;
   ASSERT_TRUE(pool.TryAllocateFrame(&f));
   // Fresh entries read as free, not as page 0.
@@ -106,7 +108,7 @@ TEST_F(BufferInternalsTest, PageTableFirstTouchHasOneWinner) {
   // block once (the CAS losers freed theirs).
   constexpr int kThreads = 8;
   constexpr page_id_t kBlocks = 64;
-  constexpr page_id_t kBlockPages = page_id_t{1} << kShardBlockBits;
+  constexpr page_id_t kBlockPages = PageTable::kBlockPages;
   PageTable table(kBlocks * kBlockPages);
   std::vector<std::vector<SharedPageDescriptor*>> seen(
       kThreads, std::vector<SharedPageDescriptor*>(kBlocks));
@@ -136,18 +138,17 @@ TEST_F(BufferInternalsTest, ResidencyProbeOfUntouchedPageAllocatesNothing) {
   SsdDevice ssd(256 * kPageSize);
   BufferManagerOptions opt;
   opt.dram_frames = 16;
-  opt.num_shards = 1;
   opt.ssd = &ssd;
   BufferManager bm(opt);
   ASSERT_TRUE(bm.NewPage().ok());  // pid 0: allocates block 0
-  const PageTable& table = bm.shard(0)->page_table();
+  const PageTable& table = bm.page_table();
   const auto descriptors = [&table] {
     size_t n = 0;
     table.ForEach([&n](const SharedPageDescriptor*) { ++n; });
     return n;
   };
   const size_t before = descriptors();
-  EXPECT_EQ(before, size_t{1} << kShardBlockBits);
+  EXPECT_EQ(before, PageTable::kBlockPages);
   EXPECT_FALSE(bm.IsDramResident(100));  // a block never touched
   EXPECT_FALSE(bm.IsNvmResident(100));
   EXPECT_FALSE(bm.IsDramResident(256));  // past the end of the SSD
@@ -161,7 +162,6 @@ TEST_F(BufferInternalsTest, PageIdsPastTheSsdAreRefused) {
   SsdDevice ssd(4 * kPageSize);
   BufferManagerOptions opt;
   opt.dram_frames = 8;
-  opt.num_shards = 1;
   opt.ssd = &ssd;
   BufferManager bm(opt);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(bm.NewPage().ok());
@@ -181,7 +181,6 @@ TEST_F(BufferInternalsTest, RecoveryRefusesPersistedPagePastTheSsd) {
   const auto options = [&nvm](SsdDevice* ssd) {
     BufferManagerOptions opt;
     opt.nvm_frames = 16;
-    opt.num_shards = 1;
     opt.ssd = ssd;
     opt.nvm = &nvm;
     return opt;
@@ -268,7 +267,6 @@ TEST_F(BufferInternalsTest, PromotionsAreNvmAccesses) {
     opt.dram_frames = 1;
     opt.nvm_frames = 4;
     opt.policy = MigrationPolicy::Eager();
-    opt.num_shards = 1;
     opt.ssd = &ssd;
     BufferManager bm(opt);
     // Each new page takes the DRAM frame and pushes the one before it
@@ -330,7 +328,7 @@ TEST_F(BufferInternalsTest, PolicyPresetsMatchTable3) {
 
 TEST_F(BufferInternalsTest, ConcurrentPoolAllocFree) {
   DramDevice dev(BufferPool::RequiredCapacity(64, false));
-  BufferPool pool(Tier::kDram, &dev, 64, false);
+  BufferPool pool(BufferPoolConfig{Tier::kDram, &dev, 64, false});
   std::atomic<int> failures{0};
   std::vector<std::thread> ths;
   for (int t = 0; t < 4; ++t) {
@@ -380,7 +378,6 @@ class WriteBackGranularityTest : public BufferInternalsTest {
     opt.dram_frames = 1;
     opt.nvm_frames = 8;
     opt.policy = MigrationPolicy::Eager();
-    opt.num_shards = 1;
     opt.ssd = &ssd_;
     bm_ = std::make_unique<BufferManager>(opt);
     // Each new page takes the DRAM frame and pushes the one before it
@@ -441,7 +438,7 @@ class WriteBackGranularityTest : public BufferInternalsTest {
   }
 
   const std::byte* NvmCopy() {
-    const SharedPageDescriptor* d = bm_->shard(0)->page_table().Find(0);
+    const SharedPageDescriptor* d = bm_->page_table().Find(0);
     return bm_->nvm_pool()->FramePtr(d->nvm.frame.load());
   }
 

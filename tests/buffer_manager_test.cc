@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -431,6 +432,58 @@ TEST_F(BufferManagerTest, RecoverNvmResidentPagesRebuildsMapping) {
       EXPECT_EQ(v, Stamp(pid));
     }
   }
+}
+
+TEST_F(BufferManagerTest, NvmRecoveryRebuildsPagesAcrossTableBlocks) {
+  // 192 pages fill six page-table blocks; recovery rebuilds each from the
+  // persistent frame table alone.
+  constexpr size_t kNvmFrames = 256;
+  constexpr page_id_t kPages = 192;
+  NvmDevice nvm(BufferPool::RequiredCapacity(kNvmFrames,
+                                             /*persistent_frame_table=*/true));
+  BufferManagerOptions opt;
+  opt.dram_frames = 0;  // NVM-SSD hierarchy: new pages live in NVM
+  opt.nvm_frames = kNvmFrames;
+  opt.ssd = ssd_.get();
+  opt.nvm = &nvm;
+  {
+    BufferManager bm(opt);
+    CreatePages(bm, kPages);
+    // Crash: no flush. The NVM frame table is the only surviving metadata.
+  }
+  BufferManager bm(opt);
+  ASSERT_EQ(bm.NvmResidentPages(), 0u);
+  ASSERT_TRUE(bm.RecoverNvmResidentPages().ok());
+  EXPECT_EQ(bm.NvmResidentPages(), kPages);
+  EXPECT_EQ(bm.next_page_id(), kPages);
+  for (page_id_t pid = 0; pid < kPages; ++pid) {
+    auto r = bm.FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << pid;
+    ExpectStamp(r.value());
+  }
+}
+
+TEST_F(BufferManagerTest, PoolsAndAdmissionCapFollowTheFrameBudget) {
+  // One pool per tier gets the whole frame budget; the admission cap is
+  // half of it (here below the device's queue-slot ceiling).
+  auto bm = Make(64, 96, MigrationPolicy::Eager());
+  EXPECT_EQ(bm->dram_pool()->num_frames(), 64u);
+  EXPECT_EQ(bm->nvm_pool()->num_frames(), 96u);
+  EXPECT_EQ(bm->miss_admission_cap(), std::max(8u, (64u + 96u) / 2));
+}
+
+TEST_F(BufferManagerTest, FlushedPagesReadBackThroughFetch) {
+  constexpr int kPages = 256;
+  auto bm = Make(512, 0, MigrationPolicy::Eager());
+  CreatePages(*bm, kPages);
+  ASSERT_TRUE(bm->FlushAll(/*include_nvm=*/true).ok());
+  for (page_id_t pid = 0; pid < kPages; ++pid) {
+    auto r = bm->FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << pid;
+    ExpectStamp(r.value());
+  }
+  // The counters see every fetch above.
+  EXPECT_GE(bm->stats().Snapshot().TotalFetches(), uint64_t{kPages});
 }
 
 // --- Parameterized sweep: every policy corner × both hierarchies must

@@ -3,8 +3,8 @@
 // whole-page RawData reads, RawData writes that mark only the range they
 // change, scans of consecutive pages (which fire read-ahead), FlushPage,
 // FlushAll and SetPolicy sequences
-// run over every hierarchy, migration policy, replacer, HyMem mode and
-// shard count, and every byte read back is compared with the model.
+// run over every hierarchy, migration policy, replacer and HyMem mode,
+// and every byte read back is compared with the model.
 //
 // Replay: each configuration's operation stream is drawn from
 // SPITFIRE_FUZZ_SEED (the crash fuzzer's knob) mixed with the
@@ -54,14 +54,13 @@ struct ModelConfig {
   ReplacerKind nvm_replacer = ReplacerKind::kClock;
   Hymem hymem = Hymem::kOff;
   bool admission_queue = false;
-  size_t shards = 1;
   // Pages the single-threaded pass creates; about twice the buffered
   // frames, so pages keep moving between the tiers and the SSD.
   size_t pages = 48;
 };
 
-// Every hierarchy, policy, replacer, HyMem mode and shard count appears
-// at least once; this is a covering list, not the cross product.
+// Every hierarchy, policy, replacer and HyMem mode appears at least
+// once; this is a covering list, not the cross product.
 std::vector<ModelConfig> Configs() {
   std::vector<ModelConfig> c;
   {
@@ -73,11 +72,10 @@ std::vector<ModelConfig> Configs() {
   }
   {
     ModelConfig m;
-    m.name = "DramSsdLazyTwoQFourShards";
+    m.name = "DramSsdLazyTwoQ";
     m.dram_frames = 64;
     m.policy = PolicyKind::kLazy;
     m.dram_replacer = ReplacerKind::kTwoQ;
-    m.shards = 4;
     m.pages = 160;
     c.push_back(m);
   }
@@ -117,12 +115,11 @@ std::vector<ModelConfig> Configs() {
   }
   {
     ModelConfig m;
-    m.name = "ThreeTierRandomFourShards";
+    m.name = "ThreeTierRandom";
     m.dram_frames = 32;
     m.nvm_frames = 64;
     m.policy = PolicyKind::kRandom;
     m.nvm_replacer = ReplacerKind::kTwoQ;
-    m.shards = 4;
     m.pages = 192;
     c.push_back(m);
   }
@@ -216,7 +213,6 @@ struct Engine {
     if (c.admission_queue) {
       opt.nvm_admission = NvmAdmissionMode::kAdmissionQueue;
     }
-    opt.num_shards = c.shards;
     opt.ssd = ssd.get();
     if (c.memory_mode) {
       memory_mode = std::make_unique<MemoryModeDevice>(

@@ -234,7 +234,6 @@ TEST_F(DeleteTest, FailedGarbagePinKeepsTheChainReachable) {
   DatabaseOptions opts = opts_;
   opts.dram_frames = 16;
   opts.nvm_frames = 0;
-  opts.num_shards = 1;
   db_ = Database::Create(opts).MoveValue();
   // One version per page, so each version of the key has a page of its own.
   constexpr size_t kTupleSize = 12 * 1024;

@@ -35,7 +35,6 @@ class InterleavedTest : public ::testing::Test {
     DatabaseOptions opts;
     opts.dram_frames = kPoolFrames;
     opts.nvm_frames = 0;
-    opts.num_shards = 1;
     opts.policy = MigrationPolicy::Lazy();
     opts.ssd_capacity = 512ull * 1024 * 1024;
     opts.enable_wal = false;

@@ -308,6 +308,35 @@ TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
   EXPECT_EQ(ssd_->stats().num_reads.load(), reads_before);
 }
 
+// A window is bounded only by read_ahead_pages, the allocator and the
+// page table's end: one that starts at page 52 crosses page 64, the edge
+// of a 32-page page-table block, and is still one device read that
+// installs every page.
+TEST_F(IoSchedulerTest, ReadAheadWindowCrossesPageTableBlocks) {
+  constexpr page_id_t kPages = 128;
+  SeedColdPages(kPages);
+  BufferManagerOptions opt;
+  opt.dram_frames = 256;
+  opt.ssd = ssd_.get();
+  BufferManager bm(opt);
+  bm.SetNextPageId(kPages);
+  const size_t ra = opt.read_ahead_pages;
+  ASSERT_GT(52 + ra, 64u);
+
+  ASSERT_TRUE(bm.FetchPage(51, AccessIntent::kRead).ok());
+  const uint64_t reads_before = ssd_->stats().num_reads.load();
+  const uint64_t bytes_before = ssd_->stats().bytes_read.load();
+  // The second sequential miss leads a window over pages 52..52+ra-1.
+  ASSERT_TRUE(bm.FetchPage(52, AccessIntent::kRead).ok());
+
+  EXPECT_EQ(ssd_->stats().num_reads.load() - reads_before, 1u);
+  EXPECT_EQ(ssd_->stats().bytes_read.load() - bytes_before, ra * kPageSize);
+  EXPECT_EQ(bm.stats().Snapshot().read_ahead_installs, ra);
+  for (page_id_t pid = 52; pid < 52 + ra; ++pid) {
+    EXPECT_TRUE(bm.IsDramResident(pid)) << pid;
+  }
+}
+
 // A read-ahead window over a page whose newest image is still staged in
 // the scheduler (evicted dirty, device write not yet issued) must serve
 // that page from the staged image or leave it out — never install the
@@ -320,7 +349,6 @@ TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
   BufferManagerOptions opt;
   opt.dram_frames = 8;
   opt.nvm_frames = 0;
-  opt.num_shards = 1;
   opt.policy = MigrationPolicy::Eager();
   opt.read_ahead_pages = 8;
   opt.io_scheduler.coalesce_window_us = 10 * 1000 * 1000;  // park writes
@@ -370,7 +398,6 @@ TEST_F(IoSchedulerTest, NewPageOverReadAheadCopyReusesItsFrame) {
   BufferManagerOptions opt;
   opt.dram_frames = 32;
   opt.nvm_frames = 0;
-  opt.num_shards = 1;
   opt.policy = MigrationPolicy::Eager();
   opt.read_ahead_pages = 4;
   opt.ssd = ssd_.get();
@@ -385,7 +412,7 @@ TEST_F(IoSchedulerTest, NewPageOverReadAheadCopyReusesItsFrame) {
   const size_t resident = bm.DramResidentPages();
 
   // Page 3's id was allocated before the window read it.
-  auto r = bm.shard(0)->NewPageWithId(3);
+  auto r = bm.NewPageWithId(3);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   PageGuard g = r.MoveValue();
   uint64_t v = 1;
@@ -594,7 +621,6 @@ TEST_F(IoSchedulerTest, TeardownWithReadAheadInFlightOverDirtyPoolsIsPrompt) {
   BufferManagerOptions opt;
   opt.dram_frames = kDramFrames;
   opt.nvm_frames = kNvmFrames;
-  opt.num_shards = 1;
   // Misses land in DRAM; every dirty DRAM victim is admitted into NVM.
   opt.policy = MigrationPolicy{0.0, 0.0, 0.0, 1.0};
   opt.read_ahead_pages = 4;

@@ -214,50 +214,47 @@ TEST_F(RecoveryTest, YcsbWorkloadSurvivesCrash) {
   ASSERT_TRUE(db->Commit(txn.get()).ok());
 }
 
-TEST_F(RecoveryTest, ShardCountMismatchReturnsCleanError) {
-  // Populate the persistent NVM frame table under one shard count, then
-  // reopen under another: pages recovered from a shard's frame slice no
-  // longer route back to it, which must surface as a clean error telling
-  // the operator to reopen with the original shard count — not as silent
-  // misrouting. ShardOfPage routes in 32-page blocks, so the heap must
-  // span several blocks (pids past 64) before any page routes to shard 1;
-  // a fat tuple gets there with few rows.
-  struct Blob {
-    uint64_t v;
-    uint64_t pad[255];  // 2 KiB per tuple → a handful of tuples per page
-  };
-  DatabaseOptions opts = opts_;
-  opts.num_shards = 1;
-  opts.policy = MigrationPolicy::Eager();  // force pages through NVM
+TEST_F(RecoveryTest, ShardCountAboveOneIsRefused) {
+  // DatabaseOptions::num_shards survives only for callers that still set
+  // it to 1; the buffer manager has no shards. Any larger value is an
+  // InvalidArgument, from Recover as from Create, and a refused Recover
+  // hands the devices back intact.
+  DatabaseOptions two = opts_;
+  two.num_shards = 2;
+  auto created = Database::Create(two);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+      << created.status().ToString();
+
   DatabaseEnv env;
   {
-    auto db = Database::Create(opts).MoveValue();
-    Table* t = db->CreateTable(1, sizeof(Blob)).value();
-    // Enough rows that NVM admissions (DRAM evictions) spill past frame
-    // 48 — the slice boundary of a two-shard reopen — with low-block page
-    // ids still being admitted.
-    for (uint64_t k = 0; k < 900; ++k) {
-      auto txn = db->Begin();
-      Blob c{};
-      c.v = k;
+    auto db = Database::Create(opts_).MoveValue();
+    Table* t = db->CreateTable(1, sizeof(Cell)).value();
+    auto txn = db->Begin();
+    for (uint64_t k = 0; k < 16; ++k) {
+      Cell c{k, 1};
       ASSERT_TRUE(t->Insert(txn.get(), k, &c).ok());
-      ASSERT_TRUE(db->Commit(txn.get()).ok());
     }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
     env = Database::Crash(std::move(db));
   }
-  DatabaseOptions wrong = opts;
-  wrong.num_shards = 2;
   DatabaseEnv back;
-  auto db_r = Database::Recover(wrong, std::move(env), &back);
-  ASSERT_FALSE(db_r.ok());
-  EXPECT_NE(db_r.status().ToString().find("shard"), std::string::npos)
-      << db_r.status().ToString();
-  // The devices came back out; recovery with the original count works.
-  auto db = Database::Recover(opts, std::move(back)).MoveValue();
+  auto refused = Database::Recover(two, std::move(env), &back);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  ASSERT_NE(back.db_ssd, nullptr);
+  ASSERT_NE(back.log_ssd, nullptr);
+  ASSERT_NE(back.nvm, nullptr);
+  // The devices came back out; recovery with the original options reads
+  // every row.
+  auto db = Database::Recover(opts_, std::move(back)).MoveValue();
   auto txn = db->Begin();
-  Blob c{};
-  ASSERT_TRUE(db->GetTable(1)->Read(txn.get(), 5, &c).ok());
-  EXPECT_EQ(c.v, 5u);
+  for (uint64_t k = 0; k < 16; ++k) {
+    Cell c{};
+    ASSERT_TRUE(db->GetTable(1)->Read(txn.get(), k, &c).ok()) << k;
+    EXPECT_EQ(c.v, k);
+  }
   ASSERT_TRUE(db->Commit(txn.get()).ok());
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sync/optimistic_latch.h"
-#include "sync/rw_latch.h"
 #include "sync/spin_latch.h"
 
 namespace spitfire {
@@ -45,58 +44,6 @@ TEST(SpinLatchTest, MutualExclusionCounter) {
   }
   for (auto& th : ths) th.join();
   EXPECT_EQ(counter, 40000);
-}
-
-TEST(RwLatchTest, MultipleReaders) {
-  RwLatch l;
-  l.LockShared();
-  EXPECT_TRUE(l.TryLockShared());
-  EXPECT_FALSE(l.TryLockExclusive());
-  l.UnlockShared();
-  l.UnlockShared();
-  EXPECT_TRUE(l.TryLockExclusive());
-  l.UnlockExclusive();
-}
-
-TEST(RwLatchTest, WriterExcludesReaders) {
-  RwLatch l;
-  l.LockExclusive();
-  EXPECT_FALSE(l.TryLockShared());
-  EXPECT_FALSE(l.TryLockExclusive());
-  l.UnlockExclusive();
-}
-
-TEST(RwLatchTest, ConcurrentReadersWritersConsistent) {
-  RwLatch l;
-  int64_t value = 0;
-  std::atomic<bool> stop{false};
-  std::atomic<int> anomalies{0};
-  std::vector<std::thread> ths;
-  for (int w = 0; w < 2; ++w) {
-    ths.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
-        ExclusiveLatchGuard g(l);
-        // Temporarily break the invariant inside the critical section.
-        value += 1;
-        value += 1;
-      }
-    });
-  }
-  for (int r = 0; r < 2; ++r) {
-    ths.emplace_back([&] {
-      while (!stop.load()) {
-        SharedLatchGuard g(l);
-        if (value % 2 != 0) anomalies.fetch_add(1);
-      }
-    });
-  }
-  ths[0].join();
-  ths[1].join();
-  stop.store(true);
-  ths[2].join();
-  ths[3].join();
-  EXPECT_EQ(value, 20000);
-  EXPECT_EQ(anomalies.load(), 0);
 }
 
 TEST(OptimisticLatchTest, ReadValidatesWhenNoWriter) {
