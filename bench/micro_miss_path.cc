@@ -3,14 +3,14 @@
 //
 //  - uniform: each thread fetches uniformly random pages from a database
 //    ~8x larger than the buffer, so threads mostly miss on DISTINCT pages
-//    (measures raw miss bandwidth: async staging, no latch across I/O);
+//    (measures raw miss bandwidth: async submission, no latch across I/O);
 //  - hot: all threads fetch the same slowly-advancing page (a shared
 //    counter advances the target every 8 global ops), so every advance
 //    is a MISS STORM — N threads hitting one cold page at once.
 //    Single-flight dedup turns N device reads into one read plus N-1
 //    sleeping waiters, and because the hot page advances sequentially (a
 //    shared scan front), read-ahead streams the next window in one
-//    coalesced device op, paying the per-op fixed cost once per window
+//    multi-page device read, paying the per-op fixed cost once per window
 //    instead of once per page.
 //
 // One JSON line per point.

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
@@ -98,12 +99,14 @@ void BM_NvmLogAppend(benchmark::State& state) {
     SPITFIRE_CHECK(l->Format(0).ok());
     return l;
   }();
+  static std::mutex recycle_mu;  // one Peek + MarkDrained at a time
   std::byte payload[128] = {};
   std::vector<std::byte> sink;
   for (auto _ : state) {
     auto r = log->Append(payload, sizeof(payload));
-    if (!r.ok()) {
-      (void)log->Drain(&sink);  // recycle the buffer
+    if (!r.ok()) {  // recycle the buffer
+      std::lock_guard<std::mutex> l(recycle_mu);
+      if (log->Peek(&sink).ok()) (void)log->MarkDrained(sink.size());
     }
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 128);

@@ -118,7 +118,7 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
       dram_backing_ = owned_dram_.get();
     }
   }
-  io_ = std::make_unique<IoScheduler>(ssd_, options_.io_scheduler);
+  io_ = std::make_unique<IoScheduler>(ssd_);
 
   if (options_.nvm_frames > 0) {
     nvm_pool_ = std::make_unique<BufferPool>(
@@ -182,8 +182,8 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
 
 BufferManager::~BufferManager() {
   // Two phases, both before any pool, page table or descriptor is
-  // destroyed. The flag makes completions fired during the scheduler's
-  // shutdown drain fail their tickets with Busy instead of installing
+  // destroyed. The flag makes the read completions that the scheduler's
+  // shutdown fires early fail their tickets with Busy instead of installing
   // pages and handing out guards that would outlive the descriptors they
   // pin; those completions still take descriptor latches.
   shutting_down_.store(true, std::memory_order_release);
@@ -579,7 +579,7 @@ void BufferManager::CompleteMiss(const MissRun& run, Status st,
           page_st = Status::Busy("page appeared while installing");
         } else if (io_->WriteSeq(SsdOffset(d->pid)) != seqs[i]) {
           // A write-back landed while the read was in flight; the
-          // re-dispatch below is served from the scheduler's staged image.
+          // re-dispatch below reads the new bytes.
           page_st = Status::Busy("page written during miss read");
         } else {
           d->io_latch.Lock();
@@ -654,9 +654,9 @@ void BufferManager::CompleteMiss(const MissRun& run, Status st,
   }
 
   // Failure. Hard errors complete every waiter; Busy re-dispatches them
-  // (the page may have appeared, be staged in the scheduler, or need a
-  // fresh read) under a per-ticket attempt budget that also bounds the
-  // recursion when the simulated device completes re-reads inline.
+  // (the page may have appeared, or been written and need a fresh read)
+  // under a per-ticket attempt budget that also bounds the recursion when
+  // the simulated device completes re-reads inline.
   // Resubmission runs outside all latches for the same reason.
   for (const Failed& f : failed) {
     for (FetchTicket* t = f.waiters; t != nullptr;) {
@@ -1491,31 +1491,30 @@ std::byte* BufferManager::GuardRawData(SharedPageDescriptor* d, Tier tier,
 Status BufferManager::WriteToSsd(page_id_t pid, const std::byte* data) {
   // Every page image headed to SSD passes through here — the one place a
   // whole-page checksum can be stamped so recovery can detect torn or
-  // short page writes. Stamp a private copy: the source frame may be
-  // concurrently repinned the moment the write is staged.
+  // short page writes. Stamp a private copy: the source is a buffered
+  // frame (on NVM, a persistent one), which the stamp must not change.
   thread_local std::unique_ptr<std::byte[]> stamp_buf;
   if (stamp_buf == nullptr) stamp_buf = std::make_unique<std::byte[]>(kPageSize);
   std::memcpy(stamp_buf.get(), data, kPageSize);
   StampPageChecksum(stamp_buf.get());
-  // Asynchronous staged write: the scheduler copies the image, so the
-  // buffer may be reused the moment this returns.
+  // The device copies the image at submission, so the buffer may be
+  // reused the moment this returns.
   return io_->WritePage(SsdOffset(pid), stamp_buf.get());
 }
 
 Status BufferManager::FlushPage(page_id_t pid) {
   SharedPageDescriptor* d = table_.Find(pid);
-  bool wrote = false;
   const Status st = d == nullptr  // never buffered
                         ? Status::OK()
                         : FlushDescriptor(d, /*include_nvm=*/true,
-                                          /*skipped=*/nullptr, &wrote);
+                                          /*skipped=*/nullptr);
   const Status drained = DrainIo();
   SPITFIRE_RETURN_NOT_OK(st);
   return drained;
 }
 
 Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
-                                    size_t* skipped, bool* wrote) {
+                                    size_t* skipped) {
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
   SpinLatchGuard gs(d->ssd_latch);
@@ -1565,7 +1564,6 @@ Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
     if (dmode == DramMode::kFull) {
       st = WriteToSsd(d->pid, dram_pool_->FramePtr(d->dram.frame.load(
                                   std::memory_order_relaxed)));
-      if (st.ok()) *wrote = true;
     }
     if (st.ok() && nvm_resident) WriteBackUnitsToNvm(d, dmode);
     if (st.ok() && dmode == DramMode::kFull) {
@@ -1589,10 +1587,7 @@ Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(nf), kPageSize,
                        /*sequential=*/true);
     const Status st = WriteToSsd(d->pid, ptr);
-    if (st.ok()) {
-      *wrote = true;
-      d->nvm.dirty.store(0, std::memory_order_relaxed);
-    }
+    if (st.ok()) d->nvm.dirty.store(0, std::memory_order_relaxed);
     d->nvm.Publish(DramMode::kFull, 0);
     SPITFIRE_RETURN_NOT_OK(st);
   }
@@ -1602,20 +1597,10 @@ Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
 Status BufferManager::FlushAll(bool include_nvm, size_t* skipped) {
   Status result = Status::OK();
   table_.ForEach([&](SharedPageDescriptor* d) {
-    bool wrote = false;
-    Status st = FlushDescriptor(d, include_nvm, skipped, &wrote);
-    // A full flush drains per written page rather than once per sweep:
-    // the I/O scheduler would otherwise coalesce the whole batch into a
-    // handful of device ops, and write accounting (and fault injection
-    // points) assume one write per flushed page. A checkpoint sweep lets
-    // its staged writes coalesce and drains once below.
-    if (include_nvm && wrote) {
-      const Status drained = DrainIo();
-      if (st.ok()) st = drained;
-    }
+    const Status st = FlushDescriptor(d, include_nvm, skipped);
     if (!st.ok()) result = st;
   });
-  // Any async error (this sweep's or an earlier write-back's) surfaces
+  // Any write error (this sweep's or an earlier write-back's) surfaces
   // here.
   const Status drained = DrainIo();
   if (result.ok()) result = drained;

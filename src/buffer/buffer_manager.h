@@ -64,10 +64,6 @@ struct BufferManagerOptions {
   ReplacerKind dram_replacer = ReplacerKind::kClock;
   ReplacerKind nvm_replacer = ReplacerKind::kClock;
 
-  // All SSD-tier traffic goes through an IoScheduler (multi-page reads,
-  // write coalescing).
-  IoSchedulerOptions io_scheduler;
-
   // Pages read ahead of a detected sequential miss run, as one multi-page
   // miss; 0 disables read-ahead. 32 pages = 512 KB: on the simulated
   // device a 32-page sequential read costs ~1/3 of 32 single-page reads,
@@ -260,8 +256,9 @@ class BufferManager {
   // sweep must not advance the durable redo horizon.
   Status FlushAll(bool include_nvm = false, size_t* skipped = nullptr);
 
-  // Blocks until every asynchronously staged SSD write has reached the
-  // device; returns (and clears) the first async write error.
+  // Blocks until every SSD page write submitted so far has passed its
+  // completion deadline; returns (and clears) the first write error since
+  // the previous drain.
   Status DrainIo() { return io_->Drain(); }
 
   // Rebuilds the page table from the NVM device's persistent frame table
@@ -481,10 +478,9 @@ class BufferManager {
   // any NVM copy; a cache-line-grained or mini one into its NVM copy),
   // then, if `include_nvm`, a dirty NVM copy to SSD. A clean copy is not
   // retired. `*skipped` (optional) is incremented when a dirty copy could
-  // not be flushed because it was actively referenced; `*wrote` is set
-  // when an SSD write was staged.
+  // not be flushed because it was actively referenced.
   Status FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
-                         size_t* skipped, bool* wrote);
+                         size_t* skipped);
 
   // Loads the units covering the non-empty range [offset, offset+size) of
   // a cache-line-grained page from its NVM copy. Caller holds the dram

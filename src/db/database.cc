@@ -99,7 +99,6 @@ Status Database::InitCommon(bool fresh) {
   bopts.ssd = env_.db_ssd.get();
   bopts.nvm = env_.nvm.get();
   bopts.dram_backing = opts_.dram_backing;
-  bopts.io_scheduler = opts_.io_scheduler;
   bm_ = std::make_unique<BufferManager>(bopts);
 
   if (opts_.enable_wal) {

@@ -37,18 +37,16 @@ struct DatabaseOptions {
   std::string ssd_path;  // empty → memory-backed simulated SSD
   Device* dram_backing = nullptr;  // e.g. a MemoryModeDevice (Figure 5)
 
-  // Tuning of the buffer manager's SSD I/O scheduler (write workers and
-  // coalescing).
-  IoSchedulerOptions io_scheduler;
-
-  // Write-ahead logging (Section 5.2).
+  // Write-ahead logging (Section 5.2). The log stages in NVM; when there
+  // is no NVM in the hierarchy, it stages in DRAM and every commit forces
+  // a drain to SSD (group commit without NVM) — the recovery-overhead
+  // contrast the paper draws in Sections 6.2/6.6.
   bool enable_wal = true;
   uint64_t log_staging_size = 4ull * 1024 * 1024;
   uint64_t log_ssd_capacity = 256ull * 1024 * 1024;
-  // When there is no NVM in the hierarchy, the log stages in DRAM and
-  // every commit forces a drain to SSD (group commit without NVM) — the
-  // recovery-overhead contrast the paper draws in Sections 6.2/6.6.
-  uint64_t checkpoint_interval_ms = 0;  // 0 = no background checkpointer
+  // Period of the background checkpointer's flush rounds; 0 = no
+  // background checkpointer.
+  uint64_t checkpoint_interval_ms = 0;
 };
 
 // The simulated persistent devices backing a database. They outlive the

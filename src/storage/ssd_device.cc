@@ -122,8 +122,8 @@ Status SsdDevice::TransferOut(uint64_t offset, const void* src, size_t size) {
 
 Status SsdDevice::Read(uint64_t offset, void* dst, size_t size) {
   SPITFIRE_RETURN_NOT_OK(TransferIn(offset, dst, size));
-  // Multi-page requests (coalesced by the I/O scheduler) stream from
-  // consecutive blocks, so they earn the sequential rate.
+  // Multi-page requests stream from consecutive blocks, so they earn the
+  // sequential rate.
   AccountRead(size, /*sequential=*/size > kPageSize);
   return Status::OK();
 }

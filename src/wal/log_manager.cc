@@ -219,7 +219,7 @@ Status LogManager::Drain() {
 }
 
 Status LogManager::MaybeDrain() {
-  if (staging_->StagedBytes() < opts_.drain_threshold) return Status::OK();
+  if (staging_->StagedBytes() < kDrainThreshold) return Status::OK();
   return Drain();
 }
 

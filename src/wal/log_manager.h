@@ -15,9 +15,10 @@ namespace spitfire {
 // NVM-aware write-ahead logging (Section 5.2):
 //  - records are first persisted to a shared NVM log buffer; once a
 //    transaction's COMMIT record is in the buffer, it is durable;
-//  - when the staged volume passes `drain_threshold`, the buffer contents
-//    are appended to an on-SSD log file asynchronously (the checkpointer
-//    thread calls MaybeDrain).
+//  - when the staged volume passes kDrainThreshold, the buffer contents
+//    are appended to an on-SSD log file: a commit group's leader calls
+//    MaybeDrain synchronously after persisting its group (its followers
+//    are already awake), as does each background checkpointer round.
 //
 // The SSD log device layout: page 0 holds {magic, durable length}; record
 // bytes start at kLogDataOffset.
@@ -28,8 +29,10 @@ class LogManager {
     uint64_t nvm_offset = 0;    // staging region start
     uint64_t nvm_size = 1 << 20;
     Device* log_ssd = nullptr;  // SSD device holding the log file
-    uint64_t drain_threshold = 512 * 1024;  // bytes
   };
+
+  // Staged bytes past which MaybeDrain appends them to the SSD log file.
+  static constexpr uint64_t kDrainThreshold = 512 * 1024;
 
   static constexpr uint64_t kLogDataOffset = 4096;
   static constexpr uint32_t kLogMagic = 0x57414C46;  // "WALF"
@@ -54,7 +57,7 @@ class LogManager {
   // in at least one durable place; the overlap (records in both) heals by
   // idempotent rewrite, since a record's LSN is its file offset.
   Status Drain();
-  // Drains only if the staged volume passed the threshold.
+  // Drains only if the staged volume passed kDrainThreshold.
   Status MaybeDrain();
 
   // Reads the entire log (SSD file followed by the staged NVM tail) into

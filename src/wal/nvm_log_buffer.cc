@@ -72,13 +72,6 @@ Status NvmLogBuffer::MarkDrained(uint64_t n) {
   return device_->Persist(offset_, sizeof(Header));
 }
 
-Result<lsn_t> NvmLogBuffer::Drain(std::vector<std::byte>* out) {
-  std::vector<std::byte>& bytes = *out;
-  SPITFIRE_ASSIGN_OR_RETURN(const lsn_t first, Peek(&bytes));
-  SPITFIRE_RETURN_NOT_OK(MarkDrained(bytes.size()));
-  return first;
-}
-
 uint64_t NvmLogBuffer::StagedBytes() const {
   SpinLatchGuard g(latch_);
   return header()->used;

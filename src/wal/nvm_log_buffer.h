@@ -51,11 +51,6 @@ class NvmLogBuffer {
   // caught in the original drain ordering.
   Status MarkDrained(uint64_t n);
 
-  // Peek + MarkDrained in one step. Retained for callers that recycle the
-  // buffer without a durability handoff (benchmarks); the crash-safe
-  // drain path in LogManager uses the split protocol.
-  Result<lsn_t> Drain(std::vector<std::byte>* out);
-
   // Bytes currently staged.
   uint64_t StagedBytes() const;
   lsn_t base_lsn() const;

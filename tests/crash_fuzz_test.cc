@@ -2,7 +2,7 @@
 // database while a FaultInjector counts durability operations (SSD page
 // writes and persists, NVM stores and flush-backs) and kills the device
 // stack at a randomized point — mid-group-commit, mid-checkpoint,
-// mid-coalesced-write, mid-NVM-admission. The harness then simulates
+// mid-page-write, mid-NVM-admission. The harness then simulates
 // power loss (destroy the engine, roll NVM back to its durable shadow),
 // recovers, and checks the durability contract against a transaction
 // ledger kept outside the database:

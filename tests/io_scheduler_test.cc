@@ -60,27 +60,34 @@ class IoSchedulerTest : public ::testing::Test {
   }
 
   // One page read through SubmitRead, pumping completions until its
-  // callback fires. A write staged after the read sampled the page's
-  // sequence may have superseded the bytes; like the buffer manager, check
-  // the sequence and read again.
+  // callback fires.
+  static Status ReadOnce(IoScheduler& io, uint64_t offset, std::byte* dst,
+                         uint64_t* seq) {
+    std::atomic<bool> fired{false};
+    Status out;
+    io.SubmitRead(offset, 1, [&](const Status& st, const std::byte* data,
+                                 const uint64_t* seqs) {
+      out = st;
+      if (st.ok()) {
+        std::memcpy(dst, data, kPageSize);
+        *seq = seqs[0];
+      }
+      fired.store(true, std::memory_order_release);
+    });
+    while (!fired.load(std::memory_order_acquire)) {
+      (void)io.PumpCompletions(/*may_sleep=*/false);
+    }
+    return out;
+  }
+
+  // ReadOnce until the read's sequence is still current. A write after the
+  // read sampled the page's sequence may have superseded the bytes; like
+  // the buffer manager, check the sequence and read again.
   static Status SubmitReadAndWait(IoScheduler& io, uint64_t offset,
                                   std::byte* dst, uint64_t* seq) {
     for (;;) {
-      std::atomic<bool> fired{false};
-      Status out;
-      io.SubmitRead(offset, 1, [&](const Status& st, const std::byte* data,
-                                   const uint64_t* seqs) {
-        out = st;
-        if (st.ok()) {
-          std::memcpy(dst, data, kPageSize);
-          *seq = seqs[0];
-        }
-        fired.store(true, std::memory_order_release);
-      });
-      while (!fired.load(std::memory_order_acquire)) {
-        (void)io.PumpCompletions(/*may_sleep=*/false);
-      }
-      if (!out.ok() || io.WriteSeq(offset) == *seq) return out;
+      const Status st = ReadOnce(io, offset, dst, seq);
+      if (!st.ok() || io.WriteSeq(offset) == *seq) return st;
     }
   }
 
@@ -130,73 +137,24 @@ TEST_F(IoSchedulerTest, MissStormIssuesOneDeviceRead) {
   EXPECT_GE(bm.io_scheduler()->stats().reads_deduped.load(), 1u);
 }
 
-TEST_F(IoSchedulerTest, ReadOfStagedWriteSeesNewBytesBeforeDeviceWrite) {
-  IoSchedulerOptions opts;
-  opts.coalesce_window_us = 1000 * 1000;  // park staged writes
-  IoScheduler io(ssd_.get(), opts);
+TEST_F(IoSchedulerTest, ReadAfterWritePageSeesNewBytesAndSequence) {
+  IoScheduler io(ssd_.get());
 
   std::vector<std::byte> page(kPageSize);
   FillStamp(page.data(), 0xAB);
   ASSERT_TRUE(io.WritePage(0, page.data()).ok());
   EXPECT_NE(io.WriteSeq(0), 0u);
 
-  // The device has not been written yet; the read must come from the
-  // staged image, inline, with the matching sequence.
   std::vector<std::byte> got(kPageSize);
   uint64_t seq = 0;
-  bool fired = false;
-  io.SubmitRead(0, 1,
-                [&](const Status& st, const std::byte* data,
-                    const uint64_t* seqs) {
-                  ASSERT_TRUE(st.ok()) << st.ToString();
-                  std::memcpy(got.data(), data, kPageSize);
-                  seq = seqs[0];
-                  fired = true;
-                });
-  ASSERT_TRUE(fired);
-  EXPECT_EQ(ssd_->stats().num_writes.load(), 0u);
-  EXPECT_EQ(ssd_->stats().num_reads.load(), 0u);
+  ASSERT_TRUE(ReadOnce(io, 0, got.data(), &seq).ok());
   EXPECT_EQ(seq, io.WriteSeq(0));
   EXPECT_EQ(std::memcmp(got.data(), page.data(), kPageSize), 0);
-  EXPECT_GE(io.stats().reads_from_staged.load(), 1u);
-
   ASSERT_TRUE(io.Drain().ok());
-  EXPECT_EQ(ssd_->stats().num_writes.load(), 1u);
-  std::vector<std::byte> on_disk(kPageSize);
-  ASSERT_TRUE(ssd_->Read(0, on_disk.data(), kPageSize).ok());
-  EXPECT_EQ(std::memcmp(on_disk.data(), page.data(), kPageSize), 0);
 }
 
-TEST_F(IoSchedulerTest, AdjacentWritesCoalesceIntoOneDeviceOp) {
-  IoSchedulerOptions opts;
-  opts.max_coalesce_pages = 8;
-  opts.coalesce_window_us = 1000 * 1000;  // wait for the full batch
-  IoScheduler io(ssd_.get(), opts);
-
-  std::vector<std::byte> page(kPageSize);
-  for (uint64_t i = 0; i < 8; ++i) {
-    FillStamp(page.data(), 0x1000 + i);
-    ASSERT_TRUE(io.WritePage(i * kPageSize, page.data()).ok());
-  }
-  ASSERT_TRUE(io.Drain().ok());
-
-  EXPECT_EQ(io.stats().write_ops.load(), 1u);
-  EXPECT_EQ(io.stats().writes_coalesced.load(), 7u);
-  EXPECT_EQ(ssd_->stats().num_writes.load(), 1u);
-  for (uint64_t i = 0; i < 8; ++i) {
-    std::vector<std::byte> got(kPageSize);
-    ASSERT_TRUE(ssd_->Read(i * kPageSize, got.data(), kPageSize).ok());
-    uint64_t v = 0;
-    std::memcpy(&v, got.data(), sizeof(v));
-    EXPECT_EQ(v, 0x1000 + i);
-    EXPECT_TRUE(IsUniform(got.data()));
-  }
-}
-
-TEST_F(IoSchedulerTest, LastWriterWinsWhileQueued) {
-  IoSchedulerOptions opts;
-  opts.coalesce_window_us = 1000 * 1000;
-  IoScheduler io(ssd_.get(), opts);
+TEST_F(IoSchedulerTest, SecondWriteLeavesNewestBytesAndHigherSequence) {
+  IoScheduler io(ssd_.get());
 
   std::vector<std::byte> page(kPageSize);
   FillStamp(page.data(), 0xAAAA);
@@ -207,7 +165,6 @@ TEST_F(IoSchedulerTest, LastWriterWinsWhileQueued) {
   EXPECT_GT(io.WriteSeq(0), seq1);  // superseded reads must re-validate
 
   ASSERT_TRUE(io.Drain().ok());
-  EXPECT_EQ(ssd_->stats().num_writes.load(), 1u);  // one op, newest image
   std::vector<std::byte> got(kPageSize);
   ASSERT_TRUE(ssd_->Read(0, got.data(), kPageSize).ok());
   uint64_t v = 0;
@@ -220,10 +177,7 @@ TEST_F(IoSchedulerTest, LastWriterWinsWhileQueued) {
 // from two writes) is detected immediately. Exercised under TSan via the
 // `sync` label.
 TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
-  IoSchedulerOptions opts;
-  opts.num_workers = 2;
-  opts.coalesce_window_us = 10;
-  IoScheduler io(ssd_.get(), opts);
+  IoScheduler io(ssd_.get());
 
   constexpr int kOffsets = 4;
   constexpr int kWriters = 3;
@@ -270,6 +224,57 @@ TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
     ASSERT_TRUE(ssd_->Read(i * kPageSize, got.data(), kPageSize).ok());
     EXPECT_TRUE(IsUniform(got.data()));
   }
+}
+
+// Each writer owns one offset and writes the uniform stamps 1..N, so after
+// its k-th write the offset's sequence is k and its bytes are stamp k (and
+// stamp 0, the zeroed device, before the first). A read whose sampled
+// sequence is still the offset's sequence after its callback must then
+// hold exactly that stamp. This holds only if the sequence bump and the
+// device copy are one step under the lock the read samples under: split
+// them, and a read can pair either write's sequence with the other's
+// bytes. Exercised under TSan via the `sync` label.
+TEST_F(IoSchedulerTest, ReadWithCurrentSequenceHoldsThatWritesBytes) {
+  IoScheduler io(ssd_.get());
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr uint64_t kStamps = 20000;
+  std::atomic<int> writing{kWriters};
+  std::atomic<uint64_t> checked{0};
+
+  std::vector<std::thread> ths;
+  for (int w = 0; w < kWriters; ++w) {
+    ths.emplace_back([&, w] {
+      std::vector<std::byte> page(kPageSize);
+      for (uint64_t k = 1; k <= kStamps; ++k) {
+        FillStamp(page.data(), k);
+        if (!io.WritePage(w * kPageSize, page.data()).ok()) {
+          ADD_FAILURE() << "WritePage failed at stamp " << k;
+          break;
+        }
+      }
+      writing.fetch_sub(1);  // even after a failure, so readers stop
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    ths.emplace_back([&, r] {
+      std::vector<std::byte> page(kPageSize);
+      for (uint64_t i = r; writing.load() > 0; ++i) {
+        const uint64_t offset = (i % kWriters) * kPageSize;
+        uint64_t seq = 0;
+        ASSERT_TRUE(ReadOnce(io, offset, page.data(), &seq).ok());
+        if (io.WriteSeq(offset) != seq) continue;  // superseded, re-read
+        uint64_t stamp = 0;
+        std::memcpy(&stamp, page.data(), sizeof(stamp));
+        ASSERT_EQ(stamp, seq);
+        ASSERT_TRUE(IsUniform(page.data()));
+        checked.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : ths) th.join();
+  EXPECT_GT(checked.load(), 0u);
 }
 
 TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
@@ -337,12 +342,9 @@ TEST_F(IoSchedulerTest, ReadAheadWindowCrossesPageTableBlocks) {
   }
 }
 
-// A read-ahead window over a page whose newest image is still staged in
-// the scheduler (evicted dirty, device write not yet issued) must serve
-// that page from the staged image or leave it out — never install the
-// older bytes on the device. The sequence check at install cannot catch
-// this: staging bumped the sequence before the window sampled it.
-TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
+// A read-ahead window over a page that was evicted dirty must install the
+// written bytes, not the older image the device held before.
+TEST_F(IoSchedulerTest, ReadAheadWindowOverEvictedDirtyPageServesNewBytes) {
   constexpr page_id_t kPages = 64;
   constexpr page_id_t kTarget = 10;
   SeedColdPages(kPages);
@@ -351,7 +353,6 @@ TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
   opt.nvm_frames = 0;
   opt.policy = MigrationPolicy::Eager();
   opt.read_ahead_pages = 8;
-  opt.io_scheduler.coalesce_window_us = 10 * 1000 * 1000;  // park writes
   opt.ssd = ssd_.get();
   BufferManager bm(opt);
   bm.SetNextPageId(kPages);
@@ -371,7 +372,6 @@ TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
   }
   ASSERT_FALSE(bm.IsDramResident(kTarget));
   ASSERT_NE(bm.io_scheduler()->WriteSeq(kTarget * kPageSize), 0u);
-  ASSERT_EQ(ssd_->stats().num_writes.load(), 0u);  // still staged
 
   // Two sequential misses: the second leads a window over pages 9..16.
   for (page_id_t pid = kTarget - 2; pid < kTarget; ++pid) {
@@ -385,7 +385,6 @@ TEST_F(IoSchedulerTest, ReadAheadWindowOverStagedWriteServesStagedBytes) {
   uint64_t v = 0;
   ASSERT_TRUE(r.value().ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
   EXPECT_EQ(v, fresh);
-  EXPECT_GE(bm.io_scheduler()->stats().reads_from_staged.load(), 1u);
 }
 
 // A read-ahead window reads every page id below the allocator's, so it can

@@ -75,10 +75,12 @@ TEST_F(WalTest, NvmLogBufferAppendAndDrain) {
   EXPECT_EQ(buf.StagedBytes(), 18u);
 
   std::vector<std::byte> out;
-  auto first = buf.Drain(&out);
+  auto first = buf.Peek(&out);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value(), 0u);
   EXPECT_EQ(out.size(), 18u);
+  EXPECT_EQ(buf.StagedBytes(), 18u);  // Peek consumes nothing
+  ASSERT_TRUE(buf.MarkDrained(out.size()).ok());
   EXPECT_EQ(buf.StagedBytes(), 0u);
   EXPECT_EQ(buf.base_lsn(), 18u);
 }
