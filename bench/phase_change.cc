@@ -168,7 +168,6 @@ ScenarioOut RunScenario(ReplacerKind kind, double phase_secs,
   std::unique_ptr<OnlineTuner> tuner;
   if (with_tuner) {
     OnlineTunerOptions topt;
-    topt.window_seconds = 0.05;
     topt.min_window_fetches = 512;
     // Online windows are short; a hotter-but-faster schedule than the
     // default converges in ~14 active windows (0.7 s of traffic).

@@ -80,11 +80,11 @@ void OnlineTuner::ThreadLoop() {
   std::unique_lock<std::mutex> l(thread_mu_);
   while (!stop_) {
     cv_.wait_for(
-        l, std::chrono::duration<double>(options_.window_seconds),
+        l, std::chrono::duration<double>(kWindowSeconds),
         [this] { return stop_; });
     if (stop_) break;
     l.unlock();
-    Step(sample_(), options_.window_seconds);
+    Step(sample_(), kWindowSeconds);
     l.lock();
   }
 }
@@ -139,16 +139,16 @@ void OnlineTuner::Step(const BufferStatsSnapshot& snapshot,
     return;
   }
   const double dist = sig.L1Distance(*baseline_);
-  if (dist <= options_.drift_threshold) {
+  if (dist <= kDriftThreshold) {
     drift_run_ = 0;
     // Track slow change so gradual shifts re-center instead of firing.
-    const double a = options_.baseline_ema;
+    const double a = kBaselineEma;
     for (int i = 0; i < Signature::kDims; ++i) {
       baseline_->v[i] = (1.0 - a) * baseline_->v[i] + a * sig.v[i];
     }
     return;
   }
-  if (++drift_run_ < options_.drift_windows) return;
+  if (++drift_run_ < kDriftWindows) return;
 
   // Sustained drift: re-anneal, warm-started from the best policy so far.
   drift_run_ = 0;

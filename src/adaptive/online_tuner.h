@@ -19,8 +19,8 @@ class BufferManager;
 // Continuous online tuning of the migration probabilities ⟨Dr,Dw,Nr,Nw⟩
 // (Section 4, promoted from the offline epoch loop in bench/fig10).
 //
-// A background thread samples BufferStats every `window_seconds` and runs
-// a small state machine over the per-window deltas:
+// A background thread samples BufferStats every kWindowSeconds and runs a
+// small state machine over the per-window deltas:
 //
 //   annealing ──temperature floor──> holding ──sustained drift──> annealing
 //
@@ -33,10 +33,10 @@ class BufferManager;
 //  - Once converged it HOLDS the best policy and watches the workload-mix
 //    signature: per-window counter deltas normalized by total fetches
 //    (DRAM/NVM hit shares, SSD fetch share, promotion/demotion rates,
-//    write-intent share). The baseline tracks slow change via EMA;
-//    re-convergence triggers only after `drift_windows` CONSECUTIVE
-//    windows whose L1 distance from the baseline exceeds
-//    `drift_threshold` (hysteresis — a single odd window never thrashes
+//    write-intent share). The baseline tracks slow change via EMA
+//    (kBaselineEma); re-convergence triggers only after kDriftWindows
+//    CONSECUTIVE windows whose L1 distance from the baseline exceeds
+//    kDriftThreshold (hysteresis — a single odd window never thrashes
 //    the policy), and the annealing restart is seeded from the best
 //    policy so far (warm restart).
 //  - Windows with less than `min_window_fetches` replacer-visible
@@ -53,7 +53,6 @@ class BufferManager;
 // SetPolicy(). Start()/Stop() manage the thread (Stop is idempotent and
 // runs in the destructor).
 struct OnlineTunerOptions {
-  double window_seconds = 0.05;
   // Annealing schedule for online windows (see above); `annealing.seed`
   // etc. can still be overridden by the caller.
   AnnealingOptions annealing = [] {
@@ -63,10 +62,6 @@ struct OnlineTunerOptions {
     a.cooling_rate = 0.8;
     return a;
   }();
-  // Workload-drift detection (holding state).
-  double drift_threshold = 0.35;  // L1 distance over the signature vector
-  int drift_windows = 3;          // consecutive drifted windows required
-  double baseline_ema = 0.2;      // baseline <- (1-ema)*baseline + ema*sig
   // Minimum replacer-visible activity (fetches + sampled accesses +
   // read-ahead installs) for a window to count. Name kept for
   // compatibility with existing configs.
@@ -75,6 +70,13 @@ struct OnlineTunerOptions {
 
 class OnlineTuner {
  public:
+  // Sampling period of the background thread.
+  static constexpr double kWindowSeconds = 0.05;
+  // Workload-drift detection (holding state).
+  static constexpr double kDriftThreshold = 0.35;  // L1 over the signature
+  static constexpr int kDriftWindows = 3;  // consecutive drifted windows
+  static constexpr double kBaselineEma = 0.2;  // baseline <- (1-a)*b + a*sig
+
   using SampleFn = std::function<BufferStatsSnapshot()>;
   using ApplyFn = std::function<void(const MigrationPolicy&)>;
 

@@ -485,11 +485,16 @@ void BufferManager::LeadMiss(SharedPageDescriptor* d) {
 void BufferManager::SubmitRun(MissRun run) {
   const uint64_t offset = SsdOffset(run.pages.front()->pid);
   const size_t n = run.pages.size();
+  // Sample before the device read: a write counted by now is on the
+  // device, and one counted later changes the count CompleteMiss checks.
+  run.ssd_writes.reserve(n);
+  for (const SharedPageDescriptor* d : run.pages) {
+    run.ssd_writes.push_back(d->ssd_writes.load(std::memory_order_acquire));
+  }
   io_->SubmitRead(offset, n,
                   [this, run = std::move(run)](const Status& st,
-                                               const std::byte* data,
-                                               const uint64_t* seqs) {
-                    CompleteMiss(run, st, data, seqs);
+                                               const std::byte* data) {
+                    CompleteMiss(run, st, data);
                   });
 }
 
@@ -498,7 +503,7 @@ void BufferManager::SubmitRun(MissRun run) {
 // ---------------------------------------------------------------------------
 
 void BufferManager::CompleteMiss(const MissRun& run, Status st,
-                               const std::byte* data, const uint64_t* seqs) {
+                                 const std::byte* data) {
   // Releases the admission slot the leading miss took when its descriptor
   // entered kIoInflight (re-dispatched waiters that lead a new miss take a
   // fresh slot).
@@ -577,9 +582,11 @@ void BufferManager::CompleteMiss(const MissRun& run, Status st,
       if (page_st.ok()) {
         if (d->DramResident() || d->NvmResident()) {
           page_st = Status::Busy("page appeared while installing");
-        } else if (io_->WriteSeq(SsdOffset(d->pid)) != seqs[i]) {
-          // A write-back landed while the read was in flight; the
-          // re-dispatch below reads the new bytes.
+        } else if (d->ssd_writes.load(std::memory_order_relaxed) !=
+                   run.ssd_writes[i]) {
+          // A write-back landed while the read was in flight (see
+          // SharedPageDescriptor::ssd_writes); the re-dispatch below
+          // reads the new bytes.
           page_st = Status::Busy("page written during miss read");
         } else {
           d->io_latch.Lock();
@@ -1144,7 +1151,7 @@ bool BufferManager::TryEvictDramFrame(frame_id_t f) {
       abort_evict(true);
       return false;
     }
-    const Status st = WriteToSsd(d->pid, dram_ptr);
+    const Status st = WriteToSsd(d, dram_ptr);
     d->ssd_latch.Unlock();
     if (!st.ok()) {
       abort_evict(true);
@@ -1192,7 +1199,7 @@ bool BufferManager::TryEvictNvmFrame(frame_id_t f) {
     std::byte* ptr = nvm_pool_->FramePtr(f);
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(f), kPageSize,
                        /*sequential=*/true);
-    const Status st = WriteToSsd(d->pid, ptr);
+    const Status st = WriteToSsd(d, ptr);
     d->ssd_latch.Unlock();
     if (!st.ok()) {
       d->nvm.Publish(DramMode::kFull, 0);
@@ -1488,7 +1495,8 @@ std::byte* BufferManager::GuardRawData(SharedPageDescriptor* d, Tier tier,
 // Flushing, recovery, introspection
 // ---------------------------------------------------------------------------
 
-Status BufferManager::WriteToSsd(page_id_t pid, const std::byte* data) {
+Status BufferManager::WriteToSsd(SharedPageDescriptor* d,
+                                 const std::byte* data) {
   // Every page image headed to SSD passes through here — the one place a
   // whole-page checksum can be stamped so recovery can detect torn or
   // short page writes. Stamp a private copy: the source is a buffered
@@ -1499,7 +1507,11 @@ Status BufferManager::WriteToSsd(page_id_t pid, const std::byte* data) {
   StampPageChecksum(stamp_buf.get());
   // The device copies the image at submission, so the buffer may be
   // reused the moment this returns.
-  return io_->WritePage(SsdOffset(pid), stamp_buf.get());
+  SPITFIRE_RETURN_NOT_OK(io_->WritePage(SsdOffset(d->pid), stamp_buf.get()));
+  // Only now, with the bytes on the device: a miss that samples the new
+  // count must read them (see SharedPageDescriptor::ssd_writes).
+  d->ssd_writes.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
 Status BufferManager::FlushPage(page_id_t pid) {
@@ -1562,8 +1574,8 @@ Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
     SPITFIRE_DCHECK(dmode == DramMode::kFull || nvm_resident);
     Status st = Status::OK();
     if (dmode == DramMode::kFull) {
-      st = WriteToSsd(d->pid, dram_pool_->FramePtr(d->dram.frame.load(
-                                  std::memory_order_relaxed)));
+      st = WriteToSsd(d, dram_pool_->FramePtr(d->dram.frame.load(
+                             std::memory_order_relaxed)));
     }
     if (st.ok() && nvm_resident) WriteBackUnitsToNvm(d, dmode);
     if (st.ok() && dmode == DramMode::kFull) {
@@ -1586,7 +1598,7 @@ Status BufferManager::FlushDescriptor(SharedPageDescriptor* d, bool include_nvm,
     std::byte* ptr = nvm_pool_->FramePtr(nf);
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(nf), kPageSize,
                        /*sequential=*/true);
-    const Status st = WriteToSsd(d->pid, ptr);
+    const Status st = WriteToSsd(d, ptr);
     if (st.ok()) d->nvm.dirty.store(0, std::memory_order_relaxed);
     d->nvm.Publish(DramMode::kFull, 0);
     SPITFIRE_RETURN_NOT_OK(st);

@@ -383,6 +383,8 @@ class BufferManager {
     // window's other pages and a chained window hold none.
     bool holds_slot = false;
     std::shared_ptr<ReadWindow> window;  // null for a lone miss
+    // Each page's ssd_writes, sampled by SubmitRun before the device read.
+    std::vector<uint32_t> ssd_writes = {};
   };
 
   // Async miss-path internals. SubmitFetchOnDescriptor is SubmitFetch
@@ -396,8 +398,7 @@ class BufferManager {
                                       AccessIntent intent, FetchTicket* t);
   void LeadMiss(SharedPageDescriptor* d);
   void SubmitRun(MissRun run);
-  void CompleteMiss(const MissRun& run, Status st, const std::byte* data,
-                    const uint64_t* seqs);
+  void CompleteMiss(const MissRun& run, Status st, const std::byte* data);
   static void FinishTicket(FetchTicket* t, Status st);
 
   // Installs the page image in `src` (already read from SSD) into NVM
@@ -471,7 +472,11 @@ class BufferManager {
     return static_cast<uint64_t>(pid) * kPageSize;
   }
 
-  Status WriteToSsd(page_id_t pid, const std::byte* data);
+  // Writes a checksum-stamped copy of `data`, d's image, to SSD, then
+  // counts the write on d->ssd_writes. Caller holds d->ssd_latch and the
+  // latch of the tier `data` lives on, so a miss install (which holds
+  // both tier latches) never sees a write begun but not yet counted.
+  Status WriteToSsd(SharedPageDescriptor* d, const std::byte* data);
 
   // The one flush routine behind FlushPage and FlushAll, without the I/O
   // drain: pushes a dirty DRAM copy down (a full one to SSD, refreshing

@@ -216,6 +216,16 @@ struct SharedPageDescriptor {
   SpinLatch nvm_latch;
   SpinLatch ssd_latch;
 
+  // SSD writes of this page that the device holds. WriteToSsd bumps it
+  // (release) once the write returns, still holding ssd_latch and the
+  // latch of the tier it writes from. A miss samples it (acquire) before
+  // its device read and the install compares it under both tier latches,
+  // where every write begun before has bumped it: a change means the
+  // read may hold older bytes, and the page is read again (DESIGN.md,
+  // "SSD write counts"). 32 bits fit the padding after the latches;
+  // wrapping would take 2^32 writes of the page during one read.
+  std::atomic<uint32_t> ssd_writes{0};
+
   // Version latch for optimistic lock coupling by indexes built on top of
   // the buffer manager. Stable across migrations because the descriptor
   // never moves.

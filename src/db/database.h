@@ -26,16 +26,14 @@ struct DatabaseOptions {
   // Create and Recover refuse any value above 1.
   size_t num_shards = 1;
   MigrationPolicy policy = MigrationPolicy::Eager();
-  NvmAdmissionMode nvm_admission = NvmAdmissionMode::kProbabilistic;
-  size_t admission_queue_capacity = 0;
-  bool enable_fine_grained_loading = false;
-  uint32_t load_granularity = 256;
-  bool enable_mini_pages = false;
+  // HyMem's modes (admission queue, cache-line-grained loading, mini
+  // pages) and memory mode are set on BufferManagerOptions only. Tables
+  // and the B+Tree read every page through RawData(), which turns a
+  // cache-line-grained or mini copy into a full frame on first touch.
 
   // Devices.
   uint64_t ssd_capacity = 256ull * 1024 * 1024;
   std::string ssd_path;  // empty → memory-backed simulated SSD
-  Device* dram_backing = nullptr;  // e.g. a MemoryModeDevice (Figure 5)
 
   // Write-ahead logging (Section 5.2). The log stages in NVM; when there
   // is no NVM in the hierarchy, it stages in DRAM and every commit forces

@@ -112,30 +112,16 @@ void IoScheduler::CompletionWorkerLoop() {
 void IoScheduler::SubmitRead(uint64_t offset, size_t n, ReadCallback cb) {
   struct Read {
     std::unique_ptr<std::byte[]> buf;
-    std::vector<uint64_t> seqs;
     ReadCallback cb;
   };
   auto r = std::make_shared<Read>();
   r->buf = std::make_unique_for_overwrite<std::byte[]>(n * kPageSize);
-  r->seqs.assign(n, 0);
   r->cb = std::move(cb);
-  // Sample before the device copy, under the shard lock that WritePage
-  // bumps the sequence and copies the page under: a write before the
-  // sample is already on the device, and one after it fails the caller's
-  // sequence check.
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t off = offset + i * kPageSize;
-    Shard& s = ShardFor(off);
-    std::lock_guard<std::mutex> l(s.mu);
-    auto it = s.write_seq.find(off);
-    if (it != s.write_seq.end()) r->seqs[i] = it->second;
-  }
   uint64_t deadline = 0;
   const Status st =
       ssd_->BeginRead(offset, r->buf.get(), n * kPageSize, &deadline);
   stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-  ScheduleAt(st.ok() ? deadline : 0,
-             [r, st] { r->cb(st, r->buf.get(), r->seqs.data()); });
+  ScheduleAt(st.ok() ? deadline : 0, [r, st] { r->cb(st, r->buf.get()); });
 }
 
 bool IoScheduler::PumpCompletions(bool may_sleep) {
@@ -163,17 +149,8 @@ Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
     return Status::IoError("io scheduler stopped");
   }
   stats_.writes_staged.fetch_add(1, std::memory_order_relaxed);
-  Shard& s = ShardFor(offset);
   uint64_t deadline = 0;
-  Status st;
-  {
-    // The sequence bump is what invalidates concurrent reads: a read that
-    // sampled an older sequence fails its install-time validation, and
-    // one that samples after this step finds the bytes on the device.
-    std::lock_guard<std::mutex> l(s.mu);
-    s.write_seq[offset]++;
-    st = ssd_->BeginWrite(offset, src, kPageSize, &deadline);
-  }
+  const Status st = ssd_->BeginWrite(offset, src, kPageSize, &deadline);
   stats_.write_ops.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> wl(write_mu_);
   if (!st.ok()) {
@@ -182,13 +159,6 @@ Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
     write_deadline_ = std::max(write_deadline_, deadline);
   }
   return Status::OK();
-}
-
-uint64_t IoScheduler::WriteSeq(uint64_t offset) {
-  Shard& s = ShardFor(offset);
-  std::lock_guard<std::mutex> l(s.mu);
-  auto it = s.write_seq.find(offset);
-  return it == s.write_seq.end() ? 0 : it->second;
 }
 
 Status IoScheduler::Drain() {

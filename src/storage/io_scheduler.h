@@ -7,7 +7,6 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/constants.h"
@@ -28,7 +27,8 @@ struct IoSchedulerStats {
 };
 
 // Owner of all SSD-tier page traffic (an io_uring-style submission model
-// over the simulated device):
+// over the simulated device): a plain device queue that keeps no page
+// state.
 //
 //  - SubmitRead reads a run of contiguous pages with one device op and
 //    fires its callback at the op's completion deadline. It does not
@@ -39,12 +39,10 @@ struct IoSchedulerStats {
 //    returns without waiting for the op's completion deadline. The device
 //    copies the bytes at submission, so callers may reuse the source
 //    buffer at once; Drain() waits for the latest write deadline.
-//  - Every offset carries a WRITE SEQUENCE number, bumped by WritePage in
-//    the same locked step that copies the page to the device. A read
-//    callback receives the sequence each page's bytes correspond to; a
-//    caller installing the page into a buffer re-validates the sequence
-//    under its own latches (WriteSeq) and retries on mismatch, which makes
-//    reads safe to run without holding any page latch.
+//
+// A read may overlap a write of the same page; the buffer manager decides
+// whether a read's bytes are still current (DESIGN.md, "SSD write
+// counts").
 //
 // Offsets must be kPageSize-aligned; every transfer is a whole number of
 // pages. One background thread, the completion worker.
@@ -57,20 +55,18 @@ class IoScheduler {
   // --- Asynchronous submission/completion interface -----------------------
   //
   // Fired exactly once per SubmitRead call, with the run's bytes (page i at
-  // data + i * kPageSize) and each page's write sequence (seqs[i]). Both
-  // are only valid for the duration of the call — copy out what you need.
+  // data + i * kPageSize), valid only for the duration of the call — copy
+  // out what you need.
   // The callback may run inline inside SubmitRead (scale-0 completions),
   // from a thread pumping completions, or from the scheduler's completion
   // worker. It runs without any scheduler lock held, must not block on
   // this scheduler's own completions, and wakes its own waiters
   // (SignalCompletions).
-  using ReadCallback = std::function<void(const Status&, const std::byte* data,
-                                          const uint64_t* seqs)>;
+  using ReadCallback = std::function<void(const Status&, const std::byte*)>;
 
   // Reads the `n` pages at [offset, offset + n * kPageSize) with one device
-  // op. Each page's write sequence is sampled under the page's shard lock
-  // before the device copy. Never blocks on device latency: the
-  // completion is deferred to the op's deadline.
+  // op. Never blocks on device latency: the completion is deferred to the
+  // op's deadline.
   void SubmitRead(uint64_t offset, size_t n, ReadCallback cb);
 
   // Runs, on the calling thread, every completion whose deadline has
@@ -90,16 +86,10 @@ class IoScheduler {
   void WaitForCompletion(uint64_t observed_epoch, uint64_t max_wait_ns);
   void SignalCompletions();
 
-  // Bumps the page's write sequence and copies `src` to the device, one
-  // step under the page's shard lock, then returns without waiting for
-  // the write's deadline. A device error surfaces at the next Drain().
+  // Copies `src` to the device, then returns without waiting for the
+  // write's deadline. A device error surfaces at the next Drain().
   // Refused after Shutdown().
   Status WritePage(uint64_t offset, const std::byte* src);
-
-  // Current write sequence of `offset` (0 = never written through the
-  // scheduler). Compare against a read callback's `seqs[i]` before
-  // installing page i.
-  uint64_t WriteSeq(uint64_t offset);
 
   // Blocks until the latest write deadline has passed; returns (and
   // clears) the first write error since the previous Drain.
@@ -112,20 +102,6 @@ class IoScheduler {
   IoSchedulerStats& stats() { return stats_; }
 
  private:
-  static constexpr size_t kNumShards = 16;
-
-  // Write sequences of the written offsets. Entries are created by the
-  // first write and never erased, so sequence numbers stay monotonic for
-  // the device's lifetime (the table is bounded by the page count).
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, uint64_t> write_seq;
-  };
-
-  Shard& ShardFor(uint64_t offset) {
-    return shards_[(offset / kPageSize) % kNumShards];
-  }
-
   // --- Completion engine -------------------------------------------------
   // Deferred read completions, ordered by their device-model deadline.
   struct Completion {
@@ -143,8 +119,7 @@ class IoScheduler {
       std::priority_queue<Completion, std::vector<Completion>, CompletionLater>;
 
   // Enqueues `fn` to run at `deadline_ns` (NowNanos clock); runs it inline
-  // when the deadline has already passed (scale 0). Callers must not hold
-  // shard locks.
+  // when the deadline has already passed (scale 0).
   void ScheduleAt(uint64_t deadline_ns, std::function<void()> fn);
   // Run every completion whose deadline has passed. Exclusive-pop under
   // comp_mu_, so each completion runs exactly once. Return: anything ran.
@@ -168,8 +143,6 @@ class IoScheduler {
                                           // mutex when nobody sleeps
   bool comp_stop_ = false;
   std::thread completion_worker_;
-
-  Shard shards_[kNumShards];
 
   std::mutex write_mu_;
   uint64_t write_deadline_ = 0;  // latest deadline of a submitted write

@@ -50,15 +50,15 @@ class SsdDevice : public Device {
   Status TransferIn(uint64_t offset, void* dst, size_t size);
   Status TransferOut(uint64_t offset, const void* src, size_t size);
   // The I/O scheduler may issue a read concurrent with a write of an
-  // overlapping range (the reader re-validates its write sequence and
-  // discards superseded bytes — a torn transfer is acceptable there, as
-  // it would be on real hardware). The kernel makes the file-backed
-  // pread/pwrite pair safe; the memory-backed memcpy pair needs its own
-  // synchronization. Page-striped rwlocks, held only around the copy
-  // (never across the latency simulation), keep reads concurrent with
-  // reads while excluding overlapping writes. Multi-page requests lock
-  // their stripes in ascending order, so crossing requests cannot
-  // deadlock.
+  // overlapping range (the buffer manager then finds the page's SSD write
+  // count changed and discards the bytes — a torn transfer is acceptable
+  // there, as it would be on real hardware). The kernel makes the
+  // file-backed pread/pwrite pair safe; the memory-backed memcpy pair
+  // needs its own synchronization. Page-striped rwlocks, held only around
+  // the copy (never across the latency simulation), keep reads concurrent
+  // with reads while excluding overlapping writes, so a one-page read
+  // never tears. Multi-page requests lock their stripes in ascending
+  // order, so crossing requests cannot deadlock.
   static constexpr size_t kCopyLockStripes = 64;
   void LockRange(uint64_t offset, size_t size, bool exclusive);
   void UnlockRange(uint64_t offset, size_t size, bool exclusive);

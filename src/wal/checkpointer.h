@@ -10,9 +10,11 @@
 namespace spitfire {
 
 // Background maintenance thread (Section 5.2): periodically flushes dirty
-// DRAM pages down the hierarchy (allowing log truncation and bounding
-// recovery time) and drains the NVM log buffer to the SSD log file.
-// Dirty NVM pages are left alone — NVM is persistent.
+// DRAM pages down the hierarchy and drains the NVM log buffer to the SSD
+// log file. Dirty NVM pages are left alone — NVM is persistent. A round
+// does not move the redo horizon, so it neither shortens recovery nor
+// frees log space: only Database::Checkpoint sets the horizon, and the
+// log is never truncated.
 class Checkpointer {
  public:
   Checkpointer(BufferManager* bm, LogManager* lm, uint64_t interval_ms)

@@ -72,13 +72,10 @@ YcsbTxnMachine::YcsbTxnMachine(YcsbWorkload* workload)
       tuple_(YcsbWorkload::kTupleSize) {}
 
 void YcsbTxnMachine::Draw(Xoshiro256& rng) {
-  const YcsbConfig& cfg = w_->config();
   key_ = w_->SampleKey(rng);
-  is_read_ = rng.Bernoulli(cfg.read_ratio);
+  is_read_ = rng.Bernoulli(w_->config().read_ratio);
   update_value_ = rng.Next();
-  phase_ = cfg.scan_ratio > 0 && rng.Bernoulli(cfg.scan_ratio)
-               ? Phase::kScan
-               : Phase::kRead;
+  phase_ = Phase::kRead;
 }
 
 Status YcsbTxnMachine::Resume() {
@@ -96,23 +93,6 @@ Status YcsbTxnMachine::Resume() {
       [[fallthrough]];
     case Phase::kUpdate:
       return table->Update(txn(), key_, tuple_.data());
-    case Phase::kScan: {
-      // Short range scan starting at the zipfian key (YCSB-E flavor);
-      // aggregate the first word of each row so the reads are not dead.
-      // The aggregate is recomputed from scratch on every attempt, so a
-      // parked scan that re-observes earlier rows stays exactly-once.
-      uint64_t checksum = 0;
-      const Status st = table->Scan(
-          txn(), key_, key_ + w_->config().scan_length - 1,
-          [&](uint64_t, const void* t) {
-            uint64_t v;
-            std::memcpy(&v, t, sizeof(v));
-            checksum += v;
-            return true;
-          });
-      (void)checksum;
-      return st;
-    }
   }
   return Status::OK();
 }

@@ -22,11 +22,6 @@ struct YcsbConfig {
   double zipf_theta = 0.3;
   double read_ratio = 1.0;
   uint32_t table_id = 1;
-  // Fraction of transactions that run a short range scan instead of a
-  // point op (YCSB-E flavor); the remainder splits read/update by
-  // read_ratio. Defaults preserve the original two-op mixes.
-  double scan_ratio = 0.0;
-  uint64_t scan_length = 100;
 
   static YcsbConfig ReadOnly(uint64_t n = 100'000) {
     return {n, 0.3, 1.0, 1};
@@ -73,15 +68,14 @@ class YcsbWorkload {
 };
 
 // One YCSB transaction as a parked continuation (see TxnMachine): phases
-// kRead → [kUpdate], or kScan for the scan flavor. The decisions are drawn
-// in this order when the transaction begins: key, read-or-update, the new
-// column value, scan-or-point.
+// kRead → [kUpdate]. The decisions are drawn in this order when the
+// transaction begins: key, read-or-update, the new column value.
 class YcsbTxnMachine : public DbTxnMachine {
  public:
   explicit YcsbTxnMachine(YcsbWorkload* workload);
 
  private:
-  enum class Phase : uint8_t { kRead, kUpdate, kScan };
+  enum class Phase : uint8_t { kRead, kUpdate };
 
   void Draw(Xoshiro256& rng) override;
   Status Resume() override;

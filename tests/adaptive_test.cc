@@ -134,14 +134,14 @@ class TunerHarness {
   explicit TunerHarness(const OnlineTunerOptions& opts)
       : tuner_([] { return BufferStatsSnapshot{}; },
                [this](const MigrationPolicy& p) { applied_ = p; },
-               MigrationPolicy::Eager(), opts),
-        window_seconds_(opts.window_seconds) {}
+               MigrationPolicy::Eager(), opts) {}
 
   // One tuning window of `mix` traffic under the currently applied policy.
   // `fetch_scale` < 1 models a partially idle window.
   void Window(const Mix& mix, double fetch_scale = 1.0) {
-    const double fetches = std::max(
-        1.0, SyntheticThroughput(applied_) * window_seconds_ * fetch_scale);
+    const double fetches =
+        std::max(1.0, SyntheticThroughput(applied_) *
+                          OnlineTuner::kWindowSeconds * fetch_scale);
     const auto n = [&](double frac) {
       return static_cast<uint64_t>(fetches * frac);
     };
@@ -152,7 +152,7 @@ class TunerHarness {
     cum_.demotions_to_nvm += n(mix.demotions);
     cum_.nvm_installs += n(mix.nvm_installs);
     cum_.write_fetches += n(mix.write_fetches);
-    tuner_.Step(cum_, window_seconds_);
+    tuner_.Step(cum_, OnlineTuner::kWindowSeconds);
   }
 
   void Windows(int count, const Mix& mix, double fetch_scale = 1.0) {
@@ -166,7 +166,7 @@ class TunerHarness {
     cum_.dram_hits += 2;  // far below min_window_fetches on its own
     cum_.replacer_sampled += sampled;
     cum_.read_ahead_installs += sampled / 8;
-    tuner_.Step(cum_, window_seconds_);
+    tuner_.Step(cum_, OnlineTuner::kWindowSeconds);
   }
 
   OnlineTuner& tuner() { return tuner_; }
@@ -176,7 +176,6 @@ class TunerHarness {
   MigrationPolicy applied_;  // written by tuner_'s ctor; declare first
   BufferStatsSnapshot cum_;
   OnlineTuner tuner_;
-  double window_seconds_;
 };
 
 // The default schedule (t0=2.0, alpha=0.8, floor 0.01) needs ~24 measured
@@ -218,9 +217,9 @@ TEST(OnlineTunerTest, MixShiftTriggersExactlyOneReconvergence) {
   h.Windows(kConvergenceBudget, kPointMix);
   ASSERT_TRUE(h.tuner().converged());
 
-  // Shift the workload. Drift must fire only after `drift_windows`
+  // Shift the workload. Drift must fire only after kDriftWindows
   // consecutive drifted windows (hysteresis)...
-  h.Windows(opts.drift_windows - 1, kWriteMix);
+  h.Windows(OnlineTuner::kDriftWindows - 1, kWriteMix);
   EXPECT_EQ(h.tuner().reconvergences(), 0u);
   h.Window(kWriteMix);
   EXPECT_EQ(h.tuner().reconvergences(), 1u);
@@ -235,12 +234,11 @@ TEST(OnlineTunerTest, MixShiftTriggersExactlyOneReconvergence) {
 }
 
 TEST(OnlineTunerTest, SingleOddWindowDoesNotThrash) {
-  OnlineTunerOptions opts;
-  ASSERT_GE(opts.drift_windows, 2);
-  TunerHarness h(opts);
+  static_assert(OnlineTuner::kDriftWindows >= 2);
+  TunerHarness h((OnlineTunerOptions()));
   h.Windows(kConvergenceBudget, kPointMix);
   ASSERT_TRUE(h.tuner().converged());
-  // Isolated anomalies (shorter than drift_windows) interleaved with
+  // Isolated anomalies (shorter than kDriftWindows) interleaved with
   // normal traffic must never trigger a re-anneal.
   for (int i = 0; i < 10; ++i) {
     h.Window(kWriteMix);

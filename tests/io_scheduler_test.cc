@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,34 +66,18 @@ class IoSchedulerTest : public ::testing::Test {
 
   // One page read through SubmitRead, pumping completions until its
   // callback fires.
-  static Status ReadOnce(IoScheduler& io, uint64_t offset, std::byte* dst,
-                         uint64_t* seq) {
+  static Status ReadOnce(IoScheduler& io, uint64_t offset, std::byte* dst) {
     std::atomic<bool> fired{false};
     Status out;
-    io.SubmitRead(offset, 1, [&](const Status& st, const std::byte* data,
-                                 const uint64_t* seqs) {
+    io.SubmitRead(offset, 1, [&](const Status& st, const std::byte* data) {
       out = st;
-      if (st.ok()) {
-        std::memcpy(dst, data, kPageSize);
-        *seq = seqs[0];
-      }
+      if (st.ok()) std::memcpy(dst, data, kPageSize);
       fired.store(true, std::memory_order_release);
     });
     while (!fired.load(std::memory_order_acquire)) {
       (void)io.PumpCompletions(/*may_sleep=*/false);
     }
     return out;
-  }
-
-  // ReadOnce until the read's sequence is still current. A write after the
-  // read sampled the page's sequence may have superseded the bytes; like
-  // the buffer manager, check the sequence and read again.
-  static Status SubmitReadAndWait(IoScheduler& io, uint64_t offset,
-                                  std::byte* dst, uint64_t* seq) {
-    for (;;) {
-      const Status st = ReadOnce(io, offset, dst, seq);
-      if (!st.ok() || io.WriteSeq(offset) == *seq) return st;
-    }
   }
 
   std::unique_ptr<SsdDevice> ssd_;
@@ -137,32 +126,27 @@ TEST_F(IoSchedulerTest, MissStormIssuesOneDeviceRead) {
   EXPECT_GE(bm.io_scheduler()->stats().reads_deduped.load(), 1u);
 }
 
-TEST_F(IoSchedulerTest, ReadAfterWritePageSeesNewBytesAndSequence) {
+TEST_F(IoSchedulerTest, ReadAfterWritePageSeesNewBytes) {
   IoScheduler io(ssd_.get());
 
   std::vector<std::byte> page(kPageSize);
   FillStamp(page.data(), 0xAB);
   ASSERT_TRUE(io.WritePage(0, page.data()).ok());
-  EXPECT_NE(io.WriteSeq(0), 0u);
 
   std::vector<std::byte> got(kPageSize);
-  uint64_t seq = 0;
-  ASSERT_TRUE(ReadOnce(io, 0, got.data(), &seq).ok());
-  EXPECT_EQ(seq, io.WriteSeq(0));
+  ASSERT_TRUE(ReadOnce(io, 0, got.data()).ok());
   EXPECT_EQ(std::memcmp(got.data(), page.data(), kPageSize), 0);
   ASSERT_TRUE(io.Drain().ok());
 }
 
-TEST_F(IoSchedulerTest, SecondWriteLeavesNewestBytesAndHigherSequence) {
+TEST_F(IoSchedulerTest, SecondWriteLeavesNewestBytes) {
   IoScheduler io(ssd_.get());
 
   std::vector<std::byte> page(kPageSize);
   FillStamp(page.data(), 0xAAAA);
   ASSERT_TRUE(io.WritePage(0, page.data()).ok());
-  const uint64_t seq1 = io.WriteSeq(0);
   FillStamp(page.data(), 0xBBBB);
   ASSERT_TRUE(io.WritePage(0, page.data()).ok());
-  EXPECT_GT(io.WriteSeq(0), seq1);  // superseded reads must re-validate
 
   ASSERT_TRUE(io.Drain().ok());
   std::vector<std::byte> got(kPageSize);
@@ -199,12 +183,10 @@ TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
   }
   ths.emplace_back([&] {  // reader
     std::vector<std::byte> page(kPageSize);
-    uint64_t seq;
     int i = 0;
     while (!stop.load()) {
-      ASSERT_TRUE(SubmitReadAndWait(io, (i++ % kOffsets) * kPageSize,
-                                    page.data(), &seq)
-                      .ok());
+      ASSERT_TRUE(
+          ReadOnce(io, (i++ % kOffsets) * kPageSize, page.data()).ok());
       ASSERT_TRUE(IsUniform(page.data()));
     }
   });
@@ -226,55 +208,81 @@ TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
   }
 }
 
-// Each writer owns one offset and writes the uniform stamps 1..N, so after
-// its k-th write the offset's sequence is k and its bytes are stamp k (and
-// stamp 0, the zeroed device, before the first). A read whose sampled
-// sequence is still the offset's sequence after its callback must then
-// hold exactly that stamp. This holds only if the sequence bump and the
-// device copy are one step under the lock the read samples under: split
-// them, and a read can pair either write's sequence with the other's
-// bytes. Exercised under TSan via the `sync` label.
-TEST_F(IoSchedulerTest, ReadWithCurrentSequenceHoldsThatWritesBytes) {
-  IoScheduler io(ssd_.get());
+// A miss whose device read overlaps an eviction's write of the same page
+// must not install the older bytes. Each of two hot pages has a writer
+// that stamps increasing values and a reader that must read exactly the
+// last stamp, while an evictor misses on the other pages: with 4 DRAM
+// frames the dirty hot pages keep being written to SSD, and a reader that
+// misses during such a write reads the device before the write lands. The
+// install must then see the page's SSD write count changed and read
+// again. The device is file-backed: its pwrite is slow enough to open
+// the window between a write's start and its count. A mutex per page
+// orders its writer and reader, so page bytes never race under TSan.
+// Exercised under TSan via the `sync` label.
+TEST_F(IoSchedulerTest, MissRacingEvictionWriteInstallsNewestBytes) {
+  constexpr page_id_t kHot = 2;
+  constexpr page_id_t kPages = kHot + 22;
+  const std::string path = ::testing::TempDir() + "io_scheduler_test_" +
+                           std::to_string(::getpid()) + ".ssd";
+  ssd_ = std::make_unique<SsdDevice>(path, kPages * kPageSize);
+  SeedColdPages(kPages);
+  BufferManagerOptions opt;
+  opt.dram_frames = 4;
+  opt.nvm_frames = 0;
+  opt.policy = MigrationPolicy::Eager();
+  opt.read_ahead_pages = 0;
+  opt.ssd = ssd_.get();
+  {
+    BufferManager bm(opt);
+    bm.SetNextPageId(kPages);
 
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 2;
-  constexpr uint64_t kStamps = 20000;
-  std::atomic<int> writing{kWriters};
-  std::atomic<uint64_t> checked{0};
-
-  std::vector<std::thread> ths;
-  for (int w = 0; w < kWriters; ++w) {
-    ths.emplace_back([&, w] {
-      std::vector<std::byte> page(kPageSize);
-      for (uint64_t k = 1; k <= kStamps; ++k) {
-        FillStamp(page.data(), k);
-        if (!io.WritePage(w * kPageSize, page.data()).ok()) {
-          ADD_FAILURE() << "WritePage failed at stamp " << k;
-          break;
+    struct Hot {
+      std::mutex mu;
+      uint64_t last = 0;  // the page's newest stamp, guarded by mu
+    };
+    Hot hot[kHot];
+    for (page_id_t p = 0; p < kHot; ++p) hot[p].last = Stamp(p);
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> checked{0};
+    std::vector<std::thread> ths;
+    for (page_id_t p = 0; p < kHot; ++p) {
+      ths.emplace_back([&, p] {  // writer
+        for (uint64_t k = 1; !stop.load(); ++k) {
+          std::lock_guard<std::mutex> l(hot[p].mu);
+          auto r = bm.FetchPage(p, AccessIntent::kWrite);
+          if (!r.ok()) continue;  // Busy under churn is legal
+          const uint64_t v = Stamp(kPages) + k;  // above every seeded stamp
+          ASSERT_TRUE(r.value().WriteAt(kPageHeaderSize, sizeof(v), &v).ok());
+          hot[p].last = v;
         }
+      });
+      ths.emplace_back([&, p] {  // reader
+        while (!stop.load()) {
+          std::lock_guard<std::mutex> l(hot[p].mu);
+          auto r = bm.FetchPage(p, AccessIntent::kRead);
+          if (!r.ok()) continue;
+          uint64_t v = 0;
+          ASSERT_TRUE(r.value().ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+          ASSERT_EQ(v, hot[p].last) << "page " << p;
+          checked.fetch_add(1);
+        }
+      });
+    }
+    ths.emplace_back([&] {  // evictor
+      for (page_id_t i = 0; !stop.load(); ++i) {
+        (void)bm.FetchPage(kHot + i % (kPages - kHot), AccessIntent::kRead);
       }
-      writing.fetch_sub(1);  // even after a failure, so readers stop
     });
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    stop.store(true);
+    for (auto& th : ths) th.join();
+    EXPECT_GT(checked.load(), 0u);
+    for (page_id_t p = 0; p < kHot; ++p) {
+      EXPECT_GT(bm.page_table().Find(p)->ssd_writes.load(), 0u) << p;
+    }
   }
-  for (int r = 0; r < kReaders; ++r) {
-    ths.emplace_back([&, r] {
-      std::vector<std::byte> page(kPageSize);
-      for (uint64_t i = r; writing.load() > 0; ++i) {
-        const uint64_t offset = (i % kWriters) * kPageSize;
-        uint64_t seq = 0;
-        ASSERT_TRUE(ReadOnce(io, offset, page.data(), &seq).ok());
-        if (io.WriteSeq(offset) != seq) continue;  // superseded, re-read
-        uint64_t stamp = 0;
-        std::memcpy(&stamp, page.data(), sizeof(stamp));
-        ASSERT_EQ(stamp, seq);
-        ASSERT_TRUE(IsUniform(page.data()));
-        checked.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : ths) th.join();
-  EXPECT_GT(checked.load(), 0u);
+  ssd_.reset();
+  std::remove(path.c_str());
 }
 
 TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
@@ -371,7 +379,7 @@ TEST_F(IoSchedulerTest, ReadAheadWindowOverEvictedDirtyPageServesNewBytes) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   ASSERT_FALSE(bm.IsDramResident(kTarget));
-  ASSERT_NE(bm.io_scheduler()->WriteSeq(kTarget * kPageSize), 0u);
+  ASSERT_NE(bm.page_table().Find(kTarget)->ssd_writes.load(), 0u);
 
   // Two sequential misses: the second leads a window over pages 9..16.
   for (page_id_t pid = kTarget - 2; pid < kTarget; ++pid) {
