@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -89,12 +90,21 @@ Result<Table::SlotRef> Table::PinSlot(rid_t rid, AccessIntent intent,
 
 Result<rid_t> Table::AllocateSlot() {
   std::lock_guard<std::mutex> g(alloc_mu_);
-  // Recycle deferred frees whose grace period has passed: no transaction
-  // that could still traverse to the old version remains active.
-  if (!free_list_.empty() &&
-      free_list_.front().freed_at < tm_->MinActiveTs()) {
-    const rid_t rid = free_list_.front().rid;
-    free_list_.pop_front();
+  // A deferred free whose grace period has passed may be reused: no
+  // transaction that could still traverse to the old version remains
+  // active. The newest such slot goes first. The oldest lies on a page
+  // that has likely gone cold: reusing it first put every new version of
+  // a spilled heap on a page that its write then faulted in.
+  if (!free_list_.empty()) {
+    const timestamp_t min_active = tm_->MinActiveTs();
+    while (!free_list_.empty() && free_list_.front().freed_at < min_active) {
+      reusable_.push_back(free_list_.front().rid);
+      free_list_.pop_front();
+    }
+  }
+  if (!reusable_.empty()) {
+    const rid_t rid = reusable_.back();
+    reusable_.pop_back();
     return rid;
   }
   if (pages_.empty() || bump_slot_ >= slots_per_page_) {
@@ -286,8 +296,19 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
 
   SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref,
                             PinSlot(head, AccessIntent::kWrite, ctx));
-  const uint64_t writer =
-      AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
+  // A queued truncation claims a head only while it walks the chain
+  // behind it, and never parks, so wait for it instead of aborting: the
+  // claim is another thread's GC, not a conflicting write, and aborting on
+  // it starved writers that retry at once.
+  const auto wait_out_gc = [&] {
+    uint64_t w = AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
+    while (w == kGcClaim) {
+      std::this_thread::yield();
+      w = AtomicField(ref.hdr->writer).load(std::memory_order_acquire);
+    }
+    return w;
+  };
+  const uint64_t writer = wait_out_gc();
   const uint64_t begin =
       AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire);
 
@@ -329,10 +350,13 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     return Status::Aborted("version read by younger transaction");
   }
   uint64_t expected = 0;
-  if (!AtomicField(ref.hdr->writer)
-           .compare_exchange_strong(expected, txn->id(),
-                                    std::memory_order_acq_rel)) {
-    return Status::Aborted("lost write race");
+  while (!AtomicField(ref.hdr->writer)
+              .compare_exchange_strong(expected, txn->id(),
+                                       std::memory_order_acq_rel)) {
+    if (expected != kGcClaim || wait_out_gc() != 0) {
+      return Status::Aborted("lost write race");
+    }
+    expected = 0;
   }
   // Re-validate the head: a concurrent committer may have replaced it
   // between our index lookup and the lock.
@@ -445,23 +469,93 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
   // leaves a live row under a kDelete entry (the insert cleared the flag
   // in place), and an insert then a delete a tombstone under kInsert.
   const bool tombstone = (ref.hdr->flags & kFlagTombstone) != 0;
-  if (tombstone && txn->ts() <= watermark) {
+  const bool oldest = txn->ts() <= watermark;
+  if (tombstone && oldest) {
     // No transaction older than the delete is active: every reader sees
     // the tombstone, and an absent key reads the same. A tombstone whose
     // delete had older transactions active stays indexed, as does one
     // whose reclaim fails, until recovery reclaims it.
     ReclaimTombstone(op.key, op.new_rid, &ref, watermark);
-    return;
-  }
-  if (op.kind != Transaction::WriteOp::Kind::kInsert) {
+  } else if (op.kind == Transaction::WriteOp::Kind::kInsert) {
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+  } else if (oldest || tombstone) {
+    // The new head is the survivor (or, for a tombstone, the version
+    // visible at the watermark is). Release the head's write claim only
+    // AFTER truncating. While it is held no successor version can be
+    // installed, so at most one TruncateChain walks a given key's chain
+    // at a time. Two concurrent walks double-DeferFree the same garbage
+    // versions; a slot recycled while a chain still references it turns
+    // the prev links into a cycle.
     TruncateChain(op.new_rid, watermark);
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+  } else {
+    // An older transaction may still read the version this one replaced.
+    // Truncating now would free the one before it, written a whole update
+    // earlier and likely evicted, with a blocking pin inside the commit.
+    // Queue the head instead: once the watermark passes this commit the
+    // replaced version is garbage, and it is still resident.
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+    std::lock_guard<std::mutex> g(gc_mu_);
+    if (gc_queue_.size() == kMaxQueuedTruncations) gc_queue_.pop_front();
+    gc_queue_.push_back({op.new_rid, op.key, txn->ts()});
   }
-  // Release the head's write claim only AFTER truncating. While it is
-  // held no successor version can be installed, so at most one
-  // TruncateChain walks a given key's chain at a time. Two concurrent
-  // walks double-DeferFree the same garbage versions; a slot recycled
-  // while a chain still references it turns the prev links into a cycle.
-  AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+  ref.guard.Release();
+  RunDueTruncations(watermark);
+}
+
+void Table::RunDueTruncations(timestamp_t watermark) {
+  const auto pause = [](uint64_t key) {
+    if (auto* f = gc_pause_for_testing.load(std::memory_order_relaxed)) {
+      f(key);
+    }
+  };
+  for (;;) {
+    QueuedTruncation q;
+    {
+      std::lock_guard<std::mutex> g(gc_mu_);
+      if (gc_queue_.empty() || gc_queue_.front().ts > watermark) return;
+      q = gc_queue_.front();
+      gc_queue_.pop_front();
+    }
+    // Look the head up before touching its slot. A slot this transaction
+    // found at its key's head cannot be recycled until the transaction
+    // ends (DeferFree's grace period), so the pin and the claim below
+    // never race a new version's header being written into a reused slot.
+    uint64_t head = 0;
+    if (!index_->Lookup(q.key, &head).ok() || head != q.rid) continue;
+    auto ref_r = PinSlot(q.rid, AccessIntent::kWrite);
+    if (!ref_r.ok()) continue;  // the garbage stays linked
+    SlotRef ref = ref_r.MoveValue();
+    // The slot may have been freed and reused for a newer version of the
+    // key before the lookup: the queued commit's version has its ts.
+    if (AtomicField(ref.hdr->begin_ts).load(std::memory_order_acquire) !=
+        q.ts) {
+      continue;
+    }
+    pause(q.key);
+    // Claim the head as a commit does, so that no successor is installed
+    // and no other walk runs on the chain while this one does. If a writer
+    // holds it, skip the entry: that writer's commit, or the key's next
+    // one, truncates the chain.
+    uint64_t expected = 0;
+    if (!AtomicField(ref.hdr->writer)
+             .compare_exchange_strong(expected, kGcClaim,
+                                      std::memory_order_acq_rel)) {
+      continue;
+    }
+    // A successor may have committed, and released the head, between the
+    // lookup and the claim; then this head is no longer the survivor's
+    // chain to cut, and the successor's commit truncates it.
+    if (index_->Lookup(q.key, &head).ok() && head == q.rid) {
+      pause(q.key);
+      TruncateChain(q.rid, watermark);
+      deferred_truncations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Marked after the release, as a commit marks the head it releases: a
+    // write-back while the claim was held must not stay the page's image.
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+    ref.MarkDirty();
+  }
 }
 
 void Table::ReclaimTombstone(uint64_t key, rid_t rid, SlotRef* ref,
@@ -593,6 +687,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
     std::lock_guard<std::mutex> g(alloc_mu_);
     pages = pages_;
     free_list_.clear();
+    reusable_.clear();
   }
   // newest committed version per key
   std::map<uint64_t, std::pair<timestamp_t, rid_t>> heads;
@@ -677,7 +772,7 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
   }
   {
     std::lock_guard<std::mutex> g(alloc_mu_);
-    for (rid_t rid : holes) free_list_.push_back({rid, 0});
+    reusable_.insert(reusable_.end(), holes.rbegin(), holes.rend());
   }
   return Status::OK();
 }
@@ -688,9 +783,12 @@ Status Table::ValidateHeap(std::string* why) {
     return Status::Corruption(msg);
   };
   std::vector<page_id_t> pages;
+  std::vector<rid_t> free_slots;
   {
     std::lock_guard<std::mutex> g(alloc_mu_);
     pages = pages_;
+    free_slots = reusable_;
+    for (const DeferredFree& f : free_list_) free_slots.push_back(f.rid);
   }
   std::map<rid_t, std::pair<uint64_t, timestamp_t>> live;
   for (page_id_t pid : pages) {
@@ -715,6 +813,18 @@ Status Table::ValidateHeap(std::string* why) {
       heads[kv.first] = {kv.second, rid};
     }
   }
+  // A slot freed twice is listed twice, or, once reused, is allocated
+  // while still listed.
+  std::sort(free_slots.begin(), free_slots.end());
+  for (size_t i = 0; i < free_slots.size(); ++i) {
+    if (i > 0 && free_slots[i] == free_slots[i - 1]) {
+      return fail("slot on the free lists twice");
+    }
+    if (live.count(free_slots[i]) != 0) {
+      return fail("allocated slot on the free lists");
+    }
+  }
+  size_t reached = 0;
   for (const auto& [key, entry] : heads) {
     // Chain walk: every hop must land on an allocated slot of the same
     // key with a begin_ts no newer than its successor's.
@@ -733,12 +843,17 @@ Status Table::ValidateHeap(std::string* why) {
       SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(cur, AccessIntent::kRead));
       cur = ref.hdr->prev;
     }
+    reached += hops;
     uint64_t idx_head = 0;
     const Status st = index_->Lookup(key, &idx_head);
     if (!st.ok()) return fail("key present in heap but missing from index");
     if (idx_head != entry.second) {
       return fail("index head is not the newest committed version");
     }
+  }
+  // Chains of distinct keys are disjoint, so this counts distinct versions.
+  if (reached != live.size()) {
+    return fail("allocated version unreachable from its key's head");
   }
   return Status::OK();
 }

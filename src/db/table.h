@@ -1,6 +1,7 @@
 #ifndef SPITFIRE_DB_TABLE_H_
 #define SPITFIRE_DB_TABLE_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -95,7 +96,10 @@ class Table {
   // `watermark` is TransactionManager::MinActiveTs() sampled during the
   // commit: no active transaction is older. A committed tombstone at or
   // below it (its delete is the oldest active transaction) is reclaimed at
-  // once; any other stays indexed until the next recovery.
+  // once; any other stays indexed until the next recovery. A new head
+  // committed at or below it truncates its chain at once; one committed
+  // above it is queued, and a later commit whose watermark has passed it
+  // truncates the chain behind it (RunDueTruncations).
   void FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op,
                       timestamp_t watermark);
   void RollbackAbort(Transaction* txn, const Transaction::WriteOp& op);
@@ -133,8 +137,10 @@ class Table {
   // Verifies heap/index invariants on a QUIESCENT table (no active
   // transactions): every allocated version is committed and unlocked,
   // version chains are well-formed (same key, newest-first, acyclic, no
-  // dangling links), and the index maps each key to its newest committed
-  // version. Returns Corruption (and fills *why) on the first violation.
+  // dangling links) and reach every allocated version, the index maps each
+  // key to its newest committed version, and the free lists hold each slot
+  // at most once and no allocated one. Returns Corruption (and fills *why)
+  // on the first violation.
   Status ValidateHeap(std::string* why = nullptr);
 
   size_t slots_per_page() const { return slots_per_page_; }
@@ -142,6 +148,30 @@ class Table {
     std::lock_guard<std::mutex> g(alloc_mu_);
     return pages_.size();
   }
+  // Queued truncations, and how many queued ones have truncated a chain.
+  size_t queued_truncations() const {
+    std::lock_guard<std::mutex> g(gc_mu_);
+    return gc_queue_.size();
+  }
+  uint64_t deferred_truncations() const {
+    return deferred_truncations_.load(std::memory_order_relaxed);
+  }
+
+  // Bound on queued truncations. When the queue is full the oldest entry
+  // is dropped: its garbage stays linked behind its head, as after a
+  // failed pin, until a later commit on the key truncates the chain.
+  static constexpr size_t kMaxQueuedTruncations = 1024;
+  // The `writer` value a queued truncation holds on its head. It is above
+  // every transaction's timestamp, so a reader, which aborts only on a
+  // writer older than itself, reads through it; a writer waits for its
+  // release (WriteInternal).
+  static constexpr uint64_t kGcClaim = kMaxTimestamp - 1;
+  // Test-only hook, null outside tests. RunDueTruncations calls it with
+  // the key when it has found a queued head at the key's index head,
+  // before claiming it, and again when it holds the claim, before walking
+  // the chain. A race test uses it to act inside both windows.
+  static inline std::atomic<void (*)(uint64_t key)> gc_pause_for_testing{
+      nullptr};
 
  private:
   // A pinned version slot: the guard, typed pointers into the slot, and
@@ -169,6 +199,8 @@ class Table {
   Result<SlotRef> PinSlot(rid_t rid, AccessIntent intent,
                           FetchContext* ctx = nullptr);
 
+  // Returns the most recently freed slot whose grace period has passed
+  // (its page is the likeliest to be resident), else a fresh one.
   Result<rid_t> AllocateSlot();
   void DeferFree(rid_t rid);
 
@@ -177,10 +209,15 @@ class Table {
                        bool allow_tombstone_head);
 
   // Unlinks versions older than the newest one visible at `watermark`,
-  // deferring slot reuse until in-flight readers finish. Returns false if
-  // it stopped early (a pin failed): the versions it did not free stay
-  // linked behind the survivor.
+  // deferring slot reuse until in-flight readers finish. The caller holds
+  // the write claim of `head`, the key's index head (recovery runs alone),
+  // so no other walk runs on the chain. Returns false if it stopped early
+  // (a pin failed): the versions it did not free stay linked behind the
+  // survivor.
   bool TruncateChain(rid_t head, timestamp_t watermark);
+
+  // Truncates the chain behind each queued head the watermark has passed.
+  void RunDueTruncations(timestamp_t watermark);
 
   // Reclaims the committed tombstone at `rid`, the index head of `key`,
   // whose write claim the caller holds, and releases the claim. If a step
@@ -208,7 +245,18 @@ class Table {
     rid_t rid;
     timestamp_t freed_at;
   };
-  std::deque<DeferredFree> free_list_;  // FIFO: oldest free first
+  std::deque<DeferredFree> free_list_;  // in its grace period, oldest first
+  std::vector<rid_t> reusable_;         // past it, newest on top
+
+  // Heads committed above their commit's watermark, in commit order.
+  struct QueuedTruncation {
+    rid_t rid;
+    uint64_t key;
+    timestamp_t ts;  // the head's begin_ts
+  };
+  mutable std::mutex gc_mu_;
+  std::deque<QueuedTruncation> gc_queue_;
+  std::atomic<uint64_t> deferred_truncations_{0};
 
   // Tombstones recovery found or replayed, reclaimed after redo. Touched
   // only by the single-threaded recovery.

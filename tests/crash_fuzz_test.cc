@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -180,12 +181,20 @@ constexpr uint32_t kYcsbWorkers = 3;
 constexpr uint64_t kYcsbKeysPerWorker = 32;
 constexpr uint64_t kYcsbKeys = kYcsbWorkers * kYcsbKeysPerWorker;
 
+// Where a crash landed relative to the table's queued truncations (a
+// commit with an older transaction open queues its chain's truncation for
+// a later commit; see Table::FinalizeCommit).
+struct TruncationCoverage {
+  bool queued = false;   // truncations were queued at the crash
+  bool running = false;  // the injector tripped inside a commit that ran some
+};
+
 // Runs the interleaved workload until the injector trips (or the step
 // budget runs out), maintaining the ledger. Transactions from different
 // workers stay open concurrently — MVTO-level concurrency with a
 // deterministic schedule, so a failing seed replays.
 void RunYcsbWorkload(Database* db, Table* t, std::mt19937_64& rng,
-                     YcsbLedger* ledger) {
+                     YcsbLedger* ledger, TruncationCoverage* coverage) {
   struct Worker {
     std::unique_ptr<Transaction> txn;
     std::vector<YcsbWrite> plan;   // staged effects (applied on commit)
@@ -277,7 +286,13 @@ void RunYcsbWorkload(Database* db, Table* t, std::mt19937_64& rng,
       continue;
     }
 
+    const uint64_t truncations = t->deferred_truncations();
+    const bool tripped = FaultInjector::IsTripped();
     const Status st = db->Commit(w.txn.get());
+    if (!tripped && FaultInjector::IsTripped() &&
+        t->deferred_truncations() > truncations) {
+      coverage->running = true;
+    }
     if (st.ok()) {
       for (const YcsbWrite& op : w.plan) ledger->committed[op.key] = op.val;
     } else {
@@ -303,6 +318,7 @@ void RunYcsbWorkload(Database* db, Table* t, std::mt19937_64& rng,
   // In-flight transactions are dropped without abort: their uncommitted
   // versions and stale write locks are exactly what recovery must scrub.
   for (Worker& w : workers) w.txn.reset();
+  coverage->queued = t->queued_truncations() > 0;
 }
 
 // Validates the recovered database against the ledger. Returns a
@@ -369,7 +385,7 @@ std::string ValidateYcsb(Database* db, Table* t, const YcsbLedger& ledger) {
   return "";
 }
 
-void RunYcsbIteration(const FuzzConfig& c) {
+void RunYcsbIteration(const FuzzConfig& c, TruncationCoverage* coverage) {
   std::mt19937_64 rng(c.seed);
   DatabaseOptions opts = MakeOptions(c);
   std::string trace;
@@ -401,7 +417,7 @@ void RunYcsbIteration(const FuzzConfig& c) {
     FaultInjector::Get()->AttachNvm(db->env().nvm.get());
   }
 
-  RunYcsbWorkload(db.get(), t, rng, &ledger);
+  RunYcsbWorkload(db.get(), t, rng, &ledger, coverage);
   const std::string repro = FaultInjector::Get()->ToString();
   DatabaseEnv env = CrashAndRestore(std::move(db));
 
@@ -439,12 +455,23 @@ TEST(CrashFuzz, YcsbRandomKillPoints) {
   LatencySimulator::SetScale(0.0);
   const uint64_t iters = EnvOr("SPITFIRE_FUZZ_ITERS", 12);
   const uint64_t base_seed = EnvOr("SPITFIRE_FUZZ_SEED", 0xC0FFEE);
+  uint64_t queued = 0;
+  uint64_t running = 0;
   for (uint64_t it = 0; it < iters; ++it) {
     const FuzzConfig c = DrawConfig(base_seed, it);
     SCOPED_TRACE("iter " + std::to_string(it) + " " + c.ToString());
-    RunYcsbIteration(c);
+    TruncationCoverage coverage;
+    RunYcsbIteration(c, &coverage);
     if (::testing::Test::HasFatalFailure()) break;
+    queued += coverage.queued;
+    running += coverage.running;
   }
+  std::printf(
+      "YCSB crash fuzz: %llu of %llu iterations crashed with truncations "
+      "queued, %llu tripped inside a commit that ran queued truncations\n",
+      static_cast<unsigned long long>(queued),
+      static_cast<unsigned long long>(iters),
+      static_cast<unsigned long long>(running));
   LatencySimulator::SetScale(1.0);
 }
 

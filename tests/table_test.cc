@@ -3,6 +3,14 @@
 // versioned heap (db/table.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <random>
+#include <set>
 #include <thread>
 
 #include "db/database.h"
@@ -25,6 +33,8 @@ class TableTest : public ::testing::Test {
     opts.nvm_frames = 64;
     opts.policy = MigrationPolicy::Lazy();
     opts.enable_wal = false;
+    // Small enough to zero quickly under the sanitizers.
+    opts.ssd_capacity = 16ull * 1024 * 1024;
     db_ = Database::Create(opts).MoveValue();
     table_ = db_->CreateTable(1, sizeof(Item)).value();
   }
@@ -185,6 +195,273 @@ TEST_F(TableTest, GcReclaimsSlotsAcrossManyUpdates) {
   // 5000 versions of a 32 B tuple without GC would need ~25 pages; GC
   // keeps the heap at a handful.
   EXPECT_LT(table_->allocated_pages(), 5u);
+}
+
+TEST_F(TableTest, OverlappingCommitsKeepOneVersionPerKey) {
+  constexpr uint64_t kKeys = 1000;
+  constexpr uint64_t kRounds = 4;
+  for (uint64_t k = 0; k < kKeys; ++k) InsertCommitted(k, k);
+  const uint64_t one_version_pages =
+      (kKeys + table_->slots_per_page() - 1) / table_->slots_per_page();
+  ASSERT_EQ(table_->allocated_pages(), one_version_pages);
+  for (uint64_t r = 1; r <= kRounds; ++r) {
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      // An older transaction stays open across each update's commit, so
+      // no update commits as the oldest: its truncation is queued, and the
+      // next update's commit runs it.
+      auto older = db_->Begin();
+      UpdateCommitted(k, r * kKeys + k);
+      ASSERT_TRUE(db_->Commit(older.get()).ok());
+    }
+  }
+  EXPECT_GE(table_->deferred_truncations(), kRounds * kKeys - 1);
+  EXPECT_LE(table_->queued_truncations(), 1u);
+  // Two versions per key would need twice the pages.
+  EXPECT_LE(table_->allocated_pages(), one_version_pages + 1);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(ReadCommitted(k), kRounds * kKeys + k);
+  }
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
+}
+
+TEST_F(TableTest, AllocateSlotReusesNewestFreedSlotPastItsGracePeriod) {
+  // An aborted insert frees its slot; the index shows the slot while the
+  // insert is open.
+  const auto aborted_insert = [&](uint64_t key) {
+    auto txn = db_->Begin();
+    Item it{key, {}};
+    EXPECT_TRUE(table_->Insert(txn.get(), key, &it).ok());
+    uint64_t rid = kInvalidRid;
+    EXPECT_TRUE(table_->index()->Lookup(key, &rid).ok());
+    EXPECT_TRUE(db_->Abort(txn.get()).ok());
+    return rid;
+  };
+  const auto committed_insert = [&](uint64_t key) {
+    InsertCommitted(key, key);
+    uint64_t rid = kInvalidRid;
+    EXPECT_TRUE(table_->index()->Lookup(key, &rid).ok());
+    return rid;
+  };
+  // Each slot freed while `first` is open waits out its grace period until
+  // `first` ends, so every insert here takes a fresh slot.
+  auto first = db_->Begin();
+  const uint64_t a = aborted_insert(1);
+  const uint64_t b = aborted_insert(2);
+  const uint64_t c = aborted_insert(3);
+  {
+    // Begins after c's free, so `second` is younger than all three.
+    auto spacer = db_->Begin();
+    ASSERT_TRUE(db_->Commit(spacer.get()).ok());
+  }
+  auto second = db_->Begin();
+  const uint64_t d = aborted_insert(4);  // in its grace period until `second` ends
+  EXPECT_EQ(std::set<uint64_t>({a, b, c, d}).size(), 4u);
+  ASSERT_TRUE(db_->Commit(first.get()).ok());
+
+  EXPECT_EQ(committed_insert(10), c);
+  EXPECT_EQ(committed_insert(11), b);
+  EXPECT_EQ(committed_insert(12), a);
+  const uint64_t fresh = committed_insert(13);
+  EXPECT_EQ(std::set<uint64_t>({a, b, c, d, fresh}).size(), 5u);
+  ASSERT_TRUE(db_->Commit(second.get()).ok());
+  EXPECT_EQ(committed_insert(14), d);
+}
+
+// What a queued truncation asks another thread to do when it reaches
+// Table::gc_pause_for_testing: update the key with a transaction older
+// than the truncating one, so that the update commits as the oldest and
+// truncates the chain itself, while the truncation waits. A claimed head
+// makes the update wait for the truncation instead; the truncation gives
+// up waiting after a while.
+struct GcInterference {
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t key = 0;
+  bool requested = false;
+  uint64_t done = 0;  // requests served
+};
+GcInterference* g_interference = nullptr;
+
+void InterfereWithTruncation(uint64_t key) {
+  GcInterference* in = g_interference;
+  std::unique_lock<std::mutex> lk(in->mu);
+  if (in->requested) return;
+  in->key = key;
+  in->requested = true;
+  const uint64_t served = in->done;
+  in->cv.notify_all();
+  in->cv.wait_for(lk, std::chrono::milliseconds(2),
+                  [&] { return in->done != served; });
+}
+
+// Writers, readers and queued truncations race on four hot keys. An
+// interfering thread keeps two staggered transactions open, so writer
+// commits are not the oldest and queue their truncations; they become due
+// as it finishes the older one. Each queued truncation that finds its head
+// still current asks the interferer to update that key as the oldest
+// transaction, once before its claim and once before its walk: a
+// truncation that walked a chain whose head had moved, or without holding
+// the head's claim, would free versions the interferer's own truncation
+// frees too. Every read must return a value committed at or before the
+// reader's timestamp, the final state must be the last commit of each key,
+// and CheckIntegrity rejects any slot freed twice (a slot listed twice, or
+// allocated and listed) or any allocated version that no chain reaches.
+TEST_F(TableTest, QueuedTruncationsRaceWritersAndReaders) {
+  constexpr uint64_t kKeys = 4;
+  constexpr int kWriters = 4;
+  constexpr int kTxnsPerWriter = 1000;
+  // value % kKeys is the key; nullopt is a delete.
+  using Value = std::optional<uint64_t>;
+  struct Write {
+    uint64_t key;
+    timestamp_t ts;
+    Value value;
+  };
+  struct Observation {
+    timestamp_t ts;
+    uint64_t key;
+    Value value;
+  };
+  std::mutex mu;
+  std::vector<Write> committed;
+  {
+    auto txn = db_->Begin();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      Item it{k, {}};
+      ASSERT_TRUE(table_->Insert(txn.get(), k, &it).ok());
+      committed.push_back({k, txn->ts(), k});
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  std::atomic<uint64_t> next_value{1};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<Observation> seen;
+
+  // Applies a write in `txn` and commits it; false if it did not commit.
+  const auto write = [&](Transaction* txn, uint64_t key, bool del) {
+    Value value;
+    Status st;
+    if (del) {
+      st = table_->Delete(txn, key);
+    } else {
+      value = next_value.fetch_add(1) * kKeys + key;
+      Item it{*value, {}};
+      st = table_->Update(txn, key, &it);
+      if (st.IsNotFound()) st = table_->Insert(txn, key, &it);
+    }
+    if (st.ok() && db_->Commit(txn).ok()) {
+      std::lock_guard<std::mutex> g(mu);
+      committed.push_back({key, txn->ts(), value});
+      return true;
+    }
+    if (txn->state() == TxnState::kActive) (void)db_->Abort(txn);
+    return false;
+  };
+
+  GcInterference interference;
+  g_interference = &interference;
+  Table::gc_pause_for_testing = InterfereWithTruncation;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::mt19937_64 rng(w + 1);
+      for (int i = 0; i < kTxnsPerWriter; ++i) {
+        auto txn = db_->Begin();
+        const uint64_t key = rng() % kKeys;
+        (void)write(txn.get(), key, rng() % 8 == 0);
+        // A key then keeps its head until its queued truncation is due.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    // Reads every key at one snapshot, now and then.
+    while (writers_left.load() > 0) {
+      auto txn = db_->Begin();
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        Item it{};
+        const Status st = table_->Read(txn.get(), key, &it);
+        if (!st.ok() && !st.IsNotFound()) break;
+        seen.push_back({txn->ts(), key,
+                        st.ok() ? Value(it.value) : std::nullopt});
+      }
+      ASSERT_TRUE(db_->Commit(txn.get()).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  threads.emplace_back([&] {
+    auto older = db_->Begin();
+    auto newer = db_->Begin();
+    uint64_t served = 0;
+    while (writers_left.load() > 0) {
+      std::unique_lock<std::mutex> lk(interference.mu);
+      if (interference.cv.wait_for(lk, std::chrono::microseconds(100),
+                                   [&] { return interference.requested; })) {
+        const uint64_t key = interference.key;
+        lk.unlock();
+        if (write(older.get(), key, false)) ++served;
+        lk.lock();
+        interference.requested = false;
+        ++interference.done;
+        interference.cv.notify_all();
+      } else {
+        lk.unlock();
+        ASSERT_TRUE(db_->Commit(older.get()).ok());
+      }
+      older = std::move(newer);
+      newer = db_->Begin();
+    }
+    ASSERT_TRUE(db_->Commit(older.get()).ok());
+    ASSERT_TRUE(db_->Commit(newer.get()).ok());
+    EXPECT_GT(served, 0u);
+  });
+  for (auto& t : threads) t.join();
+  Table::gc_pause_for_testing = nullptr;
+  g_interference = nullptr;
+  EXPECT_GT(table_->deferred_truncations(), 0u);
+
+  // Committed writes of each key, by timestamp.
+  std::map<uint64_t, std::map<timestamp_t, Value>> history;
+  std::map<uint64_t, std::pair<uint64_t, timestamp_t>> by_value;
+  for (const Write& w : committed) {
+    history[w.key][w.ts] = w.value;
+    if (w.value) by_value[*w.value] = {w.key, w.ts};
+  }
+  EXPECT_FALSE(seen.empty());
+  for (const Observation& o : seen) {
+    if (o.value) {
+      auto it = by_value.find(*o.value);
+      ASSERT_TRUE(it != by_value.end())
+          << "key " << o.key << " read " << *o.value
+          << ", which no transaction committed";
+      ASSERT_EQ(it->second.first, o.key) << "read another key's value";
+      ASSERT_LE(it->second.second, o.ts) << "read a value from its future";
+    } else {
+      const auto& h = history[o.key];
+      ASSERT_TRUE(std::any_of(h.begin(), h.end(),
+                              [&](const auto& e) {
+                                return e.first <= o.ts && !e.second;
+                              }))
+          << "key " << o.key << " read as absent, never deleted";
+    }
+  }
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    const Value last = history[key].rbegin()->second;
+    auto txn = db_->Begin();
+    Item it{};
+    const Status st = table_->Read(txn.get(), key, &it);
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    if (last) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(it.value, *last) << "key " << key;
+    } else {
+      EXPECT_TRUE(st.IsNotFound()) << "key " << key;
+    }
+  }
+  std::string why;
+  EXPECT_TRUE(db_->CheckIntegrity(&why).ok()) << why;
 }
 
 TEST_F(TableTest, GcRespectsActiveSnapshots) {
